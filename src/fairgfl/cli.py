@@ -12,7 +12,6 @@ from .federation import ALGORITHMS, FedConfig, RoundError, run_experiment
 from .graph import PartitionSpec, ValidationError, generate_sbm, load_graph
 from .ldp import LdpParams
 from .metrics import write_round_records
-from .overlap import ESTIMATOR_MODES
 
 SUITES = ("single", "compare", "motivation", "privacy-sweep", "overlap-sweep")
 
@@ -33,55 +32,32 @@ def _bool(text: str) -> bool:
     raise ValueError(text)
 
 
-# key -> (type, default). Flat key=value file; short aliases below.
-CONFIG_SCHEMA = {
-    # federation
-    "num_clients": (int, 10),
-    "clients_per_round": (int, 5),
-    "local_iters": (int, 2),
-    "rounds": (int, 100),
-    "lr": (float, 0.05),
-    "batch_size": (int, 20),
-    "lam": (float, 0.1),
-    "alpha": (float, 0.8),
-    "beta": (float, 0.5),
-    "algorithm": (str, "fairgfl"),
-    "q": (float, 1.0),
-    "seed": (int, 0),
-    "hidden_dim": (int, 16),
-    "encoder_dim": (int, 16),
-    "encoder_epochs": (int, 30),
-    "test_fraction": (float, 0.2),
-    "public_fraction": (float, 0.05),
-    "tau_percentile": (float, 95.0),
-    "estimator_mode": (str, "corrected"),
-    "use_ldp": (_bool, True),
-    "estimate_overlap": (_bool, True),
-    "permanent_cache": (_bool, True),
-    "literal_eq17": (_bool, False),
-    "renormalize": (_bool, False),
-    # partition
-    "overlap_coefficient": (float, 0.1),
-    "overlap_pool_fraction": (float, 0.3),
-    "dirichlet_alpha_nonoverlap": (float, 0.5),
-    "dirichlet_alpha_overlap": (float, 0.8),
-    "partition_seed": (int, 0),
-    "literal_volume_scale": (_bool, False),
-    # privacy
-    "epsilon_a": (float, 3.0),
-    "epsilon_b": (float, 1.0),
-    "quantiles": (int, 8),
-    # dataset
-    "dataset": (str, "sbm"),
-    "sbm_blocks": (int, 7),
-    "sbm_block_size": (int, 60),
-    "sbm_p_in": (float, 0.2),
-    "sbm_p_out": (float, 0.02),
-    "feature_dim": (int, 32),
-    "sbm_seed": (int, 7),
-    "node_file": (str, ""),
-    "edge_file": (str, ""),
+# Dataset selection keys and their defaults; build_graph reads them.
+DATASET_DEFAULTS = {
+    "dataset": "sbm",
+    "sbm_blocks": 7,
+    "sbm_block_size": 60,
+    "sbm_p_in": 0.2,
+    "sbm_p_out": 0.02,
+    "feature_dim": 32,
+    "sbm_seed": 7,
+    "node_file": "",
+    "edge_file": "",
 }
+
+# Config key -> (section, field, default), derived from the config
+# dataclasses: each key's type is the type of its default. PartitionSpec
+# takes num_clients from FedConfig, its seed is the partition_seed key, and
+# its overlap_multipliers are set by the motivation suite only.
+_SECTIONS = (("fed", FedConfig), ("part", PartitionSpec), ("ldp", LdpParams))
+_RENAMED = {("part", "seed"): "partition_seed"}
+CONFIG_SCHEMA = {
+    _RENAMED.get((section, f.name), f.name): (section, f.name, f.default)
+    for section, cls in _SECTIONS
+    for f in dataclasses.fields(cls)
+    if f.default is not dataclasses.MISSING and f.default is not None
+}
+CONFIG_SCHEMA.update((k, ("extras", k, v)) for k, v in DATASET_DEFAULTS.items())
 
 _ALIASES = {
     "P": "num_clients",
@@ -96,14 +72,6 @@ _ALIASES = {
     "d1": "encoder_dim",
 }
 
-_FED_KEYS = (
-    "num_clients", "clients_per_round", "local_iters", "rounds", "lr",
-    "batch_size", "lam", "alpha", "beta", "algorithm", "q", "seed",
-    "hidden_dim", "encoder_dim", "encoder_epochs", "test_fraction",
-    "public_fraction", "tau_percentile", "estimator_mode", "use_ldp",
-    "estimate_overlap", "permanent_cache", "literal_eq17", "renormalize",
-)
-
 
 def parse_config(path=None, overrides: dict | None = None):
     """Resolve a flat key=value config file into the typed config objects.
@@ -112,20 +80,21 @@ def parse_config(path=None, overrides: dict | None = None):
     holds dataset selection keys. Unknown keys and malformed values raise
     ConfigError.
     """
-    values = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
+    values = {k: default for k, (_, _, default) in CONFIG_SCHEMA.items()}
 
     def assign(key, raw):
         key = _ALIASES.get(key, key)
         if key not in CONFIG_SCHEMA:
             valid = ", ".join(sorted(list(CONFIG_SCHEMA) + list(_ALIASES)))
             raise ConfigError(f"unknown config key {key!r}; valid keys: {valid}")
-        typ = CONFIG_SCHEMA[key][0]
         if isinstance(raw, str):
+            typ = type(CONFIG_SCHEMA[key][2])
             try:
-                values[key] = typ(raw)
+                values[key] = _bool(raw) if typ is bool else typ(raw)
             except ValueError:
-                name = {_bool: "bool", int: "int", float: "float", str: "str"}[typ]
-                raise ConfigError(f"config key {key!r} expects {name}, got {raw!r}") from None
+                raise ConfigError(
+                    f"config key {key!r} expects {typ.__name__}, got {raw!r}"
+                ) from None
         else:
             values[key] = raw
 
@@ -142,27 +111,13 @@ def parse_config(path=None, overrides: dict | None = None):
     for key, raw in (overrides or {}).items():
         assign(key, raw)
 
-    fed = FedConfig(**{k: values[k] for k in _FED_KEYS})
-    part = PartitionSpec(
-        num_clients=values["num_clients"],
-        overlap_coefficient=values["overlap_coefficient"],
-        overlap_pool_fraction=values["overlap_pool_fraction"],
-        dirichlet_alpha_nonoverlap=values["dirichlet_alpha_nonoverlap"],
-        dirichlet_alpha_overlap=values["dirichlet_alpha_overlap"],
-        seed=values["partition_seed"],
-        literal_volume_scale=values["literal_volume_scale"],
-    )
-    ldp = LdpParams(
-        epsilon_a=values["epsilon_a"],
-        epsilon_b=values["epsilon_b"],
-        quantiles=values["quantiles"],
-    )
-    extras = {
-        k: values[k]
-        for k in ("dataset", "sbm_blocks", "sbm_block_size", "sbm_p_in",
-                  "sbm_p_out", "feature_dim", "sbm_seed", "node_file", "edge_file")
-    }
-    return part, fed, ldp, extras
+    sections = {"fed": {}, "part": {}, "ldp": {}, "extras": {}}
+    for key, (section, name, _) in CONFIG_SCHEMA.items():
+        sections[section][name] = values[key]
+    fed = FedConfig(**sections["fed"])
+    part = PartitionSpec(num_clients=fed.num_clients, **sections["part"])
+    ldp = LdpParams(**sections["ldp"])
+    return part, fed, ldp, sections["extras"]
 
 
 def build_graph(extras: dict):
@@ -183,16 +138,13 @@ def build_graph(extras: dict):
 
 
 def write_manifest(path, part, fed, ldp, extras, suite):
+    """Write suite= and every config key as parse_config reads them back."""
+    sections = {"fed": vars(fed), "part": vars(part), "ldp": vars(ldp), "extras": extras}
     lines = [f"suite={suite}"]
-    for obj, skip in ((fed, ()), (ldp, ()), (extras, ())):
-        items = obj.items() if isinstance(obj, dict) else vars(obj).items()
-        lines.extend(f"{k}={v}" for k, v in items if k not in skip)
-    lines.append(f"overlap_coefficient={part.overlap_coefficient}")
-    lines.append(f"overlap_pool_fraction={part.overlap_pool_fraction}")
-    lines.append(f"dirichlet_alpha_nonoverlap={part.dirichlet_alpha_nonoverlap}")
-    lines.append(f"dirichlet_alpha_overlap={part.dirichlet_alpha_overlap}")
-    lines.append(f"partition_seed={part.seed}")
-    lines.append(f"literal_volume_scale={part.literal_volume_scale}")
+    lines.extend(
+        f"{key}={sections[section][name]}"
+        for key, (section, name, _) in CONFIG_SCHEMA.items()
+    )
     if part.overlap_multipliers is not None:
         lines.append(
             "overlap_multipliers=" + ",".join(str(m) for m in part.overlap_multipliers)
@@ -212,7 +164,7 @@ def _write_overlap_history(out_dir: Path, history):
             writer = csv.writer(fh)
             writer.writerow(header)
             for j, snap in enumerate(history, start=1):
-                writer.writerow([j] + [repr(v) for v in snap[name].ravel()])
+                writer.writerow([j] + [repr(float(v)) for v in snap[name].ravel()])
 
 
 def _run_one(graph, part, fed, ldp, out_dir: Path, tag: str):
@@ -292,14 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--algorithm", choices=ALGORITHMS)
     run.add_argument("--no-ldp", action="store_true",
                      help="upload encoded but unperturbed batches")
-    run.add_argument("--literal-eq17", action="store_true")
-    run.add_argument("--renormalize", action="store_true")
-    run.add_argument("--estimator", choices=ESTIMATOR_MODES)
-    run.add_argument("--epsilon-a", type=float)
-    run.add_argument("--epsilon-b", type=float)
-    run.add_argument("--quantiles", type=int)
-    run.add_argument("--encoder-dim", type=int)
-    run.add_argument("--permanent-cache", choices=("on", "off"))
     return parser
 
 
@@ -312,22 +256,6 @@ def main(argv=None) -> int:
         overrides["algorithm"] = args.algorithm
     if args.no_ldp:
         overrides["use_ldp"] = False
-    if args.literal_eq17:
-        overrides["literal_eq17"] = True
-    if args.renormalize:
-        overrides["renormalize"] = True
-    if args.estimator:
-        overrides["estimator_mode"] = args.estimator
-    if args.epsilon_a is not None:
-        overrides["epsilon_a"] = args.epsilon_a
-    if args.epsilon_b is not None:
-        overrides["epsilon_b"] = args.epsilon_b
-    if args.quantiles is not None:
-        overrides["quantiles"] = args.quantiles
-    if args.encoder_dim is not None:
-        overrides["encoder_dim"] = args.encoder_dim
-    if args.permanent_cache:
-        overrides["permanent_cache"] = args.permanent_cache == "on"
 
     try:
         part, fed, ldp, extras = parse_config(args.config, overrides)

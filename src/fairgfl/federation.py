@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -50,8 +51,6 @@ class FedConfig:
     use_ldp: bool = True
     estimate_overlap: bool = True
     permanent_cache: bool = True
-    literal_eq17: bool = False
-    renormalize: bool = False
 
     def __post_init__(self):
         if not 1 <= self.clients_per_round <= self.num_clients:
@@ -60,10 +59,19 @@ class FedConfig:
             raise ValidationError("local_iters must be >= 0")
         if self.rounds < 0:
             raise ValidationError("rounds must be >= 0")
-        if self.lam < 0 or self.q < 0:
-            raise ValidationError("lam and q must be >= 0")
-        if self.lr <= 0:
-            raise ValidationError("lr must be positive")
+        if min(self.hidden_dim, self.encoder_dim, self.batch_size) < 1:
+            raise ValidationError("hidden_dim, encoder_dim and batch_size must be >= 1")
+        if not (0 <= self.lam < math.inf and 0 <= self.q < math.inf):
+            raise ValidationError("lam and q must be finite and >= 0")
+        if not 0 < self.lr < math.inf:
+            raise ValidationError("lr must be finite and positive")
+        if not 0.0 <= self.tau_percentile <= 100.0:
+            raise ValidationError("tau_percentile must be in [0, 100]")
+        if not (0.0 <= self.test_fraction < 1.0 and 0.0 <= self.public_fraction < 1.0
+                and self.test_fraction + self.public_fraction < 1.0):
+            raise ValidationError(
+                "test_fraction and public_fraction must be in [0, 1) with a sum below 1"
+            )
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(f"algorithm must be one of {ALGORITHMS}")
         if self.estimator_mode not in overlap.ESTIMATOR_MODES:
@@ -180,42 +188,24 @@ def _combine(w_global: GcnModel, reports, coeffs, divisor) -> GcnModel:
     return GcnModel(w_global.W1 + acc1 / divisor, w_global.W2 + acc2 / divisor)
 
 
-def _max_loss_report(reports):
-    best = reports[0]
-    for rep in reports[1:]:
-        if rep.train_loss > best.train_loss:
-            best = rep
-    return best
-
-
 def aggregate_fair(
     reports: list[ClientReport],
     w_global: GcnModel,
     state: overlap.OverlapState,
     lam: float,
-    renormalize: bool = False,
-    literal_eq17: bool = False,
 ) -> GcnModel:
     """Overlap-discounted update average plus the max-loss regularizer step.
 
     Each client's update is weighted by 1 / (1 + O_i); the client with the
-    largest reported loss contributes an extra lam-scaled update.
+    largest reported loss (the first one on a tie) contributes an extra
+    lam-scaled update.
     """
     if not reports:
         raise ValidationError("reports must be non-empty")
     coeffs = [1.0 / (1.0 + overlap.client_overall_ratio(state, r.client_id)) for r in reports]
-    divisor = sum(coeffs) if renormalize else float(len(reports))
-
-    if literal_eq17:
-        k = float(len(reports))
-        w1 = sum(c * r.model.W1 for c, r in zip(coeffs, reports)) / k
-        w2 = sum(c * r.model.W2 for c, r in zip(coeffs, reports)) / k
-        new = GcnModel(w1, w2)
-    else:
-        new = _combine(w_global, reports, coeffs, divisor)
-
+    new = _combine(w_global, reports, coeffs, float(len(reports)))
     if lam > 0:
-        top = _max_loss_report(reports)
+        top = max(reports, key=lambda r: r.train_loss)
         new = GcnModel(
             new.W1 + lam * (top.model.W1 - w_global.W1),
             new.W2 + lam * (top.model.W2 - w_global.W2),
@@ -307,7 +297,7 @@ def run_experiment(
     ldp_ctx = None
     if needs_batches:
         if ldp_params is None:
-            ldp_params = ldp.LdpParams(epsilon_a=3.0, epsilon_b=1.0, quantiles=8)
+            ldp_params = ldp.LdpParams()
         public_feats = graph.features[public_ids]
         encoder = ldp.train_encoder(
             public_feats, cfg.encoder_dim, cfg.encoder_epochs,
@@ -325,9 +315,7 @@ def run_experiment(
     init_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 0, 5)))
     model = gcn.init_model(graph.feature_dim, cfg.hidden_dim, graph.num_classes, init_rng)
 
-    state = overlap.OverlapState.initial(
-        cfg.num_clients, cfg.alpha, cfg.beta, ldp_ctx.tau if ldp_ctx else 0.0
-    )
+    state = overlap.OverlapState.initial(cfg.num_clients, cfg.alpha, cfg.beta)
     records: list[metrics.RoundRecord] = []
     history: list[dict[str, np.ndarray]] = []
 
@@ -386,9 +374,7 @@ def run_experiment(
                             "O": state.O.copy(),
                         }
                     )
-            model = aggregate_fair(
-                reports, model, state, cfg.lam, cfg.renormalize, cfg.literal_eq17
-            )
+            model = aggregate_fair(reports, model, state, cfg.lam)
         elif cfg.algorithm == "fedavg":
             model = aggregate_fedavg(reports, model)
         else:

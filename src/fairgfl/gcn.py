@@ -75,16 +75,23 @@ def forward(model: GcnModel, a_hat: NormalizedAdjacency, x: np.ndarray):
     return logits, cache
 
 
-def _masked_softmax_ce(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
-    """Mean cross-entropy over masked rows; returns (loss, dlogits)."""
+def _masked_softmax_ce(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
+                       grad: bool = False):
+    """Mean cross-entropy over masked rows; returns (loss, dlogits or None).
+
+    dlogits, the gradient of the loss with respect to all logits, is only
+    computed when grad is set.
+    """
     ml = logits[mask]
     shifted = ml - ml.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    total = exp.sum(axis=1, keepdims=True)
     idx = np.arange(len(ml))
     y = labels[mask]
-    loss = -np.mean(shifted[idx, y] - np.log(exp.sum(axis=1)))
-    dmasked = probs.copy()
+    loss = -np.mean(shifted[idx, y] - np.log(total[:, 0]))
+    if not grad:
+        return loss, None
+    dmasked = exp / total
     dmasked[idx, y] -= 1.0
     dmasked /= len(ml)
     dlogits = np.zeros_like(logits)
@@ -112,7 +119,7 @@ def loss_and_grad(
 
     a = a_hat.matrix
     logits, cache = forward(model, a_hat, x)
-    loss, dlogits = _masked_softmax_ce(logits, labels, mask)
+    loss, dlogits = _masked_softmax_ce(logits, labels, mask, grad=True)
 
     dW2 = cache["ah"].T @ dlogits
     dh = (a @ dlogits) @ model.W2.T  # A_hat is symmetric

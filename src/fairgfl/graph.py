@@ -104,18 +104,15 @@ class PartitionSpec:
 
     overlap_coefficient is the target average pairwise node overlap ratio.
     overlap_pool_fraction is the share of nodes eligible for duplication
-    across clients. literal_volume_scale switches the per-client overlap
-    draw volume from the calibrated quadratic (default, tracks the target
-    empirically) to the raw N/(r - N*r) scaling.
+    across clients.
     """
 
     num_clients: int
-    overlap_coefficient: float
+    overlap_coefficient: float = 0.1
     overlap_pool_fraction: float = 0.3
     dirichlet_alpha_nonoverlap: float = 0.5
     dirichlet_alpha_overlap: float = 0.8
     seed: int = 0
-    literal_volume_scale: bool = False
     # Optional per-client multiplier on overlap_coefficient, e.g. thirds of
     # (0, 1, 2) to build imbalanced no/low/high overlap groups.
     overlap_multipliers: tuple[float, ...] | None = None
@@ -136,8 +133,8 @@ class PartitionSpec:
         if self.overlap_multipliers is not None and len(self.overlap_multipliers) != self.num_clients:
             raise ValidationError("overlap_multipliers length must equal num_clients")
 
-    def volume_scale(self, coefficient: float | None = None) -> float:
-        n = self.overlap_coefficient if coefficient is None else coefficient
+    def volume_scale(self) -> float:
+        n = self.overlap_coefficient
         r = self.overlap_pool_fraction
         return n / (r - n * r)
 
@@ -333,14 +330,11 @@ def partition(
         target = spec.overlap_coefficient * multipliers[i]
         if target <= 0 or R == 0:
             continue
-        if spec.literal_volume_scale:
-            volume = spec.volume_scale(target) * R
-        else:
-            # Calibrated so the realized pairwise overlap ratio
-            # |Vi ∩ Vk| / |Vi| tracks the target in expectation:
-            # v^2 / R = target * (u + v) with u the disjoint share.
-            u = len(assignments[i])
-            volume = (target * R + np.sqrt(target**2 * R**2 + 4 * target * R * u)) / 2
+        # Calibrated so the realized pairwise overlap ratio
+        # |Vi ∩ Vk| / |Vi| tracks the target in expectation:
+        # v^2 / R = target * (u + v) with u the disjoint share.
+        u = len(assignments[i])
+        volume = (target * R + np.sqrt(target**2 * R**2 + 4 * target * R * u)) / 2
         shares = rng.dirichlet([spec.dirichlet_alpha_overlap] * num_classes)
         for c in range(num_classes):
             avail = pool_by_label[c]

@@ -7,6 +7,8 @@ and the permanent-response cache that neutralizes repeated queries.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,13 +25,13 @@ _FLOOR_EPS = 1e-12
 class LdpParams:
     """Privacy budgets and grid resolution for subgraph sanitization."""
 
-    epsilon_a: float  # per-element node feature budget
-    epsilon_b: float  # per-link budget
-    quantiles: int    # grid has quantiles + 1 points {i/p}
+    epsilon_a: float = 3.0  # per-element node feature budget
+    epsilon_b: float = 1.0  # per-link budget
+    quantiles: int = 8      # grid has quantiles + 1 points {i/p}
 
     def __post_init__(self):
-        if self.epsilon_a <= 0 or self.epsilon_b <= 0:
-            raise ValidationError("privacy budgets must be positive")
+        if not (0 < self.epsilon_a < math.inf and 0 < self.epsilon_b < math.inf):
+            raise ValidationError("privacy budgets must be finite and positive")
         if self.quantiles < 1:
             raise ValidationError("quantiles must be >= 1")
 
@@ -154,19 +156,25 @@ def perturb_node(x: np.ndarray, params: LdpParams, rng,
     return out
 
 
+def _randomized_response(bits: np.ndarray, p_e: float, rng) -> np.ndarray:
+    """Flip each bit with probability p_e, drawing one uniform per bit in order."""
+    return np.where(rng.random(bits.shape) < p_e, 1 - bits, bits)
+
+
 def perturb_links(adj: np.ndarray, params: LdpParams, rng) -> np.ndarray:
-    """Randomized response on each upper-triangle adjacency bit, mirrored."""
+    """Randomized response on each upper-triangle adjacency bit, mirrored.
+
+    Bits are drawn in row-major order of the strict upper triangle.
+    """
     adj = np.asarray(adj)
     b = adj.shape[0]
     if adj.shape != (b, b) or (adj != adj.T).any():
         raise ValidationError("adjacency must be square and symmetric")
-    p_e = params.flip_probability
-    flips = rng.random((b, b)) < p_e
-    upper = np.triu(np.ones((b, b), dtype=bool), k=1)
-    out = adj.astype(np.int64).copy()
-    flip_mask = flips & upper
-    out[flip_mask] = 1 - out[flip_mask]
-    out = np.triu(out, k=1)
+    rows, cols = np.triu_indices(b, k=1)
+    out = np.zeros((b, b), dtype=np.int64)
+    out[rows, cols] = _randomized_response(
+        adj[rows, cols].astype(np.int64), params.flip_probability, rng
+    )
     return out + out.T
 
 
@@ -243,21 +251,21 @@ def sanitize_batch(
             cache.nodes[gid] = sanitized
         vectors[row] = sanitized
 
-    adj_dense = np.asarray(sub.adjacency.todense())
-    perturbed = np.zeros((b, b), dtype=np.int64)
+    # Upper-triangle link bits in row-major order; those not yet cached are
+    # flipped afresh, in that order.
+    rows, cols = np.triu_indices(b, k=1)
+    lo, hi = np.minimum(batch[rows], batch[cols]), np.maximum(batch[rows], batch[cols])
+    keys = list(zip(lo.tolist(), hi.tolist()))
+    links = {} if cache is None else cache.links
+    fresh = np.array([key not in links for key in keys], dtype=bool)
+    local_rows = np.array([local[g] for g in batch], dtype=np.int64)
+    raw = sub.adjacency.toarray()[local_rows[rows[fresh]], local_rows[cols[fresh]]] != 0
     p_e = params.flip_probability
-    for a_row in range(b):
-        for b_row in range(a_row + 1, b):
-            ga, gb = batch[a_row], batch[b_row]
-            key = (min(ga, gb), max(ga, gb))
-            if cache is not None and key in cache.links:
-                bit = cache.links[key]
-            else:
-                raw = int(adj_dense[local[ga], local[gb]] != 0)
-                bit = 1 - raw if rng.random() < p_e else raw
-                if cache is not None:
-                    cache.links[key] = bit
-            perturbed[a_row, b_row] = perturbed[b_row, a_row] = bit
+    flipped = _randomized_response(raw.astype(np.int64), p_e, rng)
+    links.update(zip(itertools.compress(keys, fresh), flipped.tolist()))
+    perturbed = np.zeros((b, b), dtype=np.int64)
+    perturbed[rows, cols] = [links[key] for key in keys]
+    perturbed += perturbed.T
 
     corrected = sparsify_correct(perturbed, vectors, p_e)
     return SanitizedBatch(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcn import GcnModel, NormalizedAdjacency, forward
+from .gcn import GcnModel, NormalizedAdjacency, _masked_softmax_ce, forward
 from .graph import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -68,13 +68,9 @@ def evaluate_global(
     if len(mask) == 0:
         raise ValidationError("test mask must be non-empty")
     logits, _ = forward(model, a_hat, features)
-    ml = logits[mask]
-    y = labels[mask]
-    shifted = ml - ml.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(logz - shifted[np.arange(len(ml)), y]))
-    acc = float(np.mean(ml.argmax(axis=1) == y))
-    return loss, acc
+    loss, _ = _masked_softmax_ce(logits, labels, mask)
+    acc = float(np.mean(logits[mask].argmax(axis=1) == labels[mask]))
+    return float(loss), acc
 
 
 _CSV_HEADER = ["round", "algorithm", "test_loss", "test_acc", "loss_var", "loss_entropy"]
@@ -100,7 +96,7 @@ def read_round_records(path) -> list[RoundRecord]:
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        next(reader)  # header
         n_fixed = len(_CSV_HEADER)
         for row in reader:
             records.append(

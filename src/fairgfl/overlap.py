@@ -25,7 +25,6 @@ class MatchResult:
     n_tilde: float                      # matches / b_a
     t_tilde: float                      # shared observed links / links in batch a
     b_a: int
-    b_b: int
     links_a: int
 
 
@@ -40,16 +39,15 @@ class OverlapState:
     O: np.ndarray
     alpha: float   # coupling weight between node and link ratios
     beta: float    # accumulation weight for new round estimates
-    tau: float     # node-match distance threshold
 
     @classmethod
-    def initial(cls, num_clients: int, alpha: float, beta: float, tau: float) -> "OverlapState":
+    def initial(cls, num_clients: int, alpha: float, beta: float) -> "OverlapState":
         if not 0.0 <= alpha <= 1.0:
             raise ValidationError("alpha must be in [0, 1]")
         if not 0.0 < beta <= 1.0:
             raise ValidationError("beta must be in (0, 1]")
         z = np.zeros((num_clients, num_clients))
-        return cls(z.copy(), z.copy(), z.copy(), z.copy(), z.copy(), alpha, beta, tau)
+        return cls(z.copy(), z.copy(), z.copy(), z.copy(), z.copy(), alpha, beta)
 
     @property
     def num_clients(self) -> int:
@@ -97,7 +95,6 @@ def match_nodes(a: SanitizedBatch, b: SanitizedBatch, tau: float) -> MatchResult
         n_tilde=n_tilde,
         t_tilde=t_tilde,
         b_a=a.batch_size,
-        b_b=b.batch_size,
         links_a=links_a,
     )
 

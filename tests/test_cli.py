@@ -8,6 +8,7 @@ from fairgfl.cli import (
     parse_config,
     run_suite,
 )
+from fairgfl.federation import run_experiment
 from fairgfl.metrics import read_round_records
 
 SMALL = """
@@ -128,11 +129,25 @@ class TestRunSuite:
         part, fed, ldp, extras = parse_config(write_cfg(tmp_path))
         out = tmp_path / "out"
         run_suite("single", part, fed, ldp, extras, out)
+        result = run_experiment(build_graph(extras), part, fed, ldp, record_overlap=True)
         est = out / "overlap_estimates"
         for name in ("N_round", "T_round", "N_acc", "T_acc", "O"):
             lines = (est / f"{name}.csv").read_text().strip().splitlines()
             assert len(lines) == 3  # header + one row per round
             assert lines[0].startswith("round,o_0_0")
+            for j, (line, snap) in enumerate(zip(lines[1:], result.overlap_history), 1):
+                cells = line.split(",")
+                assert cells[0] == str(j)
+                assert [float(c) for c in cells[1:]] == snap[name].ravel().tolist()
+
+    def test_manifest_roundtrip(self, tmp_path):
+        configs = parse_config(write_cfg(tmp_path, SMALL + "use_ldp = off\nlam = 0.3\n"))
+        out = tmp_path / "out"
+        assert run_suite("single", *configs, out) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert lines[0] == "suite=single"
+        resolved = write_cfg(tmp_path, "\n".join(lines[1:]) + "\n", name="resolved.txt")
+        assert parse_config(resolved) == configs
 
     def test_compare_one_file_per_algorithm(self, tmp_path):
         part, fed, ldp, extras = parse_config(write_cfg(tmp_path))
@@ -175,6 +190,26 @@ class TestMain:
         cfg = write_cfg(tmp_path, "K = 0\n")
         status = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert status == 2
+
+    @pytest.mark.parametrize("line", [
+        "epsilon_a = inf",
+        "epsilon_b = nan",
+        "hidden_dim = 0",
+        "encoder_dim = 0",
+        "batch_size = 0",
+        "lr = nan",
+        "lr = inf",
+        "tau_percentile = 150",
+        "test_fraction = 1.0",
+        "public_fraction = -0.1",
+        "test_fraction = 0.6\npublic_fraction = 0.4",
+    ])
+    def test_out_of_range_value_exits_two(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, SMALL + line + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_unknown_key_exits_two(self, tmp_path):
         cfg = write_cfg(tmp_path, "bogus = 1\n")

@@ -122,7 +122,7 @@ class TestAggregateFair:
         rng = np.random.default_rng(3)
         w_g = rand_model(rng)
         reports = [report(i, rand_model(rng), 1.0) for i in range(3)]
-        state = OverlapState.initial(3, 0.8, 0.5, 0.0)
+        state = OverlapState.initial(3, 0.8, 0.5)
         fair = aggregate_fair(reports, w_g, state, lam=0.0)
         avg = aggregate_fedavg(reports, w_g)
         assert np.array_equal(fair.W1, avg.W1)
@@ -133,7 +133,7 @@ class TestAggregateFair:
         rng = np.random.default_rng(4)
         w_g = rand_model(rng)
         m0, m1 = rand_model(rng), rand_model(rng)
-        state = OverlapState.initial(2, alpha=1.0, beta=1.0, tau=0.0)
+        state = OverlapState.initial(2, alpha=1.0, beta=1.0)
         state = update_state(state, {(0, 1): (1.0, 1.0)})
         out = aggregate_fair([report(0, m0, 1.0), report(1, m1, 1.0)], w_g, state, lam=0.0)
         u = m0.W1 - w_g.W1
@@ -144,7 +144,7 @@ class TestAggregateFair:
         rng = np.random.default_rng(5)
         w_g = rand_model(rng)
         reports = [report(0, rand_model(rng), 0.5), report(1, rand_model(rng), 2.0)]
-        state = OverlapState.initial(2, 0.8, 0.5, 0.0)
+        state = OverlapState.initial(2, 0.8, 0.5)
         base = aggregate_fair(reports, w_g, state, lam=0.0)
         out = aggregate_fair(reports, w_g, state, lam=0.5)
         shift = out.W1 - base.W1
@@ -154,7 +154,7 @@ class TestAggregateFair:
         rng = np.random.default_rng(6)
         w_g = rand_model(rng)
         reports = [report(1, rand_model(rng), 2.0), report(0, rand_model(rng), 2.0)]
-        state = OverlapState.initial(2, 0.8, 0.5, 0.0)
+        state = OverlapState.initial(2, 0.8, 0.5)
         base = aggregate_fair(reports, w_g, state, lam=0.0)
         out = aggregate_fair(reports, w_g, state, lam=1.0)
         # first report in list order wins the tie
@@ -165,7 +165,7 @@ class TestAggregateFair:
         w_g = rand_model(rng)
         m = rand_model(rng)
         reports = [report(0, m, 1.0), report(1, rand_model(rng), 1.0)]
-        low = OverlapState.initial(2, 1.0, 1.0, 0.0)
+        low = OverlapState.initial(2, 1.0, 1.0)
         low = update_state(low, {(0, 1): (0.1, 0.0)})
         high = update_state(low, {(0, 1): (0.9, 0.0)})
         out_low = aggregate_fair(reports, w_g, low, lam=0.0)
@@ -176,7 +176,7 @@ class TestAggregateFair:
         assert shrink_high != shrink_low
 
     def test_empty_reports_rejected(self):
-        state = OverlapState.initial(1, 0.8, 0.5, 0.0)
+        state = OverlapState.initial(1, 0.8, 0.5)
         with pytest.raises(ValidationError):
             aggregate_fair([], rand_model(np.random.default_rng(0)), state, 0.0)
 

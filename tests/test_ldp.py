@@ -231,3 +231,52 @@ class TestSanitizeBatch:
         n_links = len(cache.links)
         sanitize_batch(self.sub, np.arange(6), self.encoder, self.params, cache, rng)
         assert len(cache.links) == n_links == 15
+
+    def test_link_bits_match_scalar_reference(self):
+        """Uploads equal a per-pair loop with one scalar draw per fresh bit.
+
+        The loop is the reference for the draw order: uncached upper-triangle
+        pairs in row-major order. Uploads and the generator state must agree
+        with the cache on and off, across overlapping batches.
+        """
+
+        def reference(batch, cache, rng):
+            vectors = np.empty((len(batch), self.encoder.d1))
+            for row, gid in enumerate(batch):
+                if cache is not None and gid in cache.nodes:
+                    vectors[row] = cache.nodes[gid]
+                    continue
+                enc = self.encoder.encode(self.sub.features[gid])[0]
+                vectors[row] = perturb_node(
+                    enc, self.params, rng, self.encoder.x_min, self.encoder.x_max
+                )
+                if cache is not None:
+                    cache.nodes[gid] = vectors[row]
+            adj = self.sub.adjacency.toarray()
+            p_e = self.params.flip_probability
+            out = np.zeros((len(batch), len(batch)), dtype=np.int64)
+            for i in range(len(batch)):
+                for j in range(i + 1, len(batch)):
+                    key = (min(batch[i], batch[j]), max(batch[i], batch[j]))
+                    if cache is not None and key in cache.links:
+                        bit = cache.links[key]
+                    else:
+                        raw = int(adj[batch[i], batch[j]] != 0)
+                        bit = 1 - raw if rng.random() < p_e else raw
+                        if cache is not None:
+                            cache.links[key] = bit
+                    out[i, j] = out[j, i] = bit
+            return vectors, sparsify_correct(out, vectors, p_e)
+
+        for cached in (False, True):
+            rng_a, rng_b = np.random.default_rng(15), np.random.default_rng(15)
+            cache_a = PermanentCache() if cached else None
+            cache_b = PermanentCache() if cached else None
+            picks = np.random.default_rng(16)
+            for _ in range(20):
+                batch = picks.choice(30, size=8, replace=False)
+                got = sanitize_batch(self.sub, batch, self.encoder, self.params, cache_a, rng_a)
+                nodes, adj = reference(batch, cache_b, rng_b)
+                assert np.array_equal(got.sanitized_nodes, nodes)
+                assert np.array_equal(got.sanitized_adjacency, adj)
+            assert rng_a.random() == rng_b.random()

@@ -140,18 +140,18 @@ class TestEstimateLinkRatio:
 
 class TestOverlapState:
     def test_initial_zeroes(self):
-        state = OverlapState.initial(4, alpha=0.8, beta=0.5, tau=0.1)
+        state = OverlapState.initial(4, alpha=0.8, beta=0.5)
         assert state.num_clients == 4
         assert state.O.sum() == 0.0
 
     def test_invalid_weights(self):
         with pytest.raises(ValidationError):
-            OverlapState.initial(3, alpha=1.5, beta=0.5, tau=0.1)
+            OverlapState.initial(3, alpha=1.5, beta=0.5)
         with pytest.raises(ValidationError):
-            OverlapState.initial(3, alpha=0.5, beta=0.0, tau=0.1)
+            OverlapState.initial(3, alpha=0.5, beta=0.0)
 
     def test_update_accumulation_hand_arithmetic(self):
-        state = OverlapState.initial(3, alpha=0.8, beta=0.5, tau=0.1)
+        state = OverlapState.initial(3, alpha=0.8, beta=0.5)
         state = update_state(state, {(0, 1): (0.4, 0.2)})
         assert state.N_acc[0, 1] == pytest.approx(0.2)  # 0.5*0.4
         assert state.O[0, 1] == pytest.approx(0.8 * 0.2 + 0.2 * 0.1)
@@ -159,7 +159,7 @@ class TestOverlapState:
         assert state.N_acc[0, 1] == pytest.approx(0.3)  # 0.5*0.4 + 0.5*0.2
 
     def test_absent_pairs_keep_accumulated(self):
-        state = OverlapState.initial(3, alpha=1.0, beta=0.5, tau=0.1)
+        state = OverlapState.initial(3, alpha=1.0, beta=0.5)
         state = update_state(state, {(0, 1): (0.6, 0.0)})
         acc = state.N_acc[0, 1]
         state = update_state(state, {(1, 2): (0.2, 0.0)})
@@ -167,13 +167,13 @@ class TestOverlapState:
         assert state.N_round[0, 1] == 0.0
 
     def test_functional_update(self):
-        state = OverlapState.initial(2, alpha=0.8, beta=0.5, tau=0.1)
+        state = OverlapState.initial(2, alpha=0.8, beta=0.5)
         out = update_state(state, {(0, 1): (0.5, 0.5)})
         assert state.O.sum() == 0.0
         assert out is not state
 
     def test_client_overall_ratio_excludes_diagonal(self):
-        state = OverlapState.initial(3, alpha=1.0, beta=1.0, tau=0.0)
+        state = OverlapState.initial(3, alpha=1.0, beta=1.0)
         state = update_state(state, {(0, 1): (0.3, 0.0), (0, 2): (0.2, 0.0)})
         assert client_overall_ratio(state, 0) == pytest.approx(0.5)
         assert client_overall_ratio(state, 1) == 0.0
