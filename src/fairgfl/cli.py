@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .federation import ALGORITHMS, FedConfig, RoundError, run_experiment
-from .graph import PartitionSpec, ValidationError, generate_sbm, load_graph
+from .graph import GraphFormatError, PartitionSpec, ValidationError, generate_sbm, load_graph
 from .ldp import LdpParams
 from .metrics import write_round_records
 
@@ -152,10 +152,9 @@ def write_manifest(path, part, fed, ldp, extras, suite):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_overlap_history(out_dir: Path, history):
+def _write_overlap_history(est_dir: Path, history):
     if not history:
         return
-    est_dir = out_dir / "overlap_estimates"
     est_dir.mkdir(exist_ok=True)
     p = history[0]["O"].shape[0]
     header = ["round"] + [f"o_{i}_{k}" for i in range(p) for k in range(p)]
@@ -169,9 +168,9 @@ def _write_overlap_history(out_dir: Path, history):
 
 def _run_one(graph, part, fed, ldp, out_dir: Path, tag: str):
     result = run_experiment(graph, part, fed, ldp, record_overlap=True)
-    name = f"rounds_{tag}.csv" if tag else "rounds.csv"
-    write_round_records(out_dir / name, result.records)
-    _write_overlap_history(out_dir, result.overlap_history)
+    suffix = f"_{tag}" if tag else ""
+    write_round_records(out_dir / f"rounds{suffix}.csv", result.records)
+    _write_overlap_history(out_dir / f"overlap_estimates{suffix}", result.overlap_history)
     return result
 
 
@@ -184,9 +183,9 @@ def _thirds_multipliers(p: int) -> tuple[float, ...]:
 
 def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
     """Execute one experiment suite; returns a process exit status."""
+    graph = build_graph(extras)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    graph = build_graph(extras)
     try:
         if suite == "single":
             _run_one(graph, part, fed, ldp, out_dir, "")
@@ -260,7 +259,7 @@ def main(argv=None) -> int:
     try:
         part, fed, ldp, extras = parse_config(args.config, overrides)
         return run_suite(args.suite, part, fed, ldp, extras, args.out)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -164,10 +164,9 @@ def client_round(
 
 def _plain_batch(sub: ClientSubgraph, batch_ids, encoder) -> ldp.SanitizedBatch:
     """LDP bypass: encoded but unperturbed upload."""
-    local = {gid: idx for idx, gid in enumerate(sub.node_ids)}
-    rows = [local[g] for g in batch_ids]
+    rows = sub.local_rows(batch_ids)
     vectors = encoder.encode(sub.features[rows])
-    adj = np.asarray(sub.adjacency.todense())[np.ix_(rows, rows)].astype(np.int64)
+    adj = sub.adjacency.toarray()[np.ix_(rows, rows)].astype(np.int64)
     return ldp.SanitizedBatch(
         client_id=sub.client_id,
         batch_size=len(rows),

@@ -88,6 +88,18 @@ class ClientSubgraph:
     def num_nodes(self) -> int:
         return len(self.node_ids)
 
+    def local_rows(self, gids) -> np.ndarray:
+        """Local row index of each global id; ValidationError for a foreign id."""
+        gids = np.asarray(gids, dtype=np.int64)
+        rows = np.searchsorted(self.node_ids, gids)
+        found = rows < self.num_nodes
+        found[found] = self.node_ids[rows[found]] == gids[found]
+        if not found.all():
+            raise ValidationError(
+                f"batch node {gids[~found][0]} not on client {self.client_id}"
+            )
+        return rows
+
     def edge_set(self) -> set[tuple[int, int]]:
         """Undirected edges as sorted global-id pairs."""
         coo = sp.triu(self.adjacency, k=1).tocoo()

@@ -123,21 +123,26 @@ def train_encoder(public_nodes: np.ndarray, d1: int, epochs: int, seed: int,
     return Encoder(W=W1, b=b1, d1=d1, x_min=lo - pad, x_max=hi + pad)
 
 
-def node_grid_probs(x_hat: float, epsilon_a: float, p: int) -> np.ndarray:
+def node_grid_probs(x_hat, epsilon_a: float, p: int) -> np.ndarray:
     """Output distribution of the node mechanism over the grid {i/p}.
 
     Probability of grid point i/p decays exponentially in the floored
-    grid distance from the normalized input x_hat in [0, 1].
+    grid distance from the normalized input x_hat in [0, 1]. Broadcasts:
+    an array x_hat gives one distribution per element, on the last axis.
     """
     i = np.arange(p + 1)
-    dist = np.floor(p * np.abs(x_hat - i / p) + _FLOOR_EPS)
+    dist = np.floor(p * np.abs(np.asarray(x_hat)[..., None] - i / p) + _FLOOR_EPS)
     weights = np.exp(epsilon_a * (1.0 - dist / p))
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def perturb_node(x: np.ndarray, params: LdpParams, rng,
                  x_min: float = 0.0, x_max: float = 1.0) -> np.ndarray:
-    """Independently map each element of x to a grid point in {i/p}."""
+    """Independently map each element of x to a grid point in {i/p}.
+
+    One uniform u is drawn per element in C order; the output is the first
+    grid point whose cumulative probability exceeds u.
+    """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise NumericError("perturb_node input must be finite")
@@ -146,14 +151,10 @@ def perturb_node(x: np.ndarray, params: LdpParams, rng,
         raise ValidationError("x_max must exceed x_min")
     x_hat = (np.clip(x, x_min, x_max) - x_min) / span
     p = params.quantiles
-    out = np.empty_like(x_hat)
-    flat = x_hat.ravel()
-    out_flat = out.ravel()
-    u = rng.random(flat.shape)
-    for j, (xv, uv) in enumerate(zip(flat, u)):
-        cum = np.cumsum(node_grid_probs(xv, params.epsilon_a, p))
-        out_flat[j] = np.searchsorted(cum, uv, side="right") / p
-    return out
+    cum = np.cumsum(node_grid_probs(x_hat, params.epsilon_a, p), axis=-1)
+    u = rng.random(x_hat.shape)
+    # the count of cumulative probabilities <= u is searchsorted(side="right")
+    return (cum <= u[..., None]).sum(axis=-1) / p
 
 
 def _randomized_response(bits: np.ndarray, p_e: float, rng) -> np.ndarray:
@@ -234,22 +235,25 @@ def sanitize_batch(
     ever; later batches reuse the stored responses.
     """
     batch = np.asarray(batch, dtype=np.int64)
-    local = {gid: idx for idx, gid in enumerate(sub.node_ids)}
-    missing = [g for g in batch if g not in local]
-    if missing:
-        raise ValidationError(f"batch node {missing[0]} not on client {sub.client_id}")
+    local = sub.local_rows(batch)
+    ids = batch.tolist()
+    if len(set(ids)) != len(ids):
+        raise ValidationError("batch node ids must be distinct")
 
+    # Rows not yet cached are encoded and perturbed afresh, in batch order.
     b = len(batch)
+    nodes = {} if cache is None else cache.nodes
+    fresh_rows = np.array([gid not in nodes for gid in ids], dtype=bool)
+    perturbed_nodes = perturb_node(
+        encoder.encode(sub.features[local[fresh_rows]]), params, rng,
+        encoder.x_min, encoder.x_max,
+    )
+    # The cache keeps rows of perturbed_nodes, which no caller sees.
+    nodes.update(zip(itertools.compress(ids, fresh_rows), perturbed_nodes))
     vectors = np.empty((b, encoder.d1))
-    for row, gid in enumerate(batch):
-        if cache is not None and gid in cache.nodes:
-            vectors[row] = cache.nodes[gid]
-            continue
-        encoded = encoder.encode(sub.features[local[gid]])[0]
-        sanitized = perturb_node(encoded, params, rng, encoder.x_min, encoder.x_max)
-        if cache is not None:
-            cache.nodes[gid] = sanitized
-        vectors[row] = sanitized
+    vectors[fresh_rows] = perturbed_nodes
+    for row in np.flatnonzero(~fresh_rows):
+        vectors[row] = nodes[ids[row]]
 
     # Upper-triangle link bits in row-major order; those not yet cached are
     # flipped afresh, in that order.
@@ -258,8 +262,7 @@ def sanitize_batch(
     keys = list(zip(lo.tolist(), hi.tolist()))
     links = {} if cache is None else cache.links
     fresh = np.array([key not in links for key in keys], dtype=bool)
-    local_rows = np.array([local[g] for g in batch], dtype=np.int64)
-    raw = sub.adjacency.toarray()[local_rows[rows[fresh]], local_rows[cols[fresh]]] != 0
+    raw = sub.adjacency.toarray()[local[rows[fresh]], local[cols[fresh]]] != 0
     p_e = params.flip_probability
     flipped = _randomized_response(raw.astype(np.int64), p_e, rng)
     links.update(zip(itertools.compress(keys, fresh), flipped.tolist()))

@@ -58,37 +58,32 @@ def match_nodes(a: SanitizedBatch, b: SanitizedBatch, tau: float) -> MatchResult
     """Match nodes across batches by sanitized-vector distance below tau.
 
     Candidate cross pairs with Euclidean distance < tau are accepted in
-    ascending-distance order, each endpoint at most once. tau = 0 matches
-    only bitwise-equal vectors.
+    ascending-distance order (ties by index in a, then in b), each endpoint
+    at most once. tau = 0 matches only bitwise-equal vectors.
     """
     dists = np.linalg.norm(
         a.sanitized_nodes[:, None, :] - b.sanitized_nodes[None, :, :], axis=2
     )
-    if tau > 0:
-        cand = np.argwhere(dists < tau)
-    else:
-        cand = np.argwhere(dists == 0.0)
-    order = np.lexsort((cand[:, 1], cand[:, 0], dists[cand[:, 0], cand[:, 1]]))
-    used_a, used_b = set(), set()
+    cand = dists < tau if tau > 0 else dists == 0.0
+    # Repeatedly take the first flat argmin, i.e. the least (distance, index
+    # in a, index in b), then retire its row and column.
+    free = np.where(cand, dists, np.inf)
     pairs = []
-    for idx in order:
-        ia, ib = int(cand[idx, 0]), int(cand[idx, 1])
-        if ia in used_a or ib in used_b:
-            continue
-        used_a.add(ia)
-        used_b.add(ib)
+    for _ in range(min(free.shape)):
+        ia, ib = divmod(int(free.argmin()), free.shape[1])
+        if free[ia, ib] == np.inf:
+            break
         pairs.append((ia, ib))
+        free[ia, :] = np.inf
+        free[:, ib] = np.inf
 
     n_tilde = len(pairs) / a.batch_size if a.batch_size else 0.0
 
     links_a = int(np.triu(a.sanitized_adjacency, k=1).sum())
-    shared = 0
-    for m in range(len(pairs)):
-        for m2 in range(m + 1, len(pairs)):
-            ia, ib = pairs[m]
-            ja, jb = pairs[m2]
-            if a.sanitized_adjacency[ia, ja] and b.sanitized_adjacency[ib, jb]:
-                shared += 1
+    pa, pb = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    both = np.logical_and(a.sanitized_adjacency[np.ix_(pa, pa)],
+                          b.sanitized_adjacency[np.ix_(pb, pb)])
+    shared = int(np.triu(both, k=1).sum())
     t_tilde = shared / links_a if links_a else 0.0
     return MatchResult(
         pairs=tuple(pairs),
@@ -186,9 +181,10 @@ def calibrate_tau(
     responses measures the noise scale a true re-encounter must tolerate.
     """
     encoded = encoder.encode(public_nodes)
-    dists = []
-    for row in encoded:
-        a = perturb_node(row, params, rng, encoder.x_min, encoder.x_max)
-        b = perturb_node(row, params, rng, encoder.x_min, encoder.x_max)
-        dists.append(np.linalg.norm(a - b))
+    # Shape (n, 2, d1) draws row by row, then copy, then coordinate.
+    twice = perturb_node(np.stack([encoded, encoded], axis=1), params, rng,
+                         encoder.x_min, encoder.x_max)
+    # Norm per row: a row-wise reduction may sum in another order, and grid
+    # steps 1/p are not exact binary fractions for every p.
+    dists = [np.linalg.norm(diff) for diff in twice[:, 0] - twice[:, 1]]
     return float(np.percentile(dists, percentile))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,26 @@ class TestRunSuite:
         assert (out / "rounds_N0.csv").exists()
         assert (out / "rounds_N0.2.csv").exists()
 
+    def test_privacy_sweep_keeps_every_runs_estimates(self, tmp_path):
+        part, fed, ldp, extras = parse_config(write_cfg(tmp_path, SMALL + "J = 1\n"))
+        out = tmp_path / "out"
+        assert run_suite("privacy-sweep", part, fed, ldp, extras, out) == 0
+        tags = ("eps1", "eps4", "eps50", "noldp")
+        assert sorted(p.name for p in out.glob("overlap_estimates*")) == sorted(
+            f"overlap_estimates_{tag}" for tag in tags
+        )
+        graph = build_graph(extras)
+        for tag, run_ldp, run_fed in (
+            ("eps4", replace(ldp, epsilon_a=4.0), fed),
+            ("noldp", ldp, replace(fed, use_ldp=False)),
+        ):
+            snap = run_experiment(graph, part, run_fed, run_ldp, record_overlap=True)
+            csv_text = (out / f"overlap_estimates_{tag}" / "N_round.csv").read_text()
+            row = csv_text.splitlines()[1]
+            assert [float(c) for c in row.split(",")[1:]] == (
+                snap.overlap_history[0]["N_round"].ravel().tolist()
+            )
+
     def test_unknown_suite(self, tmp_path):
         part, fed, ldp, extras = parse_config(write_cfg(tmp_path))
         with pytest.raises(ConfigError, match="unknown suite"):
@@ -210,6 +232,29 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["node_file", "edge_file"])
+    def test_missing_graph_file_exits_two(self, tmp_path, capsys, missing):
+        (tmp_path / "nodes.txt").write_text("0 0 1.0\n1 1 0.5\n")
+        (tmp_path / "edges.txt").write_text("0 1\n")
+        files = {"node_file": tmp_path / "nodes.txt", "edge_file": tmp_path / "edges.txt"}
+        files[missing] = tmp_path / "absent.txt"
+        cfg = write_cfg(tmp_path, "dataset = file\n" + "".join(
+            f"{key} = {path}\n" for key, path in files.items()))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.txt" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_malformed_graph_file_exits_two(self, tmp_path, capsys):
+        (tmp_path / "nodes.txt").write_text("0 1.0 a\n1 x b\n")
+        (tmp_path / "edges.txt").write_text("0 1\n")
+        cfg = write_cfg(tmp_path, f"dataset = file\nnode_file = {tmp_path / 'nodes.txt'}\n"
+                        f"edge_file = {tmp_path / 'edges.txt'}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_key_exits_two(self, tmp_path):
         cfg = write_cfg(tmp_path, "bogus = 1\n")

@@ -26,6 +26,8 @@ CASES = {
     "fairgfl-ldp-cache": dict(algorithm="fairgfl"),
     "fairgfl-ldp-nocache": dict(algorithm="fairgfl", permanent_cache=False),
     "fairgfl-noldp": dict(algorithm="fairgfl", use_ldp=False),
+    # a low threshold leaves most cross pairs unmatched: selective matching
+    "fairgfl-ldp-tau25": dict(algorithm="fairgfl", tau_percentile=25.0),
     "fedavg": dict(algorithm="fedavg"),
     "qfedavg": dict(algorithm="qfedavg"),
 }
@@ -37,6 +39,8 @@ GOLDEN = {
         "bfe21073b11e396b26291ae54f1a4ee530e0c15c69210f34d5d234ef70e21404",
     "fairgfl-noldp":
         "b55406f04c8898bea91feab92962ef74d4aaaa79db5657e2268c3a9c474129d6",
+    "fairgfl-ldp-tau25":
+        "8e47b6c5f027cd184b6cfd361df57328219ea266ed22bebaf2b181678a85e4a0",
     "fedavg":
         "98f4fec52225a44b1f32db3af6f8c7adf8fa9ef65a83a6180f56fd3f094613e1",
     "qfedavg":

@@ -149,6 +149,20 @@ class TestInducedSubgraph:
         sub = induced_subgraph(g, np.array([3, 4]), client_id=2)
         assert sub.edge_set() == {(3, 4)}
 
+    def test_local_rows(self):
+        sub = induced_subgraph(tiny_graph(), np.array([4, 1, 2]), client_id=3)
+        assert sub.local_rows([2, 4, 1, 2]).tolist() == [1, 2, 0, 1]
+        assert sub.local_rows(np.array([], dtype=np.int64)).tolist() == []
+
+    @pytest.mark.parametrize("gid", [0, 3, 5, -1])
+    def test_local_rows_rejects_foreign_id(self, gid):
+        sub = induced_subgraph(tiny_graph(), np.array([1, 2, 4]), client_id=3)
+        with pytest.raises(ValidationError, match=f"batch node {gid} not on client 3"):
+            sub.local_rows([2, gid])
+        empty = induced_subgraph(tiny_graph(), np.array([], dtype=np.int64), client_id=0)
+        with pytest.raises(ValidationError, match="not on client 0"):
+            empty.local_rows([gid])
+
 
 class TestSplitCounts:
     @pytest.mark.parametrize("total", [0, 1, 7, 100])

@@ -17,6 +17,25 @@ from fairgfl.ldp import (
 )
 
 
+def scalar_perturb_node(x, params, rng, x_min=0.0, x_max=1.0):
+    """Reference node mechanism: one distribution, cumsum and draw per element.
+
+    This is the per-element loop that perturb_node vectorises; the
+    vectorised mechanism must reproduce its outputs and its draws.
+    """
+    x_hat = (np.clip(np.asarray(x, dtype=np.float64), x_min, x_max) - x_min) / (x_max - x_min)
+    p = params.quantiles
+    grid = np.arange(p + 1) / p
+    out = np.empty(x_hat.size)
+    u = rng.random(x_hat.size)
+    for j, (xv, uv) in enumerate(zip(x_hat.ravel(), u)):
+        dist = np.floor(p * np.abs(xv - grid) + 1e-12)
+        weights = np.exp(params.epsilon_a * (1.0 - dist / p))
+        cum = np.cumsum(weights / weights.sum())
+        out[j] = np.searchsorted(cum, uv, side="right") / p
+    return out.reshape(x_hat.shape)
+
+
 def make_encoder(d=4, d1=2):
     rng = np.random.default_rng(0)
     return Encoder(
@@ -85,6 +104,42 @@ class TestPerturbNode:
         freq = np.bincount((draws * 4).astype(int), minlength=5) / draws.size
         expect = node_grid_probs(x, 2.0, 4)
         assert np.max(np.abs(freq - expect)) < 0.01
+
+
+class TestPerturbNodeReference:
+    """perturb_node equals the scalar per-element loop, outputs and draws."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8, 16, 33])
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("shape", [(7,), (5, 4), (3, 2, 4)])
+    def test_random_inputs(self, p, eps, shape):
+        params = LdpParams(eps, 1.0, p)
+        x = np.random.default_rng(p * 100 + len(shape)).uniform(-1.5, 1.5, shape)
+        rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
+        got = perturb_node(x, params, rng_a, x_min=-1.0, x_max=1.0)
+        want = scalar_perturb_node(x, params, rng_b, x_min=-1.0, x_max=1.0)
+        assert got.shape == shape
+        assert np.array_equal(got, want)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8, 16, 33])
+    def test_grid_points_and_clamped_inputs(self, p):
+        params = LdpParams(3.0, 1.0, p)
+        grid = np.arange(p + 1) / p
+        x = np.concatenate([grid, grid + 1e-15, grid - 1e-15, [-4.0, -1e-9, 1.0 + 1e-9, 7.5]])
+        x = np.stack([x, x[::-1]])
+        rng_a, rng_b = np.random.default_rng(18), np.random.default_rng(18)
+        for _ in range(20):
+            assert np.array_equal(perturb_node(x, params, rng_a),
+                                  scalar_perturb_node(x, params, rng_b))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_empty_input_draws_nothing(self):
+        rng = np.random.default_rng(19)
+        before = rng.bit_generator.state
+        out = perturb_node(np.empty((0, 4)), LdpParams(3.0, 1.0, 8), rng)
+        assert out.shape == (0, 4)
+        assert rng.bit_generator.state == before
 
 
 class TestPerturbLinks:
@@ -205,6 +260,12 @@ class TestSanitizeBatch:
         with pytest.raises(ValidationError, match="not on client"):
             sanitize_batch(self.sub, np.array([55]), self.encoder, self.params, None, rng)
 
+    def test_repeated_node_rejected(self):
+        rng = np.random.default_rng(11)
+        with pytest.raises(ValidationError, match="distinct"):
+            sanitize_batch(self.sub, np.array([3, 5, 3]), self.encoder, self.params,
+                           PermanentCache(), rng)
+
     def test_permanent_cache_freezes_responses(self):
         """Repeated sanitizations reuse the first perturbed values."""
         rng = np.random.default_rng(12)
@@ -233,11 +294,13 @@ class TestSanitizeBatch:
         assert len(cache.links) == n_links == 15
 
     def test_link_bits_match_scalar_reference(self):
-        """Uploads equal a per-pair loop with one scalar draw per fresh bit.
+        """Uploads equal per-row, per-element and per-pair scalar loops.
 
-        The loop is the reference for the draw order: uncached upper-triangle
-        pairs in row-major order. Uploads and the generator state must agree
-        with the cache on and off, across overlapping batches.
+        The loops are the reference for the draw order: uncached rows in
+        batch order, each row's elements in order, then uncached
+        upper-triangle pairs in row-major order. Uploads and the generator
+        state must agree with the cache on and off, across overlapping
+        batches.
         """
 
         def reference(batch, cache, rng):
@@ -247,7 +310,7 @@ class TestSanitizeBatch:
                     vectors[row] = cache.nodes[gid]
                     continue
                 enc = self.encoder.encode(self.sub.features[gid])[0]
-                vectors[row] = perturb_node(
+                vectors[row] = scalar_perturb_node(
                     enc, self.params, rng, self.encoder.x_min, self.encoder.x_max
                 )
                 if cache is not None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairgfl.graph import ValidationError
-from fairgfl.ldp import Encoder, LdpParams, SanitizedBatch
+from fairgfl.ldp import Encoder, LdpParams, SanitizedBatch, perturb_node
 from fairgfl.overlap import (
     OverlapState,
     calibrate_tau,
@@ -26,6 +26,66 @@ def make_batch(vectors, adjacency=None, client_id=0, reported_n=None):
         sanitized_adjacency=np.asarray(adjacency),
         reported_n=reported_n if reported_n is not None else b,
     )
+
+
+def reference_match(a, b, tau):
+    """The lexsort-and-used-set greedy loop and O(m^2) link count match_nodes replaced."""
+    dists = np.linalg.norm(
+        a.sanitized_nodes[:, None, :] - b.sanitized_nodes[None, :, :], axis=2
+    )
+    cand = np.argwhere(dists < tau) if tau > 0 else np.argwhere(dists == 0.0)
+    order = np.lexsort((cand[:, 1], cand[:, 0], dists[cand[:, 0], cand[:, 1]]))
+    used_a, used_b, pairs = set(), set(), []
+    for idx in order:
+        ia, ib = int(cand[idx, 0]), int(cand[idx, 1])
+        if ia not in used_a and ib not in used_b:
+            used_a.add(ia)
+            used_b.add(ib)
+            pairs.append((ia, ib))
+    links_a = int(np.triu(a.sanitized_adjacency, k=1).sum())
+    shared = 0
+    for m in range(len(pairs)):
+        for m2 in range(m + 1, len(pairs)):
+            (ia, ib), (ja, jb) = pairs[m], pairs[m2]
+            if a.sanitized_adjacency[ia, ja] and b.sanitized_adjacency[ib, jb]:
+                shared += 1
+    n_tilde = len(pairs) / a.batch_size if a.batch_size else 0.0
+    return tuple(pairs), n_tilde, shared / links_a if links_a else 0.0, links_a
+
+
+def random_batch(rng, b, d, p, density):
+    """Grid vectors with few levels (so duplicates and distance ties abound)."""
+    upper = np.triu(rng.random((b, b)) < density, k=1)
+    vectors = rng.integers(0, p + 1, size=(b, d)) / p
+    return make_batch(vectors, (upper | upper.T).astype(np.int64))
+
+
+class TestMatchNodesReference:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("sizes", [(12, 12), (5, 17), (17, 5), (1, 9), (0, 4)])
+    def test_random_batches(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        for p, d in ((1, 2), (2, 3), (8, 4)):
+            a = random_batch(rng, sizes[0], d, p, 0.3)
+            b = random_batch(rng, sizes[1], d, p, 0.3)
+            dists = np.linalg.norm(
+                a.sanitized_nodes[:, None, :] - b.sanitized_nodes[None, :, :], axis=2
+            )
+            mid, top = (np.median(dists), dists.max()) if dists.size else (0.5, 1.0)
+            for tau in (0.0, 1e-9, *np.unique(dists)[:3], mid, top, top + 1.0, np.inf):
+                got = match_nodes(a, b, float(tau))
+                pairs, n_tilde, t_tilde, links_a = reference_match(a, b, float(tau))
+                assert got.pairs == pairs
+                assert (got.n_tilde, got.t_tilde, got.links_a) == (n_tilde, t_tilde, links_a)
+                assert type(got.t_tilde) is float
+
+    def test_no_candidates(self):
+        a = make_batch([[0.0, 0.0], [0.0, 0.5]], np.array([[0, 1], [1, 0]]))
+        b = make_batch([[1.0, 1.0], [1.0, 0.5], [0.5, 1.0]])
+        for tau in (0.0, 0.5):
+            got = match_nodes(a, b, tau)
+            assert got.pairs == () and got.n_tilde == 0.0 and got.t_tilde == 0.0
+            assert got.links_a == 1
 
 
 class TestMatchNodes:
@@ -190,3 +250,21 @@ class TestCalibrateTau:
         lo = calibrate_tau(enc, nodes, params, np.random.default_rng(1), 25.0)
         hi = calibrate_tau(enc, nodes, params, np.random.default_rng(1), 95.0)
         assert 0.0 < lo <= hi
+
+    def test_draw_order_matches_row_loop(self):
+        """One call draws what a per-row loop of two perturbations draws."""
+        rng = np.random.default_rng(2)
+        enc = Encoder(
+            W=rng.standard_normal((6, 3)), b=np.zeros(3), d1=3, x_min=-1.0, x_max=1.0
+        )
+        params = LdpParams(2.0, 1.0, 3)
+        nodes = rng.standard_normal((25, 6))
+        loop_rng = np.random.default_rng(3)
+        dists = []
+        for row in enc.encode(nodes):
+            first = perturb_node(row, params, loop_rng, enc.x_min, enc.x_max)
+            second = perturb_node(row, params, loop_rng, enc.x_min, enc.x_max)
+            dists.append(np.linalg.norm(first - second))
+        tau_rng = np.random.default_rng(3)
+        assert calibrate_tau(enc, nodes, params, tau_rng, 40.0) == np.percentile(dists, 40.0)
+        assert tau_rng.bit_generator.state == loop_rng.bit_generator.state
