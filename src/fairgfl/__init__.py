@@ -23,8 +23,6 @@ from .gcn import (
     loss_and_grad,
     masked_loss,
     sgd_step,
-    save_checkpoint,
-    load_checkpoint,
 )
 from .ldp import (
     LdpParams,
@@ -46,6 +44,7 @@ from .overlap import (
     match_nodes,
     estimate_node_ratio,
     estimate_link_ratio,
+    estimate_round,
     update_state,
     client_overall_ratio,
     calibrate_tau,
@@ -63,7 +62,6 @@ from .federation import (
     RoundError,
     FedConfig,
     ClientReport,
-    LdpContext,
     ExperimentResult,
     sample_clients,
     client_round,

@@ -12,6 +12,7 @@ from .federation import ALGORITHMS, FedConfig, RoundError, run_experiment
 from .graph import GraphFormatError, PartitionSpec, ValidationError, generate_sbm, load_graph
 from .ldp import LdpParams
 from .metrics import write_round_records
+from .overlap import HISTORY
 
 SUITES = ("single", "compare", "motivation", "privacy-sweep", "overlap-sweep")
 
@@ -158,7 +159,7 @@ def _write_overlap_history(est_dir: Path, history):
     est_dir.mkdir(exist_ok=True)
     p = history[0]["O"].shape[0]
     header = ["round"] + [f"o_{i}_{k}" for i in range(p) for k in range(p)]
-    for name in ("N_round", "T_round", "N_acc", "T_acc", "O"):
+    for name in HISTORY:
         with open(est_dir / f"{name}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -167,7 +168,9 @@ def _write_overlap_history(est_dir: Path, history):
 
 
 def _run_one(graph, part, fed, ldp, out_dir: Path, tag: str):
-    result = run_experiment(graph, part, fed, ldp, record_overlap=True)
+    result = run_experiment(graph, part, fed, ldp)
+    # Created only now, so a run that fails in set-up leaves no directory.
+    out_dir.mkdir(parents=True, exist_ok=True)
     suffix = f"_{tag}" if tag else ""
     write_round_records(out_dir / f"rounds{suffix}.csv", result.records)
     _write_overlap_history(out_dir / f"overlap_estimates{suffix}", result.overlap_history)
@@ -183,9 +186,10 @@ def _thirds_multipliers(p: int) -> tuple[float, ...]:
 
 def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
     """Execute one experiment suite; returns a process exit status."""
+    if suite == "motivation" and fed.rounds == 0:
+        raise ConfigError("suite motivation summarizes the last round; it needs rounds >= 1")
     graph = build_graph(extras)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if suite == "single":
             _run_one(graph, part, fed, ldp, out_dir, "")

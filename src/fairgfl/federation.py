@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gcn, ldp, metrics, overlap
-from .gcn import GcnModel, GradientSet, NormalizedAdjacency
+from .gcn import GcnModel, NormalizedAdjacency
 from .graph import ClientSubgraph, GlobalGraph, PartitionSpec, ValidationError, partition
 
 ALGORITHMS = ("fairgfl", "fedavg", "qfedavg")
@@ -47,7 +47,6 @@ class FedConfig:
     test_fraction: float = 0.2
     public_fraction: float = 0.05
     tau_percentile: float = 95.0
-    estimator_mode: str = "corrected"
     use_ldp: bool = True
     estimate_overlap: bool = True
     permanent_cache: bool = True
@@ -74,8 +73,6 @@ class FedConfig:
             )
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(f"algorithm must be one of {ALGORITHMS}")
-        if self.estimator_mode not in overlap.ESTIMATOR_MODES:
-            raise ValidationError(f"estimator_mode must be one of {overlap.ESTIMATOR_MODES}")
 
 
 @dataclass(frozen=True)
@@ -83,23 +80,6 @@ class ClientReport:
     client_id: int
     model: GcnModel
     train_loss: float
-    batch: ldp.SanitizedBatch | None = None
-
-
-@dataclass
-class LdpContext:
-    """Shared encoder plus per-client permanent caches."""
-
-    encoder: ldp.Encoder
-    params: ldp.LdpParams
-    tau: float
-    perturb: bool = True
-    caches: dict[int, ldp.PermanentCache] = field(default_factory=dict)
-
-    def cache_for(self, client_id: int, enabled: bool) -> ldp.PermanentCache | None:
-        if not enabled:
-            return None
-        return self.caches.setdefault(client_id, ldp.PermanentCache())
 
 
 def _client_rng(seed: int, round_index: int, client_id: int, stream: int):
@@ -123,9 +103,7 @@ def client_round(
     a_hat: NormalizedAdjacency,
     w_global: GcnModel,
     cfg: FedConfig,
-    ldp_ctx: LdpContext | None,
     train_rng,
-    ldp_rng,
 ) -> ClientReport:
     """E local SGD steps on masked mini-batches, then report model and loss.
 
@@ -144,22 +122,7 @@ def client_round(
         model = gcn.sgd_step(model, grads, cfg.lr)
 
     full_loss = gcn.masked_loss(model, a_hat, sub.features, sub.labels, np.arange(n_i))
-
-    batch = None
-    if ldp_ctx is not None:
-        batch_ids = ldp_rng.choice(sub.node_ids, size=b, replace=False)
-        if ldp_ctx.perturb:
-            batch = ldp.sanitize_batch(
-                sub,
-                batch_ids,
-                ldp_ctx.encoder,
-                ldp_ctx.params,
-                ldp_ctx.cache_for(sub.client_id, cfg.permanent_cache),
-                ldp_rng,
-            )
-        else:
-            batch = _plain_batch(sub, batch_ids, ldp_ctx.encoder)
-    return ClientReport(sub.client_id, model, float(full_loss), batch)
+    return ClientReport(sub.client_id, model, float(full_loss))
 
 
 def _plain_batch(sub: ClientSubgraph, batch_ids, encoder) -> ldp.SanitizedBatch:
@@ -278,23 +241,23 @@ def run_experiment(
     part_spec: PartitionSpec,
     cfg: FedConfig,
     ldp_params: ldp.LdpParams | None = None,
-    record_overlap: bool = False,
 ) -> ExperimentResult:
     """Run J federated rounds and return records plus the final model.
 
     Test and encoder-training ("public") nodes are held out before
-    partitioning. For fairgfl, sampled clients upload sanitized batches
-    each round; the server matches them pairwise, refreshes the overlap
-    state, and aggregates with overlap-discounted weights.
+    partitioning. Each round the sampled clients train locally; for
+    fairgfl they also upload a sanitized batch, and the server estimates
+    the pairwise overlap of the uploads, refreshes the overlap state
+    (recorded in overlap_history) and aggregates with overlap-discounted
+    weights.
     """
     test_ids, public_ids, pool_ids = split_nodes(graph, cfg)
     parts = partition(graph, part_spec, node_pool=pool_ids)
     a_hats = [gcn.normalize_adjacency(p) for p in parts]
     a_hat_global = gcn.normalize_adjacency(graph.adjacency)
 
-    needs_batches = cfg.algorithm == "fairgfl" and cfg.estimate_overlap
-    ldp_ctx = None
-    if needs_batches:
+    uploading = cfg.algorithm == "fairgfl" and cfg.estimate_overlap
+    if uploading:
         if ldp_params is None:
             ldp_params = ldp.LdpParams()
         public_feats = graph.features[public_ids]
@@ -309,7 +272,7 @@ def run_experiment(
             )
         else:
             tau = 1e-9
-        ldp_ctx = LdpContext(encoder, ldp_params, tau, perturb=cfg.use_ldp)
+    caches: dict[int, ldp.PermanentCache] = {}
 
     init_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 0, 5)))
     model = gcn.init_model(graph.feature_dim, cfg.hidden_dim, graph.num_classes, init_rng)
@@ -321,58 +284,33 @@ def run_experiment(
     for j in range(1, cfg.rounds + 1):
         t0 = time.perf_counter()
         sampled = sample_clients(cfg.seed, j, cfg.num_clients, cfg.clients_per_round)
-        reports = []
+        reports, batches = [], []
         for cid in sampled:
+            sub = parts[cid]
             try:
                 reports.append(
-                    client_round(
-                        parts[cid],
-                        a_hats[cid],
-                        model,
-                        cfg,
-                        ldp_ctx,
-                        _client_rng(cfg.seed, j, cid, 0),
-                        _client_rng(cfg.seed, j, cid, 1),
-                    )
+                    client_round(sub, a_hats[cid], model, cfg, _client_rng(cfg.seed, j, cid, 0))
                 )
+                if uploading:
+                    batch_rng = _client_rng(cfg.seed, j, cid, 1)
+                    batch_ids = batch_rng.choice(
+                        sub.node_ids, size=min(cfg.batch_size, sub.num_nodes), replace=False
+                    )
+                    if cfg.use_ldp:
+                        cache = (caches.setdefault(int(cid), ldp.PermanentCache())
+                                 if cfg.permanent_cache else None)
+                        batches.append(ldp.sanitize_batch(
+                            sub, batch_ids, encoder, ldp_params, cache, batch_rng
+                        ))
+                    else:
+                        batches.append(_plain_batch(sub, batch_ids, encoder))
             except Exception as exc:  # noqa: BLE001 - annotate and rethrow
                 raise RoundError(j, int(cid), exc) from exc
 
         if cfg.algorithm == "fairgfl":
-            if needs_batches:
-                estimates = {}
-                for rep_i in reports:
-                    for rep_k in reports:
-                        if rep_i.client_id == rep_k.client_id:
-                            continue
-                        match = overlap.match_nodes(rep_i.batch, rep_k.batch, ldp_ctx.tau)
-                        n_est = overlap.estimate_node_ratio(
-                            match.n_tilde,
-                            rep_i.batch.reported_n,
-                            rep_k.batch.reported_n,
-                            rep_i.batch.batch_size,
-                            rep_k.batch.batch_size,
-                            cfg.estimator_mode,
-                        )
-                        t_est = overlap.estimate_link_ratio(
-                            match.t_tilde,
-                            rep_k.batch.reported_n,
-                            rep_i.batch.batch_size,
-                            rep_k.batch.batch_size,
-                            cfg.estimator_mode,
-                        )
-                        estimates[(rep_i.client_id, rep_k.client_id)] = (n_est, t_est)
-                state = overlap.update_state(state, estimates)
-                if record_overlap:
-                    history.append(
-                        {
-                            "N_round": state.N_round.copy(),
-                            "T_round": state.T_round.copy(),
-                            "N_acc": state.N_acc.copy(),
-                            "T_acc": state.T_acc.copy(),
-                            "O": state.O.copy(),
-                        }
-                    )
+            if uploading:
+                state = overlap.update_state(state, overlap.estimate_round(batches, tau))
+                history.append({name: getattr(state, name) for name in overlap.HISTORY})
             model = aggregate_fair(reports, model, state, cfg.lam)
         elif cfg.algorithm == "fedavg":
             model = aggregate_fedavg(reports, model)

@@ -142,33 +142,3 @@ def sgd_step(model: GcnModel, grads: GradientSet, lr: float) -> GcnModel:
         raise ValidationError("lr must be positive")
     return GcnModel(model.W1 - lr * grads.dW1, model.W2 - lr * grads.dW2)
 
-
-def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named tensors: ascii `name ndim d1..dn` headers + raw LE float64."""
-    with open(path, "wb") as fh:
-        for name, arr in tensors.items():
-            arr = np.asarray(arr, dtype="<f8")
-            header = f"{name} {arr.ndim} {' '.join(map(str, arr.shape))}\n"
-            fh.write(header.encode("ascii"))
-            fh.write(arr.tobytes(order="C"))
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    tensors = {}
-    with open(path, "rb") as fh:
-        while True:
-            line = b""
-            while not line.endswith(b"\n"):
-                ch = fh.read(1)
-                if not ch:
-                    return tensors
-                line += ch
-            parts = line.decode("ascii").split()
-            name, ndim = parts[0], int(parts[1])
-            shape = tuple(int(v) for v in parts[2 : 2 + ndim])
-            count = int(np.prod(shape)) if shape else 1
-            data = fh.read(8 * count)
-            if len(data) != 8 * count:
-                raise ValueError(f"truncated tensor data for {name!r}")
-            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-    return tensors

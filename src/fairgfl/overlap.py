@@ -1,8 +1,9 @@
 """Server-side overlap reconstruction from sanitized batches.
 
 Matches sanitized node vectors across clients, turns batch-level match
-counts into population overlap ratio estimates, and maintains the
-accumulated per-pair overlap state that drives aggregation weights.
+counts into population overlap ratio estimates for every ordered pair of
+a round's uploads, and maintains the accumulated per-pair overlap state
+that drives aggregation weights.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ import numpy as np
 from .graph import ValidationError
 from .ldp import Encoder, LdpParams, SanitizedBatch, perturb_node
 
-ESTIMATOR_MODES = ("corrected", "paper", "appendix")
+ESTIMATOR_MODES = ("corrected", "paper")
+
+# The OverlapState matrices a run records each round, in this order.
+HISTORY = ("N_round", "T_round", "N_acc", "T_acc", "O")
 
 
 @dataclass(frozen=True)
@@ -100,9 +104,9 @@ def estimate_node_ratio(
     """Scale a batch match fraction up to a population node overlap ratio.
 
     corrected: n_tilde * n_k / b_k, the unbiased estimator of
-    |Vi ∩ Vk| / n_i under uniform batch sampling. paper and appendix apply
-    the alternative n_i / b_k and n_i^2 / (n_k b_k) scalings for
-    comparison. All results are clamped to [0, 1].
+    |Vi ∩ Vk| / n_i under uniform batch sampling. paper applies the
+    alternative n_i / b_k scaling for comparison. All results are clamped
+    to [0, 1].
     """
     if b_k <= 0 or b_i <= 0:
         raise ValidationError("batch sizes must be positive")
@@ -112,8 +116,6 @@ def estimate_node_ratio(
         est = n_tilde * n_k / b_k
     elif mode == "paper":
         est = n_tilde * n_i / b_k
-    elif mode == "appendix":
-        est = n_tilde * n_i**2 / (n_k * b_k)
     else:
         raise ValidationError(f"unknown estimator mode {mode!r}; use one of {ESTIMATOR_MODES}")
     return min(max(est, 0.0), 1.0)
@@ -132,11 +134,33 @@ def estimate_link_ratio(
         raise ValidationError("b_i must be positive")
     if mode == "corrected":
         est = t_tilde * (n_k / b_k) ** 2
-    elif mode in ("paper", "appendix"):
+    elif mode == "paper":
         est = t_tilde * n_k**2 / b_i**2
     else:
         raise ValidationError(f"unknown estimator mode {mode!r}; use one of {ESTIMATOR_MODES}")
     return min(max(est, 0.0), 1.0)
+
+
+def estimate_round(
+    batches: list[SanitizedBatch], tau: float
+) -> dict[tuple[int, int], tuple[float, float]]:
+    """(node, link) ratio estimates for every ordered pair of one round's uploads.
+
+    Keyed by (client i, client k); the (i, k) and (k, i) entries come from
+    separate matchings and need not agree. Fewer than two uploads give {}.
+    """
+    estimates = {}
+    for a in batches:
+        for b in batches:
+            if a.client_id == b.client_id:
+                continue
+            match = match_nodes(a, b, tau)
+            estimates[(a.client_id, b.client_id)] = (
+                estimate_node_ratio(match.n_tilde, a.reported_n, b.reported_n,
+                                    a.batch_size, b.batch_size),
+                estimate_link_ratio(match.t_tilde, b.reported_n, a.batch_size, b.batch_size),
+            )
+    return estimates
 
 
 def update_state(

@@ -1,6 +1,5 @@
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from fairgfl.cli import (
@@ -131,7 +130,7 @@ class TestRunSuite:
         part, fed, ldp, extras = parse_config(write_cfg(tmp_path))
         out = tmp_path / "out"
         run_suite("single", part, fed, ldp, extras, out)
-        result = run_experiment(build_graph(extras), part, fed, ldp, record_overlap=True)
+        result = run_experiment(build_graph(extras), part, fed, ldp)
         est = out / "overlap_estimates"
         for name in ("N_round", "T_round", "N_acc", "T_acc", "O"):
             lines = (est / f"{name}.csv").read_text().strip().splitlines()
@@ -187,7 +186,7 @@ class TestRunSuite:
             ("eps4", replace(ldp, epsilon_a=4.0), fed),
             ("noldp", ldp, replace(fed, use_ldp=False)),
         ):
-            snap = run_experiment(graph, part, run_fed, run_ldp, record_overlap=True)
+            snap = run_experiment(graph, part, run_fed, run_ldp)
             csv_text = (out / f"overlap_estimates_{tag}" / "N_round.csv").read_text()
             row = csv_text.splitlines()[1]
             assert [float(c) for c in row.split(",")[1:]] == (
@@ -225,6 +224,10 @@ class TestMain:
         "test_fraction = 1.0",
         "public_fraction = -0.1",
         "test_fraction = 0.6\npublic_fraction = 0.4",
+        "alpha = 2",
+        "beta = 0",
+        "encoder_dim = 8",
+        "P = 60",
     ])
     def test_out_of_range_value_exits_two(self, tmp_path, capsys, line):
         cfg = write_cfg(tmp_path, SMALL + line + "\n")
@@ -232,6 +235,23 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_motivation_without_rounds_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL + "J = 0\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--suite", "motivation"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rounds" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_single_without_rounds_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL + "J = 0\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_round_records(out / "rounds.csv") == []
+        assert (out / "manifest.txt").exists()
 
     @pytest.mark.parametrize("missing", ["node_file", "edge_file"])
     def test_missing_graph_file_exits_two(self, tmp_path, capsys, missing):

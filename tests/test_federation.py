@@ -6,7 +6,6 @@ import pytest
 from fairgfl.federation import (
     ClientReport,
     FedConfig,
-    LdpContext,
     RoundError,
     _client_rng,
     aggregate_fair,
@@ -49,7 +48,7 @@ def small_cfg(**kw):
 
 
 def report(client_id, model, loss):
-    return ClientReport(client_id, model, loss, None)
+    return ClientReport(client_id, model, loss)
 
 
 def rand_model(rng, d=4, h=3, c=2):
@@ -81,21 +80,14 @@ class TestClientRound:
 
     def test_zero_iters_returns_global(self):
         cfg = small_cfg(local_iters=0)
-        rep = client_round(
-            self.sub, self.a_hat, self.model, cfg, None,
-            np.random.default_rng(0), np.random.default_rng(1),
-        )
+        rep = client_round(self.sub, self.a_hat, self.model, cfg, np.random.default_rng(0))
         assert np.array_equal(rep.model.W1, self.model.W1)
         assert np.array_equal(rep.model.W2, self.model.W2)
-        assert rep.batch is None
 
     def test_single_full_batch_step_matches_sgd(self):
         """E=1 with a full batch must equal one composed gcn step."""
         cfg = small_cfg(local_iters=1, batch_size=30, lr=0.1)
-        rep = client_round(
-            self.sub, self.a_hat, self.model, cfg, None,
-            np.random.default_rng(5), np.random.default_rng(6),
-        )
+        rep = client_round(self.sub, self.a_hat, self.model, cfg, np.random.default_rng(5))
         mask = np.random.default_rng(5).choice(30, size=30, replace=False)
         _, grads = loss_and_grad(
             self.model, self.a_hat, self.sub.features, self.sub.labels, mask
@@ -107,12 +99,10 @@ class TestClientRound:
     def test_training_reduces_loss(self):
         cfg = small_cfg(local_iters=5, batch_size=30, lr=0.05)
         before = client_round(
-            self.sub, self.a_hat, self.model, small_cfg(local_iters=0), None,
-            np.random.default_rng(2), np.random.default_rng(3),
+            self.sub, self.a_hat, self.model, small_cfg(local_iters=0), np.random.default_rng(2)
         ).train_loss
         after = client_round(
-            self.sub, self.a_hat, self.model, cfg, None,
-            np.random.default_rng(2), np.random.default_rng(3),
+            self.sub, self.a_hat, self.model, cfg, np.random.default_rng(2)
         ).train_loss
         assert after <= before
 
@@ -382,11 +372,19 @@ class TestRunExperiment:
     def test_overlap_history_recorded(self):
         g = small_graph()
         spec = PartitionSpec(num_clients=4, overlap_coefficient=0.2, seed=4)
-        res = run_experiment(
-            g, spec, small_cfg(rounds=2, algorithm="fairgfl"), record_overlap=True
-        )
+        res = run_experiment(g, spec, small_cfg(rounds=2, algorithm="fairgfl"))
         assert len(res.overlap_history) == 2
         assert res.overlap_history[0]["O"].shape == (4, 4)
+
+    def test_one_upload_per_round_keeps_overlap_zero(self):
+        """K = 1 leaves no pair to match: history every round, O stays zero."""
+        g = small_graph()
+        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.3, seed=3)
+        res = run_experiment(g, spec, small_cfg(clients_per_round=1, algorithm="fairgfl"))
+        assert len(res.overlap_history) == 3
+        for snap in res.overlap_history:
+            assert not snap["O"].any()
+        assert not res.state.O.any()
 
 
 class TestSplitNodes:

@@ -8,11 +8,9 @@ from fairgfl.gcn import (
     NumericError,
     forward,
     init_model,
-    load_checkpoint,
     loss_and_grad,
     masked_loss,
     normalize_adjacency,
-    save_checkpoint,
     sgd_step,
 )
 from fairgfl.graph import ValidationError, generate_sbm, induced_subgraph
@@ -139,26 +137,6 @@ class TestSgdStep:
             model = sgd_step(model, grads, 0.1)
         after = masked_loss(model, a_hat, sub.features, sub.labels, mask)
         assert after < before
-
-
-class TestCheckpoint:
-    def test_roundtrip_bitwise(self, tmp_path):
-        rng = np.random.default_rng(7)
-        tensors = {"W1": rng.standard_normal((4, 3)), "W2": rng.standard_normal((3, 2))}
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, tensors)
-        loaded = load_checkpoint(path)
-        assert set(loaded) == {"W1", "W2"}
-        for k in tensors:
-            assert np.array_equal(tensors[k], loaded[k])
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, {"W": np.ones((4, 4))})
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            load_checkpoint(path)
 
 
 class TestInitModel:

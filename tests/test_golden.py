@@ -2,7 +2,8 @@
 
 Each digest covers every round record (wall time zeroed, since it is the
 only field that is not a function of the seeds) and the bytes of the final
-model. A refactor must leave them unchanged; a change that moves the bits
+model. For the fairgfl cases a second digest covers the overlap history:
+each round's five overlap matrices, in order. A refactor must leave them unchanged; a change that moves the bits
 on purpose updates the digest and says why in CHANGES.md. The digests
 depend on the floating-point behaviour of the numpy/BLAS build, so a new
 numpy or BLAS may need them regenerated (`python tests/test_golden.py`).
@@ -47,12 +48,29 @@ GOLDEN = {
         "287b5a4f5e187a0bf8d6a958867c630859f2a5e92d0b7114817484bdc91ad8f6",
 }
 
+GOLDEN_OVERLAP = {
+    "fairgfl-ldp-cache":
+        "6831e8d30cfe900aa1170cec0e72eb3edfcf58e5947a8b49de626830c06519de",
+    "fairgfl-ldp-nocache":
+        "b7807cd5427b273a17125a518b90215e6e833d7288f835298d5cec7fe5783fd4",
+    "fairgfl-noldp":
+        "e6f72c9bf5133e7a41aa64a681898eb7d718ea3d611ba7be747ea7ddaff5481b",
+    "fairgfl-ldp-tau25":
+        "4f362147780b5e4f85895d7de04b150776f23ff2bc63f7a1f7876925c1dbb995",
+}
 
-def trajectory_digest(case: str) -> str:
+OVERLAP_NAMES = ("N_round", "T_round", "N_acc", "T_acc", "O")
+
+
+def run_case(case: str):
     graph = generate_sbm(4, 30, 0.3, 0.03, 8, seed=3)
     spec = PartitionSpec(num_clients=5, overlap_coefficient=0.2, seed=1)
     cfg = FedConfig(**BASE, **CASES[case])
-    result = run_experiment(graph, spec, cfg, LdpParams(3.0, 1.0, 8))
+    return run_experiment(graph, spec, cfg, LdpParams(3.0, 1.0, 8))
+
+
+def trajectory_digest(case: str) -> str:
+    result = run_case(case)
     h = hashlib.sha256()
     for rec in result.records:
         h.update(repr(dataclasses.replace(rec, wall_time_ms=0.0)).encode())
@@ -61,11 +79,28 @@ def trajectory_digest(case: str) -> str:
     return h.hexdigest()
 
 
+def overlap_digest(case: str) -> str:
+    history = run_case(case).overlap_history
+    assert len(history) == BASE["rounds"]
+    h = hashlib.sha256()
+    for snap in history:
+        for name in OVERLAP_NAMES:
+            h.update(snap[name].tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trajectory_unchanged(case):
     assert trajectory_digest(case) == GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", sorted(GOLDEN_OVERLAP))
+def test_overlap_history_unchanged(case):
+    assert overlap_digest(case) == GOLDEN_OVERLAP[case]
+
+
 if __name__ == "__main__":
     for name in CASES:
         print(f'    "{name}": "{trajectory_digest(name)}",')
+    for name in GOLDEN_OVERLAP:
+        print(f'    "{name}": "{overlap_digest(name)}",')

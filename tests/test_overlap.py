@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fairgfl.overlap import (
     client_overall_ratio,
     estimate_link_ratio,
     estimate_node_ratio,
+    estimate_round,
     match_nodes,
     update_state,
 )
@@ -146,10 +149,6 @@ class TestEstimateNodeRatio:
     def test_paper_mode_scaling(self):
         assert estimate_node_ratio(0.1, 50, 100, 20, 25, mode="paper") == pytest.approx(0.2)
 
-    def test_appendix_mode_scaling(self):
-        out = estimate_node_ratio(0.1, 50, 100, 20, 25, mode="appendix")
-        assert out == pytest.approx(0.1 * 50**2 / (100 * 25))
-
     def test_invalid_mode(self):
         with pytest.raises(ValidationError, match="unknown estimator"):
             estimate_node_ratio(0.1, 10, 10, 5, 5, mode="magic")
@@ -196,6 +195,41 @@ class TestEstimateLinkRatio:
 
     def test_clamped(self):
         assert estimate_link_ratio(1.0, 100, 10, 10) == 1.0
+
+
+class TestEstimateRound:
+    @staticmethod
+    def uploads(seed):
+        """Four uploads of different sizes from clients of different sizes."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for cid, b in zip((3, 0, 7, 5), (6, 9, 4, 9)):
+            batch = random_batch(rng, b, 3, 4, 0.4)
+            out.append(dataclasses.replace(batch, client_id=cid, reported_n=b + 5 * cid))
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_direct_pairwise_calls(self, seed):
+        batches = self.uploads(seed)
+        tau = 0.3 + 0.2 * seed
+        expect = {}
+        for a in batches:
+            for b in batches:
+                if a is b:
+                    continue
+                match = match_nodes(a, b, tau)
+                expect[(a.client_id, b.client_id)] = (
+                    estimate_node_ratio(match.n_tilde, a.reported_n, b.reported_n,
+                                        a.batch_size, b.batch_size),
+                    estimate_link_ratio(match.t_tilde, b.reported_n, a.batch_size,
+                                        b.batch_size),
+                )
+        got = estimate_round(batches, tau)
+        assert got == expect
+        assert len(got) == 12
+
+    def test_single_upload_gives_no_estimates(self):
+        assert estimate_round(self.uploads(0)[:1], 0.5) == {}
 
 
 class TestOverlapState:
