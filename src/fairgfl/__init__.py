@@ -17,8 +17,11 @@ from .gcn import (
     GcnModel,
     GradientSet,
     NormalizedAdjacency,
+    AdjacencyRows,
     init_model,
     normalize_adjacency,
+    adjacency_rows,
+    propagate,
     forward,
     loss_and_grad,
     masked_loss,

@@ -139,7 +139,11 @@ def build_graph(extras: dict):
 
 
 def write_manifest(path, part, fed, ldp, extras, suite):
-    """Write suite= and every config key as parse_config reads them back."""
+    """Write suite= and every config key as parse_config reads them back.
+
+    overlap_multipliers, which only the motivation suite sets, is not a
+    config key; it is recorded as a comment so the file still parses.
+    """
     sections = {"fed": vars(fed), "part": vars(part), "ldp": vars(ldp), "extras": extras}
     lines = [f"suite={suite}"]
     lines.extend(
@@ -148,7 +152,7 @@ def write_manifest(path, part, fed, ldp, extras, suite):
     )
     if part.overlap_multipliers is not None:
         lines.append(
-            "overlap_multipliers=" + ",".join(str(m) for m in part.overlap_multipliers)
+            "# overlap_multipliers=" + ",".join(str(m) for m in part.overlap_multipliers)
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -188,6 +192,11 @@ def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
     """Execute one experiment suite; returns a process exit status."""
     if suite == "motivation" and fed.rounds == 0:
         raise ConfigError("suite motivation summarizes the last round; it needs rounds >= 1")
+    if suite == "privacy-sweep" and not (fed.algorithm == "fairgfl" and fed.estimate_overlap):
+        raise ConfigError(
+            "suite privacy-sweep varies the budget of the overlap uploads; "
+            "it needs algorithm = fairgfl and estimate_overlap = on"
+        )
     graph = build_graph(extras)
     out_dir = Path(out_dir)
     try:
@@ -201,13 +210,13 @@ def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
                 )
         elif suite == "motivation":
             multipliers = _thirds_multipliers(part.num_clients)
+            # Set on the suite-level configs too, so the manifest records them.
+            part = dataclasses.replace(part, overlap_multipliers=multipliers)
+            fed = dataclasses.replace(fed, algorithm="fedavg")
             summary = []
             for coeff in MOTIVATION_COEFFS:
-                p_i = dataclasses.replace(
-                    part, overlap_coefficient=coeff, overlap_multipliers=multipliers
-                )
-                f_i = dataclasses.replace(fed, algorithm="fedavg")
-                result = _run_one(graph, p_i, f_i, ldp, out_dir, f"N{coeff:g}")
+                p_i = dataclasses.replace(part, overlap_coefficient=coeff)
+                result = _run_one(graph, p_i, fed, ldp, out_dir, f"N{coeff:g}")
                 last = result.records[-1]
                 summary.append((coeff, last.loss_variance, last.loss_entropy))
             with open(out_dir / "motivation.csv", "w", newline="") as fh:

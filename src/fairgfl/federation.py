@@ -16,10 +16,15 @@ ALGORITHMS = ("fairgfl", "fedavg", "qfedavg")
 
 
 class RoundError(RuntimeError):
-    """A client or server step failed; carries round and client context."""
+    """A client or server step failed; carries round and client context.
+
+    client_id is None for a server step (estimation, aggregation,
+    evaluation).
+    """
 
     def __init__(self, round_index: int, client_id: int | None, cause: Exception):
-        super().__init__(f"round {round_index}, client {client_id}: {cause}")
+        where = "server" if client_id is None else f"client {client_id}"
+        super().__init__(f"round {round_index}, {where}: {cause}")
         self.round_index = round_index
         self.client_id = client_id
         self.cause = cause
@@ -101,27 +106,29 @@ def sample_clients(seed: int, round_index: int, num_clients: int, k: int) -> np.
 def client_round(
     sub: ClientSubgraph,
     a_hat: NormalizedAdjacency,
+    ax: np.ndarray,
     w_global: GcnModel,
     cfg: FedConfig,
     train_rng,
 ) -> ClientReport:
     """E local SGD steps on masked mini-batches, then report model and loss.
 
-    Propagation always uses the full local graph; only the mini-batch
-    nodes contribute to each step's loss. The reported loss is evaluated
-    on the full local graph after training.
+    ax is gcn.propagate(a_hat, sub.features). Propagation always uses the
+    full local graph; only the mini-batch nodes contribute to each step's
+    loss. The reported loss is evaluated on the full local graph after
+    training.
     """
     n_i = sub.num_nodes
     b = min(cfg.batch_size, n_i)
     model = w_global
     for _ in range(cfg.local_iters):
         mask = train_rng.choice(n_i, size=b, replace=False)
-        loss, grads = gcn.loss_and_grad(model, a_hat, sub.features, sub.labels, mask)
+        loss, grads = gcn.loss_and_grad(model, a_hat, ax, sub.labels, mask)
         if not np.isfinite(loss):
             raise gcn.NumericError(f"client {sub.client_id} diverged")
         model = gcn.sgd_step(model, grads, cfg.lr)
 
-    full_loss = gcn.masked_loss(model, a_hat, sub.features, sub.labels, np.arange(n_i))
+    full_loss = gcn.masked_loss(model, a_hat, ax, sub.labels, np.arange(n_i))
     return ClientReport(sub.client_id, model, float(full_loss))
 
 
@@ -249,12 +256,18 @@ def run_experiment(
     fairgfl they also upload a sanitized batch, and the server estimates
     the pairwise overlap of the uploads, refreshes the overlap state
     (recorded in overlap_history) and aggregates with overlap-discounted
-    weights.
+    weights. A_hat * X is computed once per graph, and the global
+    evaluation takes the test rows of the global A_hat, sliced once.
     """
     test_ids, public_ids, pool_ids = split_nodes(graph, cfg)
+    if cfg.rounds and len(test_ids) == 0:
+        raise ValidationError("the test split is empty; raise test_fraction")
     parts = partition(graph, part_spec, node_pool=pool_ids)
     a_hats = [gcn.normalize_adjacency(p) for p in parts]
+    axs = [gcn.propagate(a, p.features) for a, p in zip(a_hats, parts)]
     a_hat_global = gcn.normalize_adjacency(graph.adjacency)
+    ax_global = gcn.propagate(a_hat_global, graph.features)
+    a_test = gcn.adjacency_rows(a_hat_global, test_ids)
 
     uploading = cfg.algorithm == "fairgfl" and cfg.estimate_overlap
     if uploading:
@@ -288,9 +301,9 @@ def run_experiment(
         for cid in sampled:
             sub = parts[cid]
             try:
-                reports.append(
-                    client_round(sub, a_hats[cid], model, cfg, _client_rng(cfg.seed, j, cid, 0))
-                )
+                reports.append(client_round(
+                    sub, a_hats[cid], axs[cid], model, cfg, _client_rng(cfg.seed, j, cid, 0)
+                ))
                 if uploading:
                     batch_rng = _client_rng(cfg.seed, j, cid, 1)
                     batch_ids = batch_rng.choice(
@@ -307,24 +320,25 @@ def run_experiment(
             except Exception as exc:  # noqa: BLE001 - annotate and rethrow
                 raise RoundError(j, int(cid), exc) from exc
 
-        if cfg.algorithm == "fairgfl":
-            if uploading:
-                state = overlap.update_state(state, overlap.estimate_round(batches, tau))
-                history.append({name: getattr(state, name) for name in overlap.HISTORY})
-            model = aggregate_fair(reports, model, state, cfg.lam)
-        elif cfg.algorithm == "fedavg":
-            model = aggregate_fedavg(reports, model)
-        else:
-            model = aggregate_qfedavg(reports, model, cfg.q, cfg.lr)
+        try:
+            if cfg.algorithm == "fairgfl":
+                if uploading:
+                    state = overlap.update_state(state, overlap.estimate_round(batches, tau))
+                    history.append({name: getattr(state, name) for name in overlap.HISTORY})
+                model = aggregate_fair(reports, model, state, cfg.lam)
+            elif cfg.algorithm == "fedavg":
+                model = aggregate_fedavg(reports, model)
+            else:
+                model = aggregate_qfedavg(reports, model, cfg.q, cfg.lr)
 
-        test_loss, test_acc = metrics.evaluate_global(
-            model, a_hat_global, graph.features, graph.labels, test_ids
-        )
-        client_losses = tuple(
-            gcn.masked_loss(model, a_hats[i], parts[i].features, parts[i].labels,
-                            np.arange(parts[i].num_nodes))
-            for i in range(cfg.num_clients)
-        )
+            test_loss, test_acc = metrics.evaluate_global(model, a_test, ax_global, graph.labels)
+            client_losses = tuple(
+                gcn.masked_loss(model, a_hats[i], axs[i], parts[i].labels,
+                                np.arange(parts[i].num_nodes))
+                for i in range(cfg.num_clients)
+            )
+        except Exception as exc:  # noqa: BLE001 - annotate and rethrow
+            raise RoundError(j, None, exc) from exc
         records.append(
             metrics.RoundRecord(
                 round_index=j,

@@ -23,9 +23,6 @@ class GcnModel:
     def hidden_dim(self) -> int:
         return self.W1.shape[1]
 
-    def copy(self) -> "GcnModel":
-        return GcnModel(self.W1.copy(), self.W2.copy())
-
 
 @dataclass(frozen=True)
 class GradientSet:
@@ -38,6 +35,24 @@ class NormalizedAdjacency:
     """Symmetric normalization with self-loops: D^-1/2 (A + I) D^-1/2."""
 
     matrix: sp.csr_matrix
+
+
+@dataclass(frozen=True)
+class AdjacencyRows:
+    """Rows ids of a normalized adjacency, sliced once for repeated use.
+
+    forward with AdjacencyRows computes the second hop for these rows only;
+    the logits of every other row are those of a zero hidden aggregate.
+    """
+
+    ids: np.ndarray
+    matrix: sp.csr_matrix  # NormalizedAdjacency.matrix[ids]
+
+
+def adjacency_rows(a_hat: NormalizedAdjacency, ids) -> AdjacencyRows:
+    """Slice the rows with index array ids out of a_hat."""
+    ids = np.asarray(ids)
+    return AdjacencyRows(ids, a_hat.matrix[ids])
 
 
 def init_model(feature_dim: int, hidden_dim: int, num_classes: int, rng) -> GcnModel:
@@ -61,18 +76,34 @@ def normalize_adjacency(sub) -> NormalizedAdjacency:
     return NormalizedAdjacency((d_mat @ a_tilde @ d_mat).tocsr())
 
 
-def forward(model: GcnModel, a_hat: NormalizedAdjacency, x: np.ndarray):
-    """logits = A_hat * relu(A_hat * X * W1) * W2, with cache for backward."""
-    a = a_hat.matrix
-    ax = a @ x
+def propagate(a_hat: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
+    """A_hat * X, the first hop; A_hat and X are fixed per graph, so callers
+    compute it once and pass it to forward, loss_and_grad and masked_loss."""
+    return a_hat.matrix @ x
+
+
+def forward(model: GcnModel, a_hat: NormalizedAdjacency | AdjacencyRows, ax: np.ndarray):
+    """logits = A_hat * relu(AX * W1) * W2 with AX = propagate(a_hat, x),
+    plus the cache for backward.
+
+    With AdjacencyRows only those rows' logits are computed. Their
+    aggregates sit at their own rows of an otherwise zero matrix, so the
+    dense product runs with the same shape as for the whole graph and each
+    computed row keeps the bits of the full forward pass.
+    """
     z1 = ax @ model.W1
     h = np.maximum(z1, 0.0)
-    ah = a @ h
+    if not np.isfinite(h).all():
+        raise NumericError("non-finite hidden layer in forward pass")
+    if isinstance(a_hat, AdjacencyRows):
+        ah = np.zeros_like(h)
+        ah[a_hat.ids] = a_hat.matrix @ h
+    else:
+        ah = a_hat.matrix @ h
     logits = ah @ model.W2
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits in forward pass")
-    cache = {"ax": ax, "z1": z1, "ah": ah}
-    return logits, cache
+    return logits, {"z1": z1, "ah": ah}
 
 
 def _masked_softmax_ce(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
@@ -102,14 +133,15 @@ def _masked_softmax_ce(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
 def loss_and_grad(
     model: GcnModel,
     a_hat: NormalizedAdjacency,
-    x: np.ndarray,
+    ax: np.ndarray,
     labels: np.ndarray,
     mask: np.ndarray,
 ):
     """Masked mean cross-entropy and its exact gradient.
 
-    mask is an index array or boolean mask of nodes contributing to the
-    loss; all nodes still participate in propagation.
+    ax is propagate(a_hat, x). mask is an index array or boolean mask of
+    nodes contributing to the loss; all nodes still participate in
+    propagation.
     """
     mask = np.asarray(mask)
     if mask.dtype == bool:
@@ -118,21 +150,22 @@ def loss_and_grad(
         raise ValidationError("mask must select at least one node")
 
     a = a_hat.matrix
-    logits, cache = forward(model, a_hat, x)
+    logits, cache = forward(model, a_hat, ax)
     loss, dlogits = _masked_softmax_ce(logits, labels, mask, grad=True)
 
     dW2 = cache["ah"].T @ dlogits
     dh = (a @ dlogits) @ model.W2.T  # A_hat is symmetric
     dz1 = dh * (cache["z1"] > 0)
-    dW1 = cache["ax"].T @ dz1
+    dW1 = ax.T @ dz1
     return loss, GradientSet(dW1, dW2)
 
 
-def masked_loss(model, a_hat, x, labels, mask) -> float:
+def masked_loss(model, a_hat, ax, labels, mask) -> float:
+    """Masked mean cross-entropy; ax is propagate(a_hat, x)."""
     mask = np.asarray(mask)
     if mask.dtype == bool:
         mask = np.flatnonzero(mask)
-    logits, _ = forward(model, a_hat, x)
+    logits, _ = forward(model, a_hat, ax)
     loss, _ = _masked_softmax_ce(logits, labels, mask)
     return float(loss)
 

@@ -15,6 +15,10 @@ logger = logging.getLogger(__name__)
 # correlates strongly with link absence.
 BLOCK_MEAN_SEPARATION = 4.0
 
+# Rows of the n x n uniform edge draw that generate_sbm holds at a time, so
+# its memory is O(SBM_DRAW_ROWS * n) rather than O(n^2).
+SBM_DRAW_ROWS = 256
+
 
 class GraphFormatError(ValueError):
     """Raised when a node or edge file cannot be parsed."""
@@ -243,7 +247,9 @@ def generate_sbm(
 
     Block feature means sit at pairwise distance >= 4 standard deviations,
     so feature distance between nodes is strongly anti-correlated with the
-    presence of a link.
+    presence of a link. Pair (i, j), i < j, is an edge when the (i, j)
+    entry of an n x n uniform draw falls below its block probability; the
+    draw is taken SBM_DRAW_ROWS rows at a time from the one stream.
     """
     if nodes_per_block < 2:
         raise ValidationError("nodes_per_block must be >= 2")
@@ -261,11 +267,22 @@ def generate_sbm(
         means[b, b % feature_dim] = BLOCK_MEAN_SEPARATION * (1 + b // feature_dim)
     features = means[labels] + rng.standard_normal((n, feature_dim))
 
-    same_block = labels[:, None] == labels[None, :]
-    probs = np.where(same_block, p_in, p_out)
-    upper = np.triu(rng.random((n, n)) < probs, k=1)
-    adj_dense = (upper | upper.T).astype(np.float64)
-    adj = sp.csr_matrix(adj_dense)
+    hit_rows, hit_cols = [], []
+    for r0 in range(0, n, SBM_DRAW_ROWS):
+        r1 = min(r0 + SBM_DRAW_ROWS, n)
+        # Columns up to r0 lie below the diagonal in every row of the block.
+        u = rng.random((r1 - r0, n))[:, r0 + 1 :]
+        probs = np.where(labels[r0:r1, None] == labels[None, r0 + 1 :], p_in, p_out)
+        r, c = np.nonzero(np.triu(u < probs))
+        hit_rows.append(r + r0)
+        hit_cols.append(c + r0 + 1)
+    upper_r, upper_c = np.concatenate(hit_rows), np.concatenate(hit_cols)
+    # Both directions of every edge, in row-major order as in a dense matrix.
+    keys = np.sort(np.concatenate([upper_r * n + upper_c, upper_c * n + upper_r]))
+    rows, cols = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    adj = sp.csr_matrix((np.ones(len(keys)), cols, indptr), shape=(n, n))
     return GlobalGraph(num_nodes=n, features=features, labels=labels, adjacency=adj)
 
 

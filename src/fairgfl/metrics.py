@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcn import GcnModel, NormalizedAdjacency, _masked_softmax_ce, forward
+from .gcn import AdjacencyRows, GcnModel, _masked_softmax_ce, forward
 from .graph import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -56,18 +56,21 @@ def loss_entropy(losses) -> float:
 
 def evaluate_global(
     model: GcnModel,
-    a_hat: NormalizedAdjacency,
-    features: np.ndarray,
+    a_test: AdjacencyRows,
+    ax: np.ndarray,
     labels: np.ndarray,
-    test_mask,
 ) -> tuple[float, float]:
-    """Masked cross-entropy loss and top-1 accuracy on the full graph."""
-    mask = np.asarray(test_mask)
-    if mask.dtype == bool:
-        mask = np.flatnonzero(mask)
+    """Cross-entropy loss and top-1 accuracy on the test nodes of the graph.
+
+    a_test is gcn.adjacency_rows(a_hat, test_ids) and ax is
+    gcn.propagate(a_hat, features), both over the whole graph; only the
+    test rows of the second hop are computed, with the bits of a
+    full-graph forward pass.
+    """
+    mask = a_test.ids
     if len(mask) == 0:
         raise ValidationError("test mask must be non-empty")
-    logits, _ = forward(model, a_hat, features)
+    logits, _ = forward(model, a_test, ax)
     loss, _ = _masked_softmax_ce(logits, labels, mask)
     acc = float(np.mean(logits[mask].argmax(axis=1) == labels[mask]))
     return float(loss), acc

@@ -20,6 +20,7 @@ from fairgfl.gcn import (
     loss_and_grad,
     masked_loss,
     normalize_adjacency,
+    propagate,
 )
 from fairgfl.graph import (
     PartitionSpec,
@@ -168,7 +169,7 @@ def test_criterion_05_gradient_correctness():
             labels = rng.integers(0, 3, size=8)
             model = init_model(5, 4, 3, rng)
             mask = np.sort(rng.choice(8, size=5, replace=False))
-            _, grads = loss_and_grad(model, a_hat, x, labels, mask)
+            _, grads = loss_and_grad(model, a_hat, propagate(a_hat, x), labels, mask)
             eps = 1e-6
             for name, w, g in (("W1", model.W1, grads.dW1), ("W2", model.W2, grads.dW2)):
                 num = np.zeros_like(w)
@@ -182,7 +183,7 @@ def test_criterion_05_gradient_correctness():
                             w_p if name == "W1" else model.W1,
                             w_p if name == "W2" else model.W2,
                         )
-                        num[idx] += sign * masked_loss(m, a_hat, x, labels, mask)
+                        num[idx] += sign * masked_loss(m, a_hat, propagate(a_hat, x), labels, mask)
                     it.iternext()
                 num /= 2 * eps
                 denom = np.maximum(np.abs(num), 1e-3)
@@ -299,7 +300,8 @@ def test_criterion_09_weighted_loss_exactness():
         model = init_model(8, 6, 3, np.random.default_rng(14))
         losses = [
             masked_loss(
-                model, normalize_adjacency(p), p.features, p.labels,
+                model, normalize_adjacency(p),
+                propagate(normalize_adjacency(p), p.features), p.labels,
                 np.arange(p.num_nodes),
             )
             for p in parts

@@ -2,14 +2,17 @@ from dataclasses import replace
 
 import pytest
 
+import fairgfl.cli
 from fairgfl.cli import (
     ConfigError,
+    _thirds_multipliers,
     build_graph,
     main,
     parse_config,
     run_suite,
 )
 from fairgfl.federation import run_experiment
+from fairgfl.gcn import NumericError
 from fairgfl.metrics import read_round_records
 
 SMALL = """
@@ -162,9 +165,8 @@ class TestRunSuite:
         assert counts == {2}
 
     def test_motivation_summary(self, tmp_path):
-        part, fed, ldp, extras = parse_config(
-            write_cfg(tmp_path, SMALL + "P = 6\nK = 3\nJ = 1\n")
-        )
+        configs = parse_config(write_cfg(tmp_path, SMALL + "P = 6\nK = 3\nJ = 1\n"))
+        part, fed, ldp, extras = configs
         out = tmp_path / "out"
         assert run_suite("motivation", part, fed, ldp, extras, out) == 0
         lines = (out / "motivation.csv").read_text().strip().splitlines()
@@ -172,6 +174,13 @@ class TestRunSuite:
         assert len(lines) == 6
         assert (out / "rounds_N0.csv").exists()
         assert (out / "rounds_N0.2.csv").exists()
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        line = next(x for x in manifest if x.startswith("# overlap_multipliers="))
+        multipliers = tuple(float(v) for v in line.split("=", 1)[1].split(","))
+        assert multipliers == _thirds_multipliers(6)
+        # the runs' algorithm; the multipliers line is a comment to parse_config
+        resolved = write_cfg(tmp_path, "\n".join(manifest[1:]) + "\n", name="resolved.txt")
+        assert parse_config(resolved) == (part, replace(fed, algorithm="fedavg"), ldp, extras)
 
     def test_privacy_sweep_keeps_every_runs_estimates(self, tmp_path):
         part, fed, ldp, extras = parse_config(write_cfg(tmp_path, SMALL + "J = 1\n"))
@@ -275,6 +284,35 @@ class TestMain:
                         f"edge_file = {tmp_path / 'edges.txt'}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("line", [
+        "algorithm = fedavg", "algorithm = qfedavg", "estimate_overlap = off",
+    ])
+    def test_privacy_sweep_without_uploads_exits_two(self, tmp_path, capsys,
+                                                     monkeypatch, line):
+        """No uploads means no budget to vary: rejected before the graph is built."""
+        def no_graph(extras):
+            raise AssertionError("graph built")
+
+        monkeypatch.setattr(fairgfl.cli, "build_graph", no_graph)
+        cfg = write_cfg(tmp_path, SMALL + line + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--suite", "privacy-sweep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "privacy-sweep" in err
+        assert not out.exists()
+
+    def test_server_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        def nonfinite(*args, **kwargs):
+            raise NumericError("non-finite logits in forward pass")
+
+        monkeypatch.setattr(fairgfl.metrics, "evaluate_global", nonfinite)
+        cfg = write_cfg(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: round 1, server: non-finite")
+        assert "Traceback" not in err
 
     def test_unknown_key_exits_two(self, tmp_path):
         cfg = write_cfg(tmp_path, "bogus = 1\n")

@@ -22,6 +22,7 @@ from fairgfl.gcn import (
     init_model,
     loss_and_grad,
     normalize_adjacency,
+    propagate,
     sgd_step,
 )
 from fairgfl.graph import (
@@ -76,21 +77,26 @@ class TestClientRound:
         self.graph = small_graph()
         self.sub = induced_subgraph(self.graph, np.arange(30), 0)
         self.a_hat = normalize_adjacency(self.sub)
+        self.ax = propagate(self.a_hat, self.sub.features)
         self.model = init_model(8, 6, 3, np.random.default_rng(1))
 
     def test_zero_iters_returns_global(self):
         cfg = small_cfg(local_iters=0)
-        rep = client_round(self.sub, self.a_hat, self.model, cfg, np.random.default_rng(0))
+        rep = client_round(
+            self.sub, self.a_hat, self.ax, self.model, cfg, np.random.default_rng(0)
+        )
         assert np.array_equal(rep.model.W1, self.model.W1)
         assert np.array_equal(rep.model.W2, self.model.W2)
 
     def test_single_full_batch_step_matches_sgd(self):
         """E=1 with a full batch must equal one composed gcn step."""
         cfg = small_cfg(local_iters=1, batch_size=30, lr=0.1)
-        rep = client_round(self.sub, self.a_hat, self.model, cfg, np.random.default_rng(5))
+        rep = client_round(
+            self.sub, self.a_hat, self.ax, self.model, cfg, np.random.default_rng(5)
+        )
         mask = np.random.default_rng(5).choice(30, size=30, replace=False)
         _, grads = loss_and_grad(
-            self.model, self.a_hat, self.sub.features, self.sub.labels, mask
+            self.model, self.a_hat, self.ax, self.sub.labels, mask
         )
         expect = sgd_step(self.model, grads, 0.1)
         assert np.array_equal(rep.model.W1, expect.W1)
@@ -99,10 +105,11 @@ class TestClientRound:
     def test_training_reduces_loss(self):
         cfg = small_cfg(local_iters=5, batch_size=30, lr=0.05)
         before = client_round(
-            self.sub, self.a_hat, self.model, small_cfg(local_iters=0), np.random.default_rng(2)
+            self.sub, self.a_hat, self.ax, self.model, small_cfg(local_iters=0),
+            np.random.default_rng(2),
         ).train_loss
         after = client_round(
-            self.sub, self.a_hat, self.model, cfg, np.random.default_rng(2)
+            self.sub, self.a_hat, self.ax, self.model, cfg, np.random.default_rng(2)
         ).train_loss
         assert after <= before
 
@@ -249,7 +256,8 @@ class TestFairnessWeightedLoss:
         for p in parts:
             a_hat = normalize_adjacency(p)
             losses.append(
-                masked_loss(model, a_hat, p.features, p.labels, np.arange(p.num_nodes))
+                masked_loss(model, a_hat, propagate(a_hat, p.features), p.labels,
+                            np.arange(p.num_nodes))
             )
         weighted = fairness_weighted_loss(losses, ratios)
         dedup = losses[0] + losses[3] + losses[4]
@@ -341,7 +349,7 @@ class TestRunExperiment:
             rng = _client_rng(cfg.seed, j, 0, 0)
             for _ in range(cfg.local_iters):
                 mask = rng.choice(sub.num_nodes, size=min(10, sub.num_nodes), replace=False)
-                _, grads = loss_and_grad(model, a_hat, sub.features, sub.labels, mask)
+                _, grads = loss_and_grad(model, a_hat, propagate(a_hat, sub.features), sub.labels, mask)
                 model = sgd_step(model, grads, cfg.lr)
         assert np.array_equal(res.model.W1, model.W1)
         assert np.array_equal(res.model.W2, model.W2)
@@ -368,6 +376,28 @@ class TestRunExperiment:
         assert err.value.round_index == 1
         assert err.value.client_id is not None
         assert "injected failure" in str(err.value)
+
+    def test_server_error_carries_round(self, monkeypatch):
+        from fairgfl import overlap as overlap_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected server failure")
+
+        monkeypatch.setattr(overlap_mod, "estimate_round", boom)
+        g = small_graph()
+        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.1, seed=1)
+        with pytest.raises(RoundError) as err:
+            run_experiment(g, spec, small_cfg(rounds=1, algorithm="fairgfl"))
+        assert err.value.round_index == 1
+        assert err.value.client_id is None
+        assert str(err.value) == "round 1, server: injected server failure"
+
+    def test_empty_test_split_rejected_before_round_one(self):
+        g = small_graph()
+        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.1, seed=1)
+        with pytest.raises(ValidationError, match="test split"):
+            run_experiment(g, spec, small_cfg(test_fraction=0.0))
+        assert run_experiment(g, spec, small_cfg(test_fraction=0.0, rounds=0)).records == []
 
     def test_overlap_history_recorded(self):
         g = small_graph()

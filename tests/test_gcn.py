@@ -11,6 +11,7 @@ from fairgfl.gcn import (
     loss_and_grad,
     masked_loss,
     normalize_adjacency,
+    propagate,
     sgd_step,
 )
 from fairgfl.graph import ValidationError, generate_sbm, induced_subgraph
@@ -49,7 +50,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         model, a_hat, x, _ = random_case(rng)
         zero = GcnModel(np.zeros_like(model.W1), np.zeros_like(model.W2))
-        logits, _ = forward(zero, a_hat, x)
+        logits, _ = forward(zero, a_hat, propagate(a_hat, x))
         assert np.array_equal(logits, np.zeros_like(logits))
 
     def test_nonfinite_raises(self):
@@ -57,7 +58,7 @@ class TestForward:
         model, a_hat, x, _ = random_case(rng)
         bad = GcnModel(model.W1 * np.inf, model.W2)
         with pytest.raises(NumericError):
-            forward(bad, a_hat, x)
+            forward(bad, a_hat, propagate(a_hat, x))
 
 
 class TestLossAndGrad:
@@ -65,22 +66,22 @@ class TestLossAndGrad:
         rng = np.random.default_rng(3)
         model, a_hat, x, labels = random_case(rng, c=3)
         zero = GcnModel(np.zeros_like(model.W1), np.zeros_like(model.W2))
-        loss, _ = loss_and_grad(zero, a_hat, x, labels, np.arange(8))
+        loss, _ = loss_and_grad(zero, a_hat, propagate(a_hat, x), labels, np.arange(8))
         assert loss == pytest.approx(np.log(3.0))
 
     def test_empty_mask_rejected(self):
         rng = np.random.default_rng(4)
         model, a_hat, x, labels = random_case(rng)
         with pytest.raises(ValidationError):
-            loss_and_grad(model, a_hat, x, labels, np.array([], dtype=int))
+            loss_and_grad(model, a_hat, propagate(a_hat, x), labels, np.array([], dtype=int))
 
     def test_boolean_mask_equals_index_mask(self):
         rng = np.random.default_rng(5)
         model, a_hat, x, labels = random_case(rng)
         mask = np.zeros(8, dtype=bool)
         mask[[1, 4, 6]] = True
-        l1, g1 = loss_and_grad(model, a_hat, x, labels, mask)
-        l2, g2 = loss_and_grad(model, a_hat, x, labels, np.array([1, 4, 6]))
+        l1, g1 = loss_and_grad(model, a_hat, propagate(a_hat, x), labels, mask)
+        l2, g2 = loss_and_grad(model, a_hat, propagate(a_hat, x), labels, np.array([1, 4, 6]))
         assert l1 == l2
         assert np.array_equal(g1.dW1, g2.dW1)
         assert np.array_equal(g1.dW2, g2.dW2)
@@ -91,7 +92,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(100 + seed)
         model, a_hat, x, labels = random_case(rng)
         mask = np.sort(rng.choice(8, size=5, replace=False))
-        _, grads = loss_and_grad(model, a_hat, x, labels, mask)
+        _, grads = loss_and_grad(model, a_hat, propagate(a_hat, x), labels, mask)
         eps = 1e-6
         for name, w, g in (("W1", model.W1, grads.dW1), ("W2", model.W2, grads.dW2)):
             num = np.zeros_like(w)
@@ -103,7 +104,7 @@ class TestLossAndGrad:
                     w_p[idx] += sign * eps
                     m = GcnModel(w_p if name == "W1" else model.W1,
                                  w_p if name == "W2" else model.W2)
-                    num[idx] += sign * masked_loss(m, a_hat, x, labels, mask)
+                    num[idx] += sign * masked_loss(m, a_hat, propagate(a_hat, x), labels, mask)
                 it.iternext()
             num /= 2 * eps
             denom = np.maximum(np.abs(num), 1e-3)
@@ -131,11 +132,11 @@ class TestSgdStep:
         rng = np.random.default_rng(6)
         model = init_model(6, 8, 3, rng)
         mask = np.arange(30)
-        before = masked_loss(model, a_hat, sub.features, sub.labels, mask)
+        before = masked_loss(model, a_hat, propagate(a_hat, sub.features), sub.labels, mask)
         for _ in range(20):
-            _, grads = loss_and_grad(model, a_hat, sub.features, sub.labels, mask)
+            _, grads = loss_and_grad(model, a_hat, propagate(a_hat, sub.features), sub.labels, mask)
             model = sgd_step(model, grads, 0.1)
-        after = masked_loss(model, a_hat, sub.features, sub.labels, mask)
+        after = masked_loss(model, a_hat, propagate(a_hat, sub.features), sub.labels, mask)
         assert after < before
 
 

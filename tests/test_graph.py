@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fairgfl import graph as graph_mod
 from fairgfl.graph import (
+    BLOCK_MEAN_SEPARATION,
     GlobalGraph,
     GraphFormatError,
     PartitionSpec,
@@ -104,7 +106,50 @@ class TestLoadGraph:
         assert g.adjacency.diagonal().sum() == 0
 
 
+def dense_sbm(num_blocks, nodes_per_block, p_in, p_out, feature_dim, seed):
+    """The whole-matrix SBM draw, kept as the reference for generate_sbm:
+    one n x n uniform draw, its upper-triangle hits mirrored, then CSR."""
+    rng = np.random.default_rng(seed)
+    n = num_blocks * nodes_per_block
+    labels = np.repeat(np.arange(num_blocks), nodes_per_block).astype(np.int64)
+    means = np.zeros((num_blocks, feature_dim))
+    for b in range(num_blocks):
+        means[b, b % feature_dim] = BLOCK_MEAN_SEPARATION * (1 + b // feature_dim)
+    features = means[labels] + rng.standard_normal((n, feature_dim))
+    same_block = labels[:, None] == labels[None, :]
+    probs = np.where(same_block, p_in, p_out)
+    upper = np.triu(rng.random((n, n)) < probs, k=1)
+    adj_dense = (upper | upper.T).astype(np.float64)
+    return features, labels, sp.csr_matrix(adj_dense)
+
+
 class TestSbm:
+    @pytest.mark.parametrize("draw_rows, blocks, block_size", [
+        (16, 3, 4),     # n = 12, below the draw block
+        (16, 4, 4),     # n = 16, equal to it
+        (16, 8, 4),     # n = 32, a multiple
+        (16, 3, 11),    # n = 33, one row and no column in the last draw block
+        (16, 5, 7),     # n = 35, not a multiple
+        (None, 3, 100),  # n = 300 with the module's own draw block
+    ])
+    @pytest.mark.parametrize("p_in, p_out", [
+        (0.3, 0.05), (0.4, 0.0), (1.0, 0.1), (1.0, 1.0), (0.0, 0.0),
+    ])
+    def test_matches_dense_reference(self, monkeypatch, draw_rows, blocks, block_size,
+                                     p_in, p_out):
+        if draw_rows is not None:
+            monkeypatch.setattr(graph_mod, "SBM_DRAW_ROWS", draw_rows)
+        for seed in (0, 5):
+            g = generate_sbm(blocks, block_size, p_in, p_out, 3, seed)
+            features, labels, adj = dense_sbm(blocks, block_size, p_in, p_out, 3, seed)
+            assert g.features.dtype == features.dtype
+            assert g.features.tobytes() == features.tobytes()
+            assert g.labels.tobytes() == labels.tobytes()
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(g.adjacency, name), getattr(adj, name)
+                assert got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), name
+
     def test_shapes_and_labels(self):
         g = generate_sbm(3, 10, 0.5, 0.05, 4, seed=0)
         assert g.num_nodes == 30

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from fairgfl.gcn import GcnModel, normalize_adjacency
+from fairgfl.gcn import (
+    GcnModel,
+    NumericError,
+    _masked_softmax_ce,
+    adjacency_rows,
+    forward,
+    init_model,
+    normalize_adjacency,
+    propagate,
+)
 from fairgfl.graph import ValidationError, generate_sbm
 from fairgfl.metrics import (
     RoundRecord,
@@ -68,11 +77,12 @@ class TestEvaluateGlobal:
     def setup_method(self):
         self.graph = generate_sbm(3, 20, 0.4, 0.03, 6, seed=1)
         self.a_hat = normalize_adjacency(self.graph.adjacency)
+        self.ax = propagate(self.a_hat, self.graph.features)
 
     def test_uniform_model(self):
         model = GcnModel(np.zeros((6, 4)), np.zeros((4, 3)))
         loss, acc = evaluate_global(
-            model, self.a_hat, self.graph.features, self.graph.labels, np.arange(60)
+            model, adjacency_rows(self.a_hat, np.arange(60)), self.ax, self.graph.labels
         )
         assert loss == pytest.approx(np.log(3))
         # argmax of all-zero logits is class 0; one block of three
@@ -81,7 +91,7 @@ class TestEvaluateGlobal:
     def test_single_node_mask(self):
         model = GcnModel(np.zeros((6, 4)), np.zeros((4, 3)))
         _, acc = evaluate_global(
-            model, self.a_hat, self.graph.features, self.graph.labels, np.array([0])
+            model, adjacency_rows(self.a_hat, np.array([0])), self.ax, self.graph.labels
         )
         assert acc in (0.0, 1.0)
 
@@ -89,9 +99,57 @@ class TestEvaluateGlobal:
         model = GcnModel(np.zeros((6, 4)), np.zeros((4, 3)))
         with pytest.raises(ValidationError):
             evaluate_global(
-                model, self.a_hat, self.graph.features, self.graph.labels,
-                np.array([], dtype=int),
+                model, adjacency_rows(self.a_hat, np.array([], dtype=int)), self.ax,
+                self.graph.labels,
             )
+
+    @pytest.mark.parametrize("ids", [
+        "unsorted", "one", "all", "all-shuffled", "last-rows",
+    ])
+    @pytest.mark.parametrize("hidden", [4, 16])
+    def test_equals_full_forward_test_rows(self, ids, hidden):
+        """Test-row evaluation keeps the bits of a full-graph forward pass.
+
+        On 60 nodes and 3 classes BLAS may round a row of a product over a
+        few rows differently from the same row of the 60-row product, so a
+        dense second hop over the test rows alone can fail these cases.
+        """
+        rng = np.random.default_rng(hidden)
+        test_ids = {
+            "unsorted": rng.permutation(60)[:13],
+            "one": np.array([41]),
+            "all": np.arange(60),
+            "all-shuffled": rng.permutation(60),
+            "last-rows": np.array([59, 58, 57]),
+        }[ids]
+        labels = self.graph.labels
+        for _ in range(3):
+            model = init_model(6, hidden, 3, rng)
+            logits, _ = forward(model, self.a_hat, self.ax)
+            expect_loss, _ = _masked_softmax_ce(logits, labels, test_ids)
+            expect_acc = float(np.mean(logits[test_ids].argmax(axis=1) == labels[test_ids]))
+            loss, acc = evaluate_global(
+                model, adjacency_rows(self.a_hat, test_ids), self.ax, labels
+            )
+            assert loss == float(expect_loss)
+            assert acc == expect_acc
+
+    def test_inf_weights_raise(self):
+        model = GcnModel(np.full((6, 4), np.inf), np.zeros((4, 3)))
+        with pytest.raises(NumericError):
+            evaluate_global(model, adjacency_rows(self.a_hat, np.arange(5)), self.ax,
+                            self.graph.labels)
+
+    def test_nonfinite_hidden_row_outside_test_rows_raises(self):
+        """A non-finite hidden row is caught even where no test row reads it."""
+        test_ids = np.array([0])
+        far = next(i for i in range(59, 0, -1)
+                   if self.a_hat.matrix[0, i] == 0)
+        ax = self.ax.copy()
+        ax[far] = np.inf
+        model = GcnModel(np.ones((6, 4)), np.ones((4, 3)))
+        with pytest.raises(NumericError):
+            evaluate_global(model, adjacency_rows(self.a_hat, test_ids), ax, self.graph.labels)
 
 
 class TestRoundRecordCsv:
