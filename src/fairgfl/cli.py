@@ -168,7 +168,7 @@ def _write_overlap_history(est_dir: Path, history):
             writer = csv.writer(fh)
             writer.writerow(header)
             for j, snap in enumerate(history, start=1):
-                writer.writerow([j] + [repr(float(v)) for v in snap[name].ravel()])
+                writer.writerow([j, *map(repr, snap[name].ravel().tolist())])
 
 
 def _run_one(graph, part, fed, ldp, out_dir: Path, tag: str):

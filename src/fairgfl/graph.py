@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -103,6 +104,31 @@ class ClientSubgraph:
                 f"batch node {gids[~found][0]} not on client {self.client_id}"
             )
         return rows
+
+    def adjacency_entries(self, rows, cols) -> np.ndarray:
+        """``adjacency.toarray()[rows, cols]`` without building the dense matrix.
+
+        rows and cols are local indices and broadcast against each other.
+        """
+        keys, values = self._entry_keys
+        want = np.asarray(rows, dtype=np.int64) * self.num_nodes + np.asarray(cols, dtype=np.int64)
+        pos = np.searchsorted(keys, want)
+        pos[keys[pos] != want] = len(keys) - 1
+        return values[pos]
+
+    @functools.cached_property
+    def _entry_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted row * n + col keys of the stored entries and their values.
+
+        A sentinel key n * n with value 0 ends the keys, so every lookup
+        lands on a key and a miss reads 0. The adjacency is not modified.
+        """
+        coo = self.adjacency.tocoo(copy=True)
+        coo.sum_duplicates()
+        keys = coo.row.astype(np.int64) * self.num_nodes + coo.col
+        order = np.argsort(keys)
+        return (np.append(keys[order], self.num_nodes**2),
+                np.append(coo.data[order], coo.data.dtype.type(0)))
 
     def edge_set(self) -> set[tuple[int, int]]:
         """Undirected edges as sorted global-id pairs."""

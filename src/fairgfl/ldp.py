@@ -7,6 +7,7 @@ and the permanent-response cache that neutralizes repeated queries.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -57,10 +58,26 @@ class Encoder:
 
 @dataclass
 class PermanentCache:
-    """First-response cache: each node vector and link bit is perturbed once."""
+    """First-response cache: each node vector and link bit is perturbed once.
 
-    nodes: dict[int, np.ndarray] = field(default_factory=dict)
-    links: dict[tuple[int, int], int] = field(default_factory=dict)
+    The arrays cover one client's local rows; the first sanitize_batch
+    call allocates them and binds the cache to its client.
+    """
+
+    nodes: set[int] = field(default_factory=set)  # global ids of the drawn vectors
+    node_ids: np.ndarray | None = None   # the bound client's global ids
+    vectors: np.ndarray | None = None    # (n_i, d1) perturbed rows, valid for nodes
+    links: np.ndarray | None = None      # (n_i, n_i) int8 bits, -1 undrawn, symmetric
+
+    def _bind(self, node_ids: np.ndarray, d1: int) -> PermanentCache:
+        """Allocate the arrays for node_ids on first use; refuse other ids later."""
+        if self.node_ids is None:
+            n = len(node_ids)
+            self.node_ids, self.vectors = node_ids, np.empty((n, d1))
+            self.links = np.full((n, n), -1, dtype=np.int8)
+        elif not np.array_equal(self.node_ids, node_ids):
+            raise ValidationError("a permanent cache serves only the client it was first used for")
+        return self
 
 
 @dataclass(frozen=True)
@@ -162,6 +179,14 @@ def _randomized_response(bits: np.ndarray, p_e: float, rng) -> np.ndarray:
     return np.where(rng.random(bits.shape) < p_e, 1 - bits, bits)
 
 
+@functools.lru_cache(maxsize=None)
+def triu_pairs(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(b, k=1)``, built once per batch size."""
+    rows, cols = np.triu_indices(b, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def perturb_links(adj: np.ndarray, params: LdpParams, rng) -> np.ndarray:
     """Randomized response on each upper-triangle adjacency bit, mirrored.
 
@@ -171,7 +196,7 @@ def perturb_links(adj: np.ndarray, params: LdpParams, rng) -> np.ndarray:
     b = adj.shape[0]
     if adj.shape != (b, b) or (adj != adj.T).any():
         raise ValidationError("adjacency must be square and symmetric")
-    rows, cols = np.triu_indices(b, k=1)
+    rows, cols = triu_pairs(b)
     out = np.zeros((b, b), dtype=np.int64)
     out[rows, cols] = _randomized_response(
         adj[rows, cols].astype(np.int64), params.flip_probability, rng
@@ -196,18 +221,18 @@ def sparsify_correct(noised_adj: np.ndarray, sanitized_nodes: np.ndarray,
     """
     if abs(1.0 - 2.0 * p_e) < 1e-12:
         raise ValidationError("p_e = 1/2 leaves the raw density unidentifiable")
-    adj = np.asarray(noised_adj).astype(np.int64)
+    adj = np.array(noised_adj, dtype=np.int64)  # a copy, returned to the caller
     b = adj.shape[0]
     n_pairs = b * (b - 1) // 2
     if n_pairs == 0:
-        return adj.copy()
-    rows, cols = np.triu_indices(b, k=1)
+        return adj
+    rows, cols = triu_pairs(b)
     ones = adj[rows, cols] == 1
     p0 = ones.sum() / n_pairs
     x_hat = min(max((p0 - p_e) / (1.0 - 2.0 * p_e), 0.0), p0)
     n_remove = int(round((p0 - x_hat) * n_pairs))
     if n_remove <= 0:
-        return adj.copy()
+        return adj
 
     one_idx = np.flatnonzero(ones)
     diffs = sanitized_nodes[rows[one_idx]] - sanitized_nodes[cols[one_idx]]
@@ -215,10 +240,8 @@ def sparsify_correct(noised_adj: np.ndarray, sanitized_nodes: np.ndarray,
     # descending distance, ties broken by ascending pair index
     order = np.lexsort((one_idx, -dists))
     drop = one_idx[order[:n_remove]]
-    out = adj.copy()
-    out[rows[drop], cols[drop]] = 0
-    out[cols[drop], rows[drop]] = 0
-    return out
+    adj[rows[drop], cols[drop]] = adj[cols[drop], rows[drop]] = 0
+    return adj
 
 
 def sanitize_batch(
@@ -232,42 +255,39 @@ def sanitize_batch(
     """Sanitize one mini-batch: encode, clamp, perturb nodes, flip links, correct.
 
     With a cache, each node vector and link bit is perturbed at most once
-    ever; later batches reuse the stored responses.
+    ever; later batches reuse the stored responses. A cache serves only
+    the client it was first used for.
     """
     batch = np.asarray(batch, dtype=np.int64)
     local = sub.local_rows(batch)
-    ids = batch.tolist()
-    if len(set(ids)) != len(ids):
+    b, ids = len(batch), batch.tolist()
+    if len(set(ids)) != b:
         raise ValidationError("batch node ids must be distinct")
+    if cache is None:  # a throwaway cache over the batch's own rows
+        cache, slots = PermanentCache()._bind(batch, encoder.d1), np.arange(b)
+    else:
+        cache, slots = cache._bind(sub.node_ids, encoder.d1), local
 
     # Rows not yet cached are encoded and perturbed afresh, in batch order.
-    b = len(batch)
-    nodes = {} if cache is None else cache.nodes
-    fresh_rows = np.array([gid not in nodes for gid in ids], dtype=bool)
-    perturbed_nodes = perturb_node(
-        encoder.encode(sub.features[local[fresh_rows]]), params, rng,
-        encoder.x_min, encoder.x_max,
-    )
-    # The cache keeps rows of perturbed_nodes, which no caller sees.
-    nodes.update(zip(itertools.compress(ids, fresh_rows), perturbed_nodes))
-    vectors = np.empty((b, encoder.d1))
-    vectors[fresh_rows] = perturbed_nodes
-    for row in np.flatnonzero(~fresh_rows):
-        vectors[row] = nodes[ids[row]]
+    vectors = cache.vectors[slots]
+    fresh_rows = np.array([gid not in cache.nodes for gid in ids], dtype=bool)
+    if fresh_rows.any():
+        vectors[fresh_rows] = perturb_node(encoder.encode(sub.features[local[fresh_rows]]),
+                                           params, rng, encoder.x_min, encoder.x_max)
+        cache.vectors[slots] = vectors
+        cache.nodes.update(itertools.compress(ids, fresh_rows))
 
     # Upper-triangle link bits in row-major order; those not yet cached are
     # flipped afresh, in that order.
-    rows, cols = np.triu_indices(b, k=1)
-    lo, hi = np.minimum(batch[rows], batch[cols]), np.maximum(batch[rows], batch[cols])
-    keys = list(zip(lo.tolist(), hi.tolist()))
-    links = {} if cache is None else cache.links
-    fresh = np.array([key not in links for key in keys], dtype=bool)
-    raw = sub.adjacency.toarray()[local[rows[fresh]], local[cols[fresh]]] != 0
+    rows, cols = triu_pairs(b)
+    bits = cache.links[slots[rows], slots[cols]]
+    fresh = bits < 0
+    raw = sub.adjacency_entries(local[rows[fresh]], local[cols[fresh]]) != 0
     p_e = params.flip_probability
-    flipped = _randomized_response(raw.astype(np.int64), p_e, rng)
-    links.update(zip(itertools.compress(keys, fresh), flipped.tolist()))
+    bits[fresh] = _randomized_response(raw.astype(np.int64), p_e, rng)
+    cache.links[slots[rows], slots[cols]] = cache.links[slots[cols], slots[rows]] = bits
     perturbed = np.zeros((b, b), dtype=np.int64)
-    perturbed[rows, cols] = [links[key] for key in keys]
+    perturbed[rows, cols] = bits
     perturbed += perturbed.T
 
     corrected = sparsify_correct(perturbed, vectors, p_e)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import ValidationError
-from .ldp import Encoder, LdpParams, SanitizedBatch, perturb_node
+from .ldp import Encoder, LdpParams, SanitizedBatch, perturb_node, triu_pairs
 
 ESTIMATOR_MODES = ("corrected", "paper")
 
@@ -65,32 +65,36 @@ def match_nodes(a: SanitizedBatch, b: SanitizedBatch, tau: float) -> MatchResult
     ascending-distance order (ties by index in a, then in b), each endpoint
     at most once. tau = 0 matches only bitwise-equal vectors.
     """
-    dists = np.linalg.norm(
-        a.sanitized_nodes[:, None, :] - b.sanitized_nodes[None, :, :], axis=2
-    )
-    cand = dists < tau if tau > 0 else dists == 0.0
-    # Repeatedly take the first flat argmin, i.e. the least (distance, index
-    # in a, index in b), then retire its row and column.
-    free = np.where(cand, dists, np.inf)
-    pairs = []
-    for _ in range(min(free.shape)):
-        ia, ib = divmod(int(free.argmin()), free.shape[1])
-        if free[ia, ib] == np.inf:
+    diff = a.sanitized_nodes[:, None, :] - b.sanitized_nodes[None, :, :]
+    # The reduction np.linalg.norm(diff, axis=2) performs, bit for bit.
+    dists = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    cand = np.flatnonzero(dists < tau if tau > 0 else dists == 0.0)
+    # Flat order is (index in a, index in b), so a stable sort on distance
+    # visits candidates by (distance, index in a, index in b).
+    order = cand[np.argsort(dists.ravel()[cand], kind="stable")]
+    free_a, free_b = [True] * a.batch_size, [True] * b.batch_size
+    match_a, match_b, limit = [], [], min(a.batch_size, b.batch_size)
+    in_a, in_b = np.divmod(order, b.batch_size)
+    for ia, ib in zip(in_a.tolist(), in_b.tolist()):
+        if len(match_a) == limit:
             break
-        pairs.append((ia, ib))
-        free[ia, :] = np.inf
-        free[:, ib] = np.inf
+        if free_a[ia] and free_b[ib]:
+            free_a[ia] = free_b[ib] = False
+            match_a.append(ia)
+            match_b.append(ib)
 
-    n_tilde = len(pairs) / a.batch_size if a.batch_size else 0.0
+    n_tilde = len(match_a) / a.batch_size if a.batch_size else 0.0
 
-    links_a = int(np.triu(a.sanitized_adjacency, k=1).sum())
-    pa, pb = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    both = np.logical_and(a.sanitized_adjacency[np.ix_(pa, pa)],
-                          b.sanitized_adjacency[np.ix_(pb, pb)])
-    shared = int(np.triu(both, k=1).sum())
+    rows, cols = triu_pairs(a.batch_size)
+    links_a = int(a.sanitized_adjacency[rows, cols].sum())
+    # Links between matched pairs m < m' that both batches report.
+    rows, cols = triu_pairs(len(match_a))
+    pa, pb = np.array(match_a, dtype=np.int64), np.array(match_b, dtype=np.int64)
+    shared = int(np.count_nonzero(np.logical_and(a.sanitized_adjacency[pa[rows], pa[cols]],
+                                                 b.sanitized_adjacency[pb[rows], pb[cols]])))
     t_tilde = shared / links_a if links_a else 0.0
     return MatchResult(
-        pairs=tuple(pairs),
+        pairs=tuple(zip(match_a, match_b)),
         n_tilde=n_tilde,
         t_tilde=t_tilde,
         b_a=a.batch_size,

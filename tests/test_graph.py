@@ -194,6 +194,36 @@ class TestInducedSubgraph:
         sub = induced_subgraph(g, np.array([3, 4]), client_id=2)
         assert sub.edge_set() == {(3, 4)}
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_adjacency_entries_match_dense(self, seed):
+        """The CSR lookup equals toarray()[rows, cols], on a graph with no edges too."""
+        rng = np.random.default_rng(seed)
+        g = generate_sbm(3, 10, 0.4, 0.1, 4, seed=seed)
+        subs = [induced_subgraph(g, rng.choice(30, size=17, replace=False), 0),
+                induced_subgraph(tiny_graph(n=5, edges=()), np.arange(5), 1)]
+        for sub in subs:
+            dense = sub.adjacency.toarray()
+            n = sub.num_nodes
+            rows, cols = rng.integers(0, n, size=40), rng.integers(0, n, size=40)
+            got = sub.adjacency_entries(rows, cols)
+            assert got.dtype == dense.dtype and np.array_equal(got, dense[rows, cols])
+            ids = rng.permutation(n)[:7]
+            assert np.array_equal(sub.adjacency_entries(ids[:, None], ids[None, :]),
+                                  dense[np.ix_(ids, ids)])
+
+    def test_adjacency_entries_leave_csr_untouched(self):
+        """Unsorted indices, a duplicate and an explicit zero: read as toarray() does."""
+        indptr = np.array([0, 3, 4, 6])
+        indices = np.array([2, 1, 2, 0, 1, 0])
+        data = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
+        adj = sp.csr_matrix((data, indices, indptr), shape=(3, 3))
+        sub = graph_mod.ClientSubgraph(0, np.arange(3), np.zeros((3, 1)), np.zeros(3, int), adj)
+        saved = [a.copy() for a in (adj.indptr, adj.indices, adj.data)]
+        rows, cols = np.divmod(np.arange(9), 3)
+        assert np.array_equal(sub.adjacency_entries(rows, cols), adj.toarray().ravel())
+        for before, after in zip(saved, (adj.indptr, adj.indices, adj.data)):
+            assert np.array_equal(before, after)
+
     def test_local_rows(self):
         sub = induced_subgraph(tiny_graph(), np.array([4, 1, 2]), client_id=3)
         assert sub.local_rows([2, 4, 1, 2]).tolist() == [1, 2, 0, 1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairgfl import ldp as ldp_mod
 from fairgfl.gcn import NumericError
 from fairgfl.graph import ValidationError, generate_sbm, induced_subgraph
 from fairgfl.ldp import (
@@ -288,10 +289,49 @@ class TestSanitizeBatch:
     def test_cached_link_bits_shared_across_batches(self):
         rng = np.random.default_rng(14)
         cache = PermanentCache()
+
+        def drawn_bits():
+            return np.count_nonzero(np.triu(cache.links >= 0, k=1))
+
         sanitize_batch(self.sub, np.arange(6), self.encoder, self.params, cache, rng)
-        n_links = len(cache.links)
+        n_links = drawn_bits()
         sanitize_batch(self.sub, np.arange(6), self.encoder, self.params, cache, rng)
-        assert len(cache.links) == n_links == 15
+        assert drawn_bits() == n_links == 15
+        assert np.array_equal(cache.links, cache.links.T)
+
+    def test_cache_nodes_by_global_id(self):
+        """``gid in cache.nodes`` says whether that node's vector is cached."""
+        sub = induced_subgraph(self.graph, np.arange(10, 40), 0)
+        cache = PermanentCache()
+        assert 10 not in cache.nodes
+        batch = np.array([33, 12, 20])
+        sanitize_batch(sub, batch, self.encoder, self.params, cache, np.random.default_rng(1))
+        assert all(g in cache.nodes for g in batch.tolist())
+        assert not any(g in cache.nodes for g in (10, 13, 39, 5, 55))
+        assert cache.nodes == {12, 20, 33}
+
+    def test_fully_cached_upload_draws_nothing(self, monkeypatch):
+        """A repeat upload replays its responses without calling perturb_node."""
+        rng = np.random.default_rng(17)
+        cache = PermanentCache()
+        batch = np.array([4, 9, 2, 17])
+        first = sanitize_batch(self.sub, batch, self.encoder, self.params, cache, rng)
+        calls = []
+        monkeypatch.setattr(ldp_mod, "perturb_node",
+                            lambda *args, **kw: calls.append(args) or perturb_node(*args, **kw))
+        before = rng.bit_generator.state
+        again = sanitize_batch(self.sub, batch[::-1], self.encoder, self.params, cache, rng)
+        assert calls == []
+        assert rng.bit_generator.state == before
+        assert np.array_equal(again.sanitized_nodes, first.sanitized_nodes[::-1])
+
+    def test_cache_of_another_client_rejected(self):
+        cache = PermanentCache()
+        rng = np.random.default_rng(18)
+        sanitize_batch(self.sub, np.arange(5), self.encoder, self.params, cache, rng)
+        other = induced_subgraph(self.graph, np.arange(5, 35), 1)
+        with pytest.raises(ValidationError, match="client"):
+            sanitize_batch(other, np.arange(5, 10), self.encoder, self.params, cache, rng)
 
     def test_link_bits_match_scalar_reference(self):
         """Uploads equal per-row, per-element and per-pair scalar loops.
@@ -304,37 +344,39 @@ class TestSanitizeBatch:
         """
 
         def reference(batch, cache, rng):
+            """cache is None or a (nodes, links) pair of dicts keyed by global ids."""
+            nodes, links = cache if cache is not None else ({}, {})
             vectors = np.empty((len(batch), self.encoder.d1))
             for row, gid in enumerate(batch):
-                if cache is not None and gid in cache.nodes:
-                    vectors[row] = cache.nodes[gid]
+                if gid in nodes:
+                    vectors[row] = nodes[gid]
                     continue
                 enc = self.encoder.encode(self.sub.features[gid])[0]
                 vectors[row] = scalar_perturb_node(
                     enc, self.params, rng, self.encoder.x_min, self.encoder.x_max
                 )
                 if cache is not None:
-                    cache.nodes[gid] = vectors[row]
+                    nodes[gid] = vectors[row]
             adj = self.sub.adjacency.toarray()
             p_e = self.params.flip_probability
             out = np.zeros((len(batch), len(batch)), dtype=np.int64)
             for i in range(len(batch)):
                 for j in range(i + 1, len(batch)):
                     key = (min(batch[i], batch[j]), max(batch[i], batch[j]))
-                    if cache is not None and key in cache.links:
-                        bit = cache.links[key]
+                    if key in links:
+                        bit = links[key]
                     else:
                         raw = int(adj[batch[i], batch[j]] != 0)
                         bit = 1 - raw if rng.random() < p_e else raw
                         if cache is not None:
-                            cache.links[key] = bit
+                            links[key] = bit
                     out[i, j] = out[j, i] = bit
             return vectors, sparsify_correct(out, vectors, p_e)
 
         for cached in (False, True):
             rng_a, rng_b = np.random.default_rng(15), np.random.default_rng(15)
             cache_a = PermanentCache() if cached else None
-            cache_b = PermanentCache() if cached else None
+            cache_b = ({}, {}) if cached else None
             picks = np.random.default_rng(16)
             for _ in range(20):
                 batch = picks.choice(30, size=8, replace=False)

@@ -65,10 +65,11 @@ def random_batch(rng, b, d, p, density):
 
 class TestMatchNodesReference:
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("sizes", [(12, 12), (5, 17), (17, 5), (1, 9), (0, 4)])
+    @pytest.mark.parametrize("sizes", [(12, 12), (5, 17), (17, 5), (1, 9), (0, 4), (20, 13)])
     def test_random_batches(self, seed, sizes):
         rng = np.random.default_rng(seed)
-        for p, d in ((1, 2), (2, 3), (8, 4)):
+        # p = 3, 5, 7: grid steps that are not binary fractions, so distances are inexact
+        for p, d in ((1, 2), (2, 3), (8, 4), (3, 4), (5, 3), (7, 5)):
             a = random_batch(rng, sizes[0], d, p, 0.3)
             b = random_batch(rng, sizes[1], d, p, 0.3)
             dists = np.linalg.norm(
@@ -81,6 +82,18 @@ class TestMatchNodesReference:
                 assert got.pairs == pairs
                 assert (got.n_tilde, got.t_tilde, got.links_a) == (n_tilde, t_tilde, links_a)
                 assert type(got.t_tilde) is float
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("sizes", [(12, 12), (5, 17), (20, 13)])
+    @pytest.mark.parametrize("p", [3, 5, 7, 8])
+    def test_distance_expression_is_norm(self, seed, sizes, p):
+        """match_nodes' sqrt of the summed squares is np.linalg.norm's bits."""
+        rng = np.random.default_rng(seed)
+        a = random_batch(rng, sizes[0], 4, p, 0.3).sanitized_nodes
+        b = random_batch(rng, sizes[1], 4, p, 0.3).sanitized_nodes
+        diff = a[:, None, :] - b[None, :, :]
+        assert (np.sqrt(np.add.reduce(diff * diff, axis=2)).tobytes()
+                == np.linalg.norm(diff, axis=2).tobytes())
 
     def test_no_candidates(self):
         a = make_batch([[0.0, 0.0], [0.0, 0.5]], np.array([[0, 1], [1, 0]]))
