@@ -138,11 +138,12 @@ def build_graph(extras: dict):
     raise ConfigError(f"unknown dataset {extras['dataset']!r}; use sbm or file")
 
 
-def write_manifest(path, part, fed, ldp, extras, suite):
+def write_manifest(path, part, fed, ldp, extras, suite, runs):
     """Write suite= and every config key as parse_config reads them back.
 
     overlap_multipliers, which only the motivation suite sets, is not a
-    config key; it is recorded as a comment so the file still parses.
+    config key; it is recorded as a comment so the file still parses, as
+    is one "# run TAG: key=value, ..." line per (tag, keys) in runs.
     """
     sections = {"fed": vars(fed), "part": vars(part), "ldp": vars(ldp), "extras": extras}
     lines = [f"suite={suite}"]
@@ -154,6 +155,10 @@ def write_manifest(path, part, fed, ldp, extras, suite):
         lines.append(
             "# overlap_multipliers=" + ",".join(str(m) for m in part.overlap_multipliers)
         )
+    lines.extend(
+        f"# run {tag}: " + ", ".join(f"{key}={value}" for key, value in keys.items())
+        for tag, keys in runs
+    )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -188,60 +193,65 @@ def _thirds_multipliers(p: int) -> tuple[float, ...]:
     return (0.0,) * sizes[0] + (1.0,) * sizes[1] + (2.0,) * sizes[2]
 
 
+def _suite_runs(suite) -> list[tuple[str, dict]]:
+    """(tag, config keys the run sets) for each run of a suite, in run order."""
+    if suite == "single":
+        return [("", {})]
+    if suite == "compare":
+        return [(alg, {"algorithm": alg}) for alg in ALGORITHMS]
+    if suite in ("motivation", "overlap-sweep"):
+        return [(f"N{c:g}", {"overlap_coefficient": c}) for c in MOTIVATION_COEFFS]
+    if suite == "privacy-sweep":
+        return [(f"eps{e:g}", {"epsilon_a": e}) for e in PRIVACY_EPSILONS] + [
+            ("noldp", {"use_ldp": False})
+        ]
+    raise ConfigError(f"unknown suite {suite!r}; use one of {SUITES}")
+
+
+def _with_keys(configs, keys: dict):
+    """(part, fed, ldp) with the given config keys replaced."""
+    sections = dict(zip(("part", "fed", "ldp"), configs))
+    for key, value in keys.items():
+        section, name, _ = CONFIG_SCHEMA[key]
+        sections[section] = dataclasses.replace(sections[section], **{name: value})
+    return sections["part"], sections["fed"], sections["ldp"]
+
+
 def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
     """Execute one experiment suite; returns a process exit status."""
+    runs = _suite_runs(suite)
     if suite == "motivation" and fed.rounds == 0:
         raise ConfigError("suite motivation summarizes the last round; it needs rounds >= 1")
-    if suite == "privacy-sweep" and not (fed.algorithm == "fairgfl" and fed.estimate_overlap):
+    if suite == "privacy-sweep" and not (
+        fed.algorithm == "fairgfl" and fed.estimate_overlap and fed.use_ldp
+    ):
         raise ConfigError(
             "suite privacy-sweep varies the budget of the overlap uploads; "
-            "it needs algorithm = fairgfl and estimate_overlap = on"
+            "it needs algorithm = fairgfl, estimate_overlap = on and use_ldp = on"
         )
+    if suite == "motivation":
+        # Set on the suite-level configs, so the manifest records them too.
+        part = dataclasses.replace(part, overlap_multipliers=_thirds_multipliers(part.num_clients))
+        fed = dataclasses.replace(fed, algorithm="fedavg")
     graph = build_graph(extras)
     out_dir = Path(out_dir)
     try:
-        if suite == "single":
-            _run_one(graph, part, fed, ldp, out_dir, "")
-        elif suite == "compare":
-            for alg in ALGORITHMS:
-                _run_one(
-                    graph, part, dataclasses.replace(fed, algorithm=alg),
-                    ldp, out_dir, alg,
-                )
-        elif suite == "motivation":
-            multipliers = _thirds_multipliers(part.num_clients)
-            # Set on the suite-level configs too, so the manifest records them.
-            part = dataclasses.replace(part, overlap_multipliers=multipliers)
-            fed = dataclasses.replace(fed, algorithm="fedavg")
-            summary = []
-            for coeff in MOTIVATION_COEFFS:
-                p_i = dataclasses.replace(part, overlap_coefficient=coeff)
-                result = _run_one(graph, p_i, fed, ldp, out_dir, f"N{coeff:g}")
-                last = result.records[-1]
-                summary.append((coeff, last.loss_variance, last.loss_entropy))
-            with open(out_dir / "motivation.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["overlap_coefficient", "loss_var", "loss_entropy"])
-                for row in summary:
-                    writer.writerow([row[0]] + [repr(v) for v in row[1:]])
-        elif suite == "privacy-sweep":
-            for eps in PRIVACY_EPSILONS:
-                l_i = dataclasses.replace(ldp, epsilon_a=eps)
-                _run_one(graph, part, fed, l_i, out_dir, f"eps{eps:g}")
-            _run_one(
-                graph, part, dataclasses.replace(fed, use_ldp=False),
-                ldp, out_dir, "noldp",
-            )
-        elif suite == "overlap-sweep":
-            for coeff in MOTIVATION_COEFFS:
-                p_i = dataclasses.replace(part, overlap_coefficient=coeff)
-                _run_one(graph, p_i, fed, ldp, out_dir, f"N{coeff:g}")
-        else:
-            raise ConfigError(f"unknown suite {suite!r}; use one of {SUITES}")
+        results = [
+            _run_one(graph, *_with_keys((part, fed, ldp), keys), out_dir, tag)
+            for tag, keys in runs
+        ]
     except RoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_manifest(out_dir / "manifest.txt", part, fed, ldp, extras, suite)
+    if suite == "motivation":
+        with open(out_dir / "motivation.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["overlap_coefficient", "loss_var", "loss_entropy"])
+            for coeff, result in zip(MOTIVATION_COEFFS, results):
+                last = result.records[-1]
+                writer.writerow([coeff, repr(last.loss_variance), repr(last.loss_entropy)])
+    write_manifest(out_dir / "manifest.txt", part, fed, ldp, extras, suite,
+                   [(tag, keys) for tag, keys in runs if tag])
     return 0
 
 

@@ -2,8 +2,8 @@
 
 Matches sanitized node vectors across clients, turns batch-level match
 counts into population overlap ratio estimates for every ordered pair of
-a round's uploads, and maintains the accumulated per-pair overlap state
-that drives aggregation weights.
+a round's uploads (one matching per unordered pair), and maintains the
+accumulated per-pair overlap state that drives aggregation weights.
 """
 
 from __future__ import annotations
@@ -23,13 +23,34 @@ HISTORY = ("N_round", "T_round", "N_acc", "T_acc", "O")
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Greedy one-to-one matching between two sanitized batches."""
+    """Greedy one-to-one matching between two sanitized batches a and b."""
 
     pairs: tuple[tuple[int, int], ...]  # (index in batch a, index in batch b)
-    n_tilde: float                      # matches / b_a
-    t_tilde: float                      # shared observed links / links in batch a
+    shared: int    # links between matched pairs that both batches report
     b_a: int
-    links_a: int
+    b_b: int
+    links_a: int   # links in batch a's upper triangle
+    links_b: int
+
+    @property
+    def n_tilde(self) -> float:
+        """matches / b_a"""
+        return len(self.pairs) / self.b_a if self.b_a else 0.0
+
+    @property
+    def t_tilde(self) -> float:
+        """shared observed links / links in batch a"""
+        return self.shared / self.links_a if self.links_a else 0.0
+
+    def reversed(self) -> "MatchResult":
+        """The result of match_nodes(b, a, tau), from the same counts.
+
+        Its pairs are the transposed pairs in this result's acceptance
+        order; match_nodes(b, a, tau) accepts the same set (see
+        estimate_round), possibly in another order.
+        """
+        return MatchResult(tuple((ib, ia) for ia, ib in self.pairs), self.shared,
+                           self.b_b, self.b_a, self.links_b, self.links_a)
 
 
 @dataclass(frozen=True)
@@ -83,23 +104,24 @@ def match_nodes(a: SanitizedBatch, b: SanitizedBatch, tau: float) -> MatchResult
             match_a.append(ia)
             match_b.append(ib)
 
-    n_tilde = len(match_a) / a.batch_size if a.batch_size else 0.0
-
-    rows, cols = triu_pairs(a.batch_size)
-    links_a = int(a.sanitized_adjacency[rows, cols].sum())
     # Links between matched pairs m < m' that both batches report.
     rows, cols = triu_pairs(len(match_a))
     pa, pb = np.array(match_a, dtype=np.int64), np.array(match_b, dtype=np.int64)
     shared = int(np.count_nonzero(np.logical_and(a.sanitized_adjacency[pa[rows], pa[cols]],
                                                  b.sanitized_adjacency[pb[rows], pb[cols]])))
-    t_tilde = shared / links_a if links_a else 0.0
     return MatchResult(
         pairs=tuple(zip(match_a, match_b)),
-        n_tilde=n_tilde,
-        t_tilde=t_tilde,
+        shared=shared,
         b_a=a.batch_size,
-        links_a=links_a,
+        b_b=b.batch_size,
+        links_a=_upper_links(a),
+        links_b=_upper_links(b),
     )
+
+
+def _upper_links(batch: SanitizedBatch) -> int:
+    rows, cols = triu_pairs(batch.batch_size)
+    return int(batch.sanitized_adjacency[rows, cols].sum())
 
 
 def estimate_node_ratio(
@@ -150,20 +172,25 @@ def estimate_round(
 ) -> dict[tuple[int, int], tuple[float, float]]:
     """(node, link) ratio estimates for every ordered pair of one round's uploads.
 
-    Keyed by (client i, client k); the (i, k) and (k, i) entries come from
-    separate matchings and need not agree. Fewer than two uploads give {}.
+    Keyed by (client i, client k); the (i, k) and (k, i) entries need not
+    agree. Fewer than two uploads give {}. Each unordered pair is matched
+    once: greedy matching under a strict order depends only on how
+    candidates that share an endpoint are ordered (Preis 1999), and both
+    directions order those alike (by distance, then by the index in the
+    other batch), so match_nodes(b, a) is the transpose of match_nodes(a, b).
     """
     estimates = {}
-    for a in batches:
-        for b in batches:
+    for i, a in enumerate(batches):
+        for b in batches[i + 1:]:
             if a.client_id == b.client_id:
                 continue
             match = match_nodes(a, b, tau)
-            estimates[(a.client_id, b.client_id)] = (
-                estimate_node_ratio(match.n_tilde, a.reported_n, b.reported_n,
-                                    a.batch_size, b.batch_size),
-                estimate_link_ratio(match.t_tilde, b.reported_n, a.batch_size, b.batch_size),
-            )
+            for x, y, m in ((a, b, match), (b, a, match.reversed())):
+                estimates[(x.client_id, y.client_id)] = (
+                    estimate_node_ratio(m.n_tilde, x.reported_n, y.reported_n,
+                                        x.batch_size, y.batch_size),
+                    estimate_link_ratio(m.t_tilde, y.reported_n, x.batch_size, y.batch_size),
+                )
     return estimates
 
 

@@ -178,7 +178,14 @@ class TestRunSuite:
         line = next(x for x in manifest if x.startswith("# overlap_multipliers="))
         multipliers = tuple(float(v) for v in line.split("=", 1)[1].split(","))
         assert multipliers == _thirds_multipliers(6)
-        # the runs' algorithm; the multipliers line is a comment to parse_config
+        assert [x for x in manifest if x.startswith("# run ")] == [
+            "# run N0: overlap_coefficient=0.0",
+            "# run N0.05: overlap_coefficient=0.05",
+            "# run N0.1: overlap_coefficient=0.1",
+            "# run N0.15: overlap_coefficient=0.15",
+            "# run N0.2: overlap_coefficient=0.2",
+        ]
+        # the runs' algorithm; the multipliers and run lines are comments to parse_config
         resolved = write_cfg(tmp_path, "\n".join(manifest[1:]) + "\n", name="resolved.txt")
         assert parse_config(resolved) == (part, replace(fed, algorithm="fedavg"), ldp, extras)
 
@@ -201,6 +208,21 @@ class TestRunSuite:
             assert [float(c) for c in row.split(",")[1:]] == (
                 snap.overlap_history[0]["N_round"].ravel().tolist()
             )
+
+    def test_privacy_sweep_manifest_names_each_runs_keys(self, tmp_path):
+        configs = parse_config(write_cfg(tmp_path, SMALL + "J = 1\n"))
+        out = tmp_path / "out"
+        assert run_suite("privacy-sweep", *configs, out) == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert manifest[0] == "suite=privacy-sweep"
+        assert [x for x in manifest if x.startswith("#")] == [
+            "# run eps1: epsilon_a=1.0",
+            "# run eps4: epsilon_a=4.0",
+            "# run eps50: epsilon_a=50.0",
+            "# run noldp: use_ldp=False",
+        ]
+        resolved = write_cfg(tmp_path, "\n".join(manifest[1:]) + "\n", name="resolved.txt")
+        assert parse_config(resolved) == configs
 
     def test_unknown_suite(self, tmp_path):
         part, fed, ldp, extras = parse_config(write_cfg(tmp_path))
@@ -286,11 +308,12 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("line", [
-        "algorithm = fedavg", "algorithm = qfedavg", "estimate_overlap = off",
+        "algorithm = fedavg", "algorithm = qfedavg", "estimate_overlap = off", "use_ldp = off",
     ])
     def test_privacy_sweep_without_uploads_exits_two(self, tmp_path, capsys,
                                                      monkeypatch, line):
-        """No uploads means no budget to vary: rejected before the graph is built."""
+        """No uploads, or no perturbation of them, means no budget to vary:
+        rejected before the graph is built."""
         def no_graph(extras):
             raise AssertionError("graph built")
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fairgfl.overlap as overlap_mod
 from fairgfl.graph import ValidationError
 from fairgfl.ldp import Encoder, LdpParams, SanitizedBatch, perturb_node
 from fairgfl.overlap import (
@@ -63,25 +64,46 @@ def random_batch(rng, b, d, p, density):
     return make_batch(vectors, (upper | upper.T).astype(np.int64))
 
 
+def random_cases(seed, sizes):
+    """(a, b, tau) over tie-heavy grids and every kind of threshold."""
+    rng = np.random.default_rng(seed)
+    # p = 3, 5, 7: grid steps that are not binary fractions, so distances are inexact
+    for p, d in ((1, 2), (2, 3), (8, 4), (3, 4), (5, 3), (7, 5)):
+        a = random_batch(rng, sizes[0], d, p, 0.3)
+        b = random_batch(rng, sizes[1], d, p, 0.3)
+        dists = np.linalg.norm(
+            a.sanitized_nodes[:, None, :] - b.sanitized_nodes[None, :, :], axis=2
+        )
+        mid, top = (np.median(dists), dists.max()) if dists.size else (0.5, 1.0)
+        for tau in (0.0, 1e-9, *np.unique(dists)[:3], mid, top, top + 1.0, np.inf):
+            yield a, b, float(tau)
+
+
+RANDOM_SIZES = [(12, 12), (5, 17), (17, 5), (1, 9), (0, 4), (20, 13)]
+
+
 class TestMatchNodesReference:
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("sizes", [(12, 12), (5, 17), (17, 5), (1, 9), (0, 4), (20, 13)])
+    @pytest.mark.parametrize("sizes", RANDOM_SIZES)
     def test_random_batches(self, seed, sizes):
-        rng = np.random.default_rng(seed)
-        # p = 3, 5, 7: grid steps that are not binary fractions, so distances are inexact
-        for p, d in ((1, 2), (2, 3), (8, 4), (3, 4), (5, 3), (7, 5)):
-            a = random_batch(rng, sizes[0], d, p, 0.3)
-            b = random_batch(rng, sizes[1], d, p, 0.3)
-            dists = np.linalg.norm(
-                a.sanitized_nodes[:, None, :] - b.sanitized_nodes[None, :, :], axis=2
-            )
-            mid, top = (np.median(dists), dists.max()) if dists.size else (0.5, 1.0)
-            for tau in (0.0, 1e-9, *np.unique(dists)[:3], mid, top, top + 1.0, np.inf):
-                got = match_nodes(a, b, float(tau))
-                pairs, n_tilde, t_tilde, links_a = reference_match(a, b, float(tau))
-                assert got.pairs == pairs
-                assert (got.n_tilde, got.t_tilde, got.links_a) == (n_tilde, t_tilde, links_a)
-                assert type(got.t_tilde) is float
+        for a, b, tau in random_cases(seed, sizes):
+            got = match_nodes(a, b, tau)
+            pairs, n_tilde, t_tilde, links_a = reference_match(a, b, tau)
+            assert got.pairs == pairs
+            assert (got.n_tilde, got.t_tilde, got.links_a) == (n_tilde, t_tilde, links_a)
+            assert type(got.t_tilde) is float
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("sizes", RANDOM_SIZES)
+    def test_reverse_equals_direct(self, seed, sizes):
+        """The (b, a) result derived from one matching is match_nodes(b, a)'s."""
+        for a, b, tau in random_cases(seed, sizes):
+            got = match_nodes(a, b, tau).reversed()
+            direct = match_nodes(b, a, tau)
+            assert sorted(got.pairs) == sorted(direct.pairs)
+            assert dataclasses.replace(got, pairs=direct.pairs) == direct
+            assert (got.n_tilde, got.t_tilde, got.links_a) == (
+                direct.n_tilde, direct.t_tilde, direct.links_a)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("sizes", [(12, 12), (5, 17), (20, 13)])
@@ -240,6 +262,22 @@ class TestEstimateRound:
         got = estimate_round(batches, tau)
         assert got == expect
         assert len(got) == 12
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_one_matching_per_unordered_pair(self, monkeypatch, k):
+        calls = []
+
+        def counted(*args, **kwargs):
+            assert not kwargs and len(args) == 3  # positional, as the benchmark probes it
+            calls.append(frozenset((args[0].client_id, args[1].client_id)))
+            return match_nodes(*args)
+
+        monkeypatch.setattr(overlap_mod, "match_nodes", counted)
+        batches = self.uploads(1)[:k]
+        got = estimate_round(batches, 0.5)
+        assert len(calls) == k * (k - 1) // 2
+        assert len(set(calls)) == len(calls)
+        assert len(got) == k * (k - 1)
 
     def test_single_upload_gives_no_estimates(self):
         assert estimate_round(self.uploads(0)[:1], 0.5) == {}
