@@ -259,6 +259,9 @@ def run_experiment(
     weights. A_hat * X is computed once per graph, and the global
     evaluation takes the test rows of the global A_hat, sliced once.
     """
+    if part_spec.num_clients != cfg.num_clients:
+        raise ValidationError(f"the partition has {part_spec.num_clients} clients, "
+                              f"the config {cfg.num_clients}")
     test_ids, public_ids, pool_ids = split_nodes(graph, cfg)
     if cfg.rounds and len(test_ids) == 0:
         raise ValidationError("the test split is empty; raise test_fraction")

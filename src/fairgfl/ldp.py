@@ -35,6 +35,9 @@ class LdpParams:
             raise ValidationError("privacy budgets must be finite and positive")
         if self.quantiles < 1:
             raise ValidationError("quantiles must be >= 1")
+        if abs(1.0 - 2.0 * self.flip_probability) < 1e-12:  # as sparsify_correct checks
+            raise ValidationError("epsilon_b is too small: p_e = 1/2 leaves the raw "
+                                  "link density unidentifiable")
 
     @property
     def flip_probability(self) -> float:

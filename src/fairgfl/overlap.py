@@ -23,34 +23,14 @@ HISTORY = ("N_round", "T_round", "N_acc", "T_acc", "O")
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Greedy one-to-one matching between two sanitized batches a and b."""
+    """Greedy one-to-one matching between two sanitized batches a and b.
+
+    Symmetric: match_nodes(b, a, tau) accepts the transposed pairs and
+    counts the same shared links (see estimate_round).
+    """
 
     pairs: tuple[tuple[int, int], ...]  # (index in batch a, index in batch b)
     shared: int    # links between matched pairs that both batches report
-    b_a: int
-    b_b: int
-    links_a: int   # links in batch a's upper triangle
-    links_b: int
-
-    @property
-    def n_tilde(self) -> float:
-        """matches / b_a"""
-        return len(self.pairs) / self.b_a if self.b_a else 0.0
-
-    @property
-    def t_tilde(self) -> float:
-        """shared observed links / links in batch a"""
-        return self.shared / self.links_a if self.links_a else 0.0
-
-    def reversed(self) -> "MatchResult":
-        """The result of match_nodes(b, a, tau), from the same counts.
-
-        Its pairs are the transposed pairs in this result's acceptance
-        order; match_nodes(b, a, tau) accepts the same set (see
-        estimate_round), possibly in another order.
-        """
-        return MatchResult(tuple((ib, ia) for ia, ib in self.pairs), self.shared,
-                           self.b_b, self.b_a, self.links_b, self.links_a)
 
 
 @dataclass(frozen=True)
@@ -109,14 +89,7 @@ def match_nodes(a: SanitizedBatch, b: SanitizedBatch, tau: float) -> MatchResult
     pa, pb = np.array(match_a, dtype=np.int64), np.array(match_b, dtype=np.int64)
     shared = int(np.count_nonzero(np.logical_and(a.sanitized_adjacency[pa[rows], pa[cols]],
                                                  b.sanitized_adjacency[pb[rows], pb[cols]])))
-    return MatchResult(
-        pairs=tuple(zip(match_a, match_b)),
-        shared=shared,
-        b_a=a.batch_size,
-        b_b=b.batch_size,
-        links_a=_upper_links(a),
-        links_b=_upper_links(b),
-    )
+    return MatchResult(tuple(zip(match_a, match_b)), shared)
 
 
 def _upper_links(batch: SanitizedBatch) -> int:
@@ -178,18 +151,23 @@ def estimate_round(
     candidates that share an endpoint are ordered (Preis 1999), and both
     directions order those alike (by distance, then by the index in the
     other batch), so match_nodes(b, a) is the transpose of match_nodes(a, b).
+    Direction x -> y divides the matches by b_x and the shared links by the
+    links x reports, counted once per upload.
     """
+    counted = [(batch, _upper_links(batch)) for batch in batches]
     estimates = {}
-    for i, a in enumerate(batches):
-        for b in batches[i + 1:]:
+    for i, (a, a_links) in enumerate(counted):
+        for b, b_links in counted[i + 1:]:
             if a.client_id == b.client_id:
                 continue
             match = match_nodes(a, b, tau)
-            for x, y, m in ((a, b, match), (b, a, match.reversed())):
+            for x, y, x_links in ((a, b, a_links), (b, a, b_links)):
+                matched = len(match.pairs) / x.batch_size if x.batch_size else 0.0
+                agreed = match.shared / x_links if x_links else 0.0
                 estimates[(x.client_id, y.client_id)] = (
-                    estimate_node_ratio(m.n_tilde, x.reported_n, y.reported_n,
+                    estimate_node_ratio(matched, x.reported_n, y.reported_n,
                                         x.batch_size, y.batch_size),
-                    estimate_link_ratio(m.t_tilde, y.reported_n, x.batch_size, y.batch_size),
+                    estimate_link_ratio(agreed, y.reported_n, x.batch_size, y.batch_size),
                 )
     return estimates
 

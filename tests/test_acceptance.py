@@ -147,7 +147,7 @@ def test_criterion_04_noisy_separation():
             def est(i, k):
                 m = overlap.match_nodes(batches[i], batches[k], tau)
                 return overlap.estimate_node_ratio(
-                    m.n_tilde, parts[i].num_nodes, parts[k].num_nodes, 20, 20
+                    len(m.pairs) / 20, parts[i].num_nodes, parts[k].num_nodes, 20, 20
                 )
 
             if (est(0, 1) + est(1, 0)) / 2 > (est(2, 3) + est(3, 2)) / 2:

@@ -246,6 +246,7 @@ class TestMain:
     @pytest.mark.parametrize("line", [
         "epsilon_a = inf",
         "epsilon_b = nan",
+        "epsilon_b = 1e-300",
         "hidden_dim = 0",
         "encoder_dim = 0",
         "batch_size = 0",

@@ -399,6 +399,21 @@ class TestRunExperiment:
             run_experiment(g, spec, small_cfg(test_fraction=0.0))
         assert run_experiment(g, spec, small_cfg(test_fraction=0.0, rounds=0)).records == []
 
+    @pytest.mark.parametrize("spec_clients", [10, 3])
+    def test_client_count_mismatch_rejected_before_setup(self, monkeypatch, spec_clients):
+        """More parts than clients left parts unsampled; fewer raised IndexError."""
+        from fairgfl import federation as federation_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("set-up started")
+
+        monkeypatch.setattr(federation_mod, "split_nodes", boom)
+        g = generate_sbm(4, 30, 0.3, 0.05, 8, seed=21)
+        spec = PartitionSpec(num_clients=spec_clients, overlap_coefficient=0.1, seed=1)
+        cfg = small_cfg(num_clients=5, clients_per_round=3, algorithm="fedavg")
+        with pytest.raises(ValidationError, match=f"partition has {spec_clients} clients"):
+            run_experiment(g, spec, cfg)
+
     def test_overlap_history_recorded(self):
         g = small_graph()
         spec = PartitionSpec(num_clients=4, overlap_coefficient=0.2, seed=4)

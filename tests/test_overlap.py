@@ -7,6 +7,7 @@ import fairgfl.overlap as overlap_mod
 from fairgfl.graph import ValidationError
 from fairgfl.ldp import Encoder, LdpParams, SanitizedBatch, perturb_node
 from fairgfl.overlap import (
+    MatchResult,
     OverlapState,
     calibrate_tau,
     client_overall_ratio,
@@ -46,15 +47,24 @@ def reference_match(a, b, tau):
             used_a.add(ia)
             used_b.add(ib)
             pairs.append((ia, ib))
-    links_a = int(np.triu(a.sanitized_adjacency, k=1).sum())
     shared = 0
     for m in range(len(pairs)):
         for m2 in range(m + 1, len(pairs)):
             (ia, ib), (ja, jb) = pairs[m], pairs[m2]
             if a.sanitized_adjacency[ia, ja] and b.sanitized_adjacency[ib, jb]:
                 shared += 1
-    n_tilde = len(pairs) / a.batch_size if a.batch_size else 0.0
-    return tuple(pairs), n_tilde, shared / links_a if links_a else 0.0, links_a
+    return tuple(pairs), shared
+
+
+def directions(a, b, tau):
+    """estimate_round's (a -> b, b -> a) estimates of a two-upload round.
+
+    make_batch reports n = b, so every scale factor is 1 and the estimates
+    are the match fraction and the shared-link fraction of each direction.
+    """
+    got = estimate_round([dataclasses.replace(a, client_id=0),
+                          dataclasses.replace(b, client_id=1)], tau)
+    return got[(0, 1)], got[(1, 0)]
 
 
 def random_batch(rng, b, d, p, density):
@@ -88,22 +98,20 @@ class TestMatchNodesReference:
     def test_random_batches(self, seed, sizes):
         for a, b, tau in random_cases(seed, sizes):
             got = match_nodes(a, b, tau)
-            pairs, n_tilde, t_tilde, links_a = reference_match(a, b, tau)
+            pairs, shared = reference_match(a, b, tau)
             assert got.pairs == pairs
-            assert (got.n_tilde, got.t_tilde, got.links_a) == (n_tilde, t_tilde, links_a)
-            assert type(got.t_tilde) is float
+            assert got.shared == shared
+            assert type(got.shared) is int
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("sizes", RANDOM_SIZES)
     def test_reverse_equals_direct(self, seed, sizes):
-        """The (b, a) result derived from one matching is match_nodes(b, a)'s."""
+        """match_nodes(b, a) accepts the transposed pairs and shares as many links."""
         for a, b, tau in random_cases(seed, sizes):
-            got = match_nodes(a, b, tau).reversed()
+            got = match_nodes(a, b, tau)
             direct = match_nodes(b, a, tau)
-            assert sorted(got.pairs) == sorted(direct.pairs)
-            assert dataclasses.replace(got, pairs=direct.pairs) == direct
-            assert (got.n_tilde, got.t_tilde, got.links_a) == (
-                direct.n_tilde, direct.t_tilde, direct.links_a)
+            assert sorted((ib, ia) for ia, ib in got.pairs) == sorted(direct.pairs)
+            assert got.shared == direct.shared
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("sizes", [(12, 12), (5, 17), (20, 13)])
@@ -120,10 +128,14 @@ class TestMatchNodesReference:
     def test_no_candidates(self):
         a = make_batch([[0.0, 0.0], [0.0, 0.5]], np.array([[0, 1], [1, 0]]))
         b = make_batch([[1.0, 1.0], [1.0, 0.5], [0.5, 1.0]])
+        assert overlap_mod._upper_links(a) == 1
         for tau in (0.0, 0.5):
             got = match_nodes(a, b, tau)
-            assert got.pairs == () and got.n_tilde == 0.0 and got.t_tilde == 0.0
-            assert got.links_a == 1
+            assert got.pairs == () and got.shared == 0
+            assert directions(a, b, tau) == ((0.0, 0.0), (0.0, 0.0))
+
+    def test_fields_are_pairs_and_shared(self):
+        assert [f.name for f in dataclasses.fields(MatchResult)] == ["pairs", "shared"]
 
 
 class TestMatchNodes:
@@ -132,7 +144,9 @@ class TestMatchNodes:
         b = make_batch([[1.0, 0.0], [0.2, 0.2]])
         m = match_nodes(a, b, tau=0.0)
         assert m.pairs == ((1, 0),)
-        assert m.n_tilde == pytest.approx(1.0 / 3.0)
+        forward, backward = directions(a, b, 0.0)
+        assert forward[0] == pytest.approx(1.0 / 3.0)
+        assert backward[0] == pytest.approx(1.0 / 2.0)
 
     def test_one_to_one(self):
         # two identical vectors in a, one in b: only one match allowed
@@ -160,13 +174,18 @@ class TestMatchNodes:
         a = make_batch([[0.0], [1.0], [2.0]], adj_a)
         b = make_batch([[0.0], [1.0]], adj_b)
         m = match_nodes(a, b, tau=0.0)
-        assert m.links_a == 2
-        assert m.t_tilde == pytest.approx(0.5)
+        assert overlap_mod._upper_links(a) == 2
+        assert m.shared == 1
+        forward, backward = directions(a, b, 0.0)
+        assert forward[1] == pytest.approx(0.5)
+        assert backward[1] == pytest.approx(1.0)  # b's one link is shared
 
     def test_no_links_gives_zero(self):
         a = make_batch([[0.0], [1.0]])
         b = make_batch([[0.0], [1.0]])
-        assert match_nodes(a, b, tau=0.0).t_tilde == 0.0
+        assert match_nodes(a, b, tau=0.0).shared == 0
+        forward, backward = directions(a, b, 0.0)
+        assert forward[1] == 0.0 and backward[1] == 0.0
 
 
 class TestEstimateNodeRatio:
@@ -235,12 +254,16 @@ class TestEstimateLinkRatio:
 class TestEstimateRound:
     @staticmethod
     def uploads(seed):
-        """Four uploads of different sizes from clients of different sizes."""
+        """Five uploads of different sizes from clients of different sizes.
+
+        The fifth reports no links.
+        """
         rng = np.random.default_rng(seed)
         out = []
         for cid, b in zip((3, 0, 7, 5), (6, 9, 4, 9)):
             batch = random_batch(rng, b, 3, 4, 0.4)
             out.append(dataclasses.replace(batch, client_id=cid, reported_n=b + 5 * cid))
+        out.append(make_batch(rng.integers(0, 5, size=(5, 3)) / 4, client_id=9, reported_n=12))
         return out
 
     @pytest.mark.parametrize("seed", range(4))
@@ -249,19 +272,21 @@ class TestEstimateRound:
         tau = 0.3 + 0.2 * seed
         expect = {}
         for a in batches:
+            links = int(np.triu(a.sanitized_adjacency, 1).sum())
             for b in batches:
                 if a is b:
                     continue
                 match = match_nodes(a, b, tau)
                 expect[(a.client_id, b.client_id)] = (
-                    estimate_node_ratio(match.n_tilde, a.reported_n, b.reported_n,
-                                        a.batch_size, b.batch_size),
-                    estimate_link_ratio(match.t_tilde, b.reported_n, a.batch_size,
-                                        b.batch_size),
+                    estimate_node_ratio(len(match.pairs) / a.batch_size, a.reported_n,
+                                        b.reported_n, a.batch_size, b.batch_size),
+                    estimate_link_ratio(match.shared / links if links else 0.0,
+                                        b.reported_n, a.batch_size, b.batch_size),
                 )
         got = estimate_round(batches, tau)
         assert got == expect
-        assert len(got) == 12
+        assert len(got) == 20
+        assert [got[(9, k)][1] for k in (3, 0, 7, 5)] == [0.0] * 4
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_one_matching_per_unordered_pair(self, monkeypatch, k):
@@ -278,6 +303,19 @@ class TestEstimateRound:
         assert len(calls) == k * (k - 1) // 2
         assert len(set(calls)) == len(calls)
         assert len(got) == k * (k - 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_links_counted_once_per_upload(self, monkeypatch, k):
+        counted, upper_links = [], overlap_mod._upper_links
+
+        def counting(batch):
+            counted.append(batch.client_id)
+            return upper_links(batch)
+
+        monkeypatch.setattr(overlap_mod, "_upper_links", counting)
+        batches = self.uploads(2)[:k]
+        estimate_round(batches, 0.5)
+        assert sorted(counted) == sorted(b.client_id for b in batches)
 
     def test_single_upload_gives_no_estimates(self):
         assert estimate_round(self.uploads(0)[:1], 0.5) == {}

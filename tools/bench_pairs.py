@@ -25,6 +25,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import revision
+
 ROOT = Path.cwd()
 
 
@@ -99,14 +101,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     counts = {w: int(n) for w, n in (spec.split("=", 1) for spec in args.pairs)}
     parent_tree = args.work / "parent"
-    if parent_tree.exists():
-        sys.exit(f"error: {parent_tree} exists; pass an empty --work directory")
-    parent_tree.mkdir(parents=True)
-    archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
-    commit = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
-                            check=True, capture_output=True, text=True).stdout.strip()
+    commit = revision.extract(ROOT, args.parent, parent_tree)
     trees = {"parent": parent_tree, "change": ROOT}
     sys.path.insert(0, str(ROOT / "bench"))
     import run as bench_run

@@ -1,0 +1,99 @@
+"""Byte-for-byte comparison of ``sim run`` outputs with a parent revision.
+
+Run from the repository root:
+
+    python3 tools/same_bits.py --parent HEAD~1 --work /tmp/bits
+
+The parent revision is extracted with ``git archive`` into ``WORK/parent``;
+the change side is the current working tree. Each tree runs ``sim run``
+from its own ``src`` on the same fixed cases, one process at a time: the
+``bench/run.py`` workloads at the default graph draw, ``fairgfl-m`` without
+LDP and at tau percentile 25, and every multi-run suite on a 3-round config
+with 20-node blocks. Every output file (manifests included) is compared
+byte for byte. Each file that differs, or exists on one side only, is
+printed; the exit status is 1 if any does or a run fails, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import revision
+
+ROOT = Path.cwd()
+
+
+def cases() -> dict[str, tuple[str, dict]]:
+    """Case name -> (suite, config keys)."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from run import DEFAULT_SBM_SEED, WORKLOADS
+
+    out = {w: ("single", dict(keys, sbm_seed=DEFAULT_SBM_SEED)) for w, keys in WORKLOADS.items()}
+    base = out["fairgfl-m"][1]
+    out["fairgfl-m-noldp"] = ("single", dict(base, use_ldp="off"))
+    out["fairgfl-m-tau25"] = ("single", dict(base, tau_percentile=25))
+    for suite in ("compare", "motivation", "privacy-sweep", "overlap-sweep"):
+        out[suite] = (suite, {"rounds": 3, "sbm_block_size": 20})
+    return out
+
+
+def run_case(tree: Path, cfg: Path, suite: str, out: Path) -> str:
+    """Run one case in ``tree``; returns its stderr on failure, else ''."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairgfl.cli", "run", "--config", str(cfg),
+         "--suite", suite, "--out", str(out)],
+        cwd=tree, env=env, capture_output=True, text=True)
+    return proc.stderr.strip() if proc.returncode else ""
+
+
+def files(top: Path) -> set[Path]:
+    return {p.relative_to(top) for p in top.rglob("*") if p.is_file()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
+    ap.add_argument("--work", required=True, type=Path, help="empty directory for the runs")
+    args = ap.parse_args(argv)
+
+    work = args.work.resolve()
+    commit = revision.extract(ROOT, args.parent, work / "parent")
+    trees = {"parent": work / "parent", "change": ROOT}
+    (work / "cases").mkdir()
+    bad = 0
+    for name, (suite, keys) in cases().items():
+        cfg = work / "cases" / f"{name}.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        outs = {side: work / "out" / side / name for side in trees}
+        identical = 0
+        for side, tree in trees.items():
+            err = run_case(tree, cfg, suite, outs[side])
+            if err:
+                print(f"{name}: run failed in {side}: {err}")
+                bad += 1
+        got = {side: files(out) if out.is_dir() else set() for side, out in outs.items()}
+        every = sorted(got["parent"] | got["change"])
+        for rel in every:
+            sides = [s for s in trees if rel in got[s]]
+            if len(sides) == 1:
+                print(f"{name}/{rel}: only in {sides[0]}")
+            elif not filecmp.cmp(outs["parent"] / rel, outs["change"] / rel, shallow=False):
+                print(f"{name}/{rel}: differs")
+            else:
+                identical += 1
+                continue
+            bad += 1
+        print(f"{name} ({suite}): {identical} of {len(every)} files identical")
+    verdict = "every output file identical" if not bad else f"{bad} differences or failures"
+    print(f"parent {commit} vs working tree: {verdict}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
