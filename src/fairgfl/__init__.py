@@ -15,8 +15,6 @@ from .graph import (
 from .gcn import (
     NumericError,
     GcnModel,
-    GradientSet,
-    NormalizedAdjacency,
     AdjacencyRows,
     init_model,
     normalize_adjacency,

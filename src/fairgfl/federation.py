@@ -7,9 +7,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import gcn, ldp, metrics, overlap
-from .gcn import GcnModel, NormalizedAdjacency
+from .gcn import GcnModel
 from .graph import ClientSubgraph, GlobalGraph, PartitionSpec, ValidationError, partition
 
 ALGORITHMS = ("fairgfl", "fedavg", "qfedavg")
@@ -59,10 +60,8 @@ class FedConfig:
     def __post_init__(self):
         if not 1 <= self.clients_per_round <= self.num_clients:
             raise ValidationError("need 1 <= K <= P")
-        if self.local_iters < 0:
-            raise ValidationError("local_iters must be >= 0")
-        if self.rounds < 0:
-            raise ValidationError("rounds must be >= 0")
+        if min(self.local_iters, self.rounds, self.encoder_epochs, self.seed) < 0:
+            raise ValidationError("local_iters, rounds, encoder_epochs and seed must be >= 0")
         if min(self.hidden_dim, self.encoder_dim, self.batch_size) < 1:
             raise ValidationError("hidden_dim, encoder_dim and batch_size must be >= 1")
         if not (0 <= self.lam < math.inf and 0 <= self.q < math.inf):
@@ -105,7 +104,7 @@ def sample_clients(seed: int, round_index: int, num_clients: int, k: int) -> np.
 
 def client_round(
     sub: ClientSubgraph,
-    a_hat: NormalizedAdjacency,
+    a_hat: sp.csr_matrix,
     ax: np.ndarray,
     w_global: GcnModel,
     cfg: FedConfig,
@@ -266,7 +265,7 @@ def run_experiment(
     if cfg.rounds and len(test_ids) == 0:
         raise ValidationError("the test split is empty; raise test_fraction")
     parts = partition(graph, part_spec, node_pool=pool_ids)
-    a_hats = [gcn.normalize_adjacency(p) for p in parts]
+    a_hats = [gcn.normalize_adjacency(p.adjacency) for p in parts]
     axs = [gcn.propagate(a, p.features) for a, p in zip(a_hats, parts)]
     a_hat_global = gcn.normalize_adjacency(graph.adjacency)
     ax_global = gcn.propagate(a_hat_global, graph.features)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import ClientSubgraph, ValidationError
+from .graph import ValidationError
 
 
 class NumericError(ArithmeticError):
@@ -19,40 +19,29 @@ class GcnModel:
     W1: np.ndarray  # (feature_dim, hidden_dim)
     W2: np.ndarray  # (hidden_dim, num_classes)
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.W1.shape[1]
-
-
-@dataclass(frozen=True)
-class GradientSet:
-    dW1: np.ndarray
-    dW2: np.ndarray
-
-
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """Symmetric normalization with self-loops: D^-1/2 (A + I) D^-1/2."""
-
-    matrix: sp.csr_matrix
-
 
 @dataclass(frozen=True)
 class AdjacencyRows:
-    """Rows ids of a normalized adjacency, sliced once for repeated use.
+    """Rows ids of a normalized adjacency, built once for repeated use.
 
-    forward with AdjacencyRows computes the second hop for these rows only;
-    the logits of every other row are those of a zero hidden aggregate.
+    matrix is A_hat with every other row emptied. A CSR product computes
+    each row on its own, in stored order, so forward(model, matrix, ax)
+    gives the ids rows the bits of the full pass and the others zero.
     """
 
     ids: np.ndarray
-    matrix: sp.csr_matrix  # NormalizedAdjacency.matrix[ids]
+    matrix: sp.csr_matrix
 
 
-def adjacency_rows(a_hat: NormalizedAdjacency, ids) -> AdjacencyRows:
-    """Slice the rows with index array ids out of a_hat."""
+def adjacency_rows(a_hat: sp.csr_matrix, ids) -> AdjacencyRows:
+    """a_hat with every row outside the index array ids emptied."""
     ids = np.asarray(ids)
-    return AdjacencyRows(ids, a_hat.matrix[ids])
+    keep = np.zeros(a_hat.shape[0], dtype=bool)
+    keep[ids] = True
+    lengths = np.diff(a_hat.indptr)
+    entries = np.repeat(keep, lengths)
+    kept = (a_hat.data[entries], a_hat.indices[entries], np.r_[0, np.cumsum(lengths * keep)])
+    return AdjacencyRows(ids, sp.csr_matrix(kept, shape=a_hat.shape))
 
 
 def init_model(feature_dim: int, hidden_dim: int, num_classes: int, rng) -> GcnModel:
@@ -65,41 +54,31 @@ def init_model(feature_dim: int, hidden_dim: int, num_classes: int, rng) -> GcnM
     return GcnModel(glorot(feature_dim, hidden_dim), glorot(hidden_dim, num_classes))
 
 
-def normalize_adjacency(sub) -> NormalizedAdjacency:
-    """Build D^-1/2 (A + I) D^-1/2 from a subgraph or raw adjacency."""
-    adj = sub.adjacency if isinstance(sub, ClientSubgraph) else sub
+def normalize_adjacency(adj: sp.csr_matrix) -> sp.csr_matrix:
+    """A_hat = D^-1/2 (A + I) D^-1/2, the symmetric normalization with self-loops."""
     n = adj.shape[0]
     a_tilde = (adj + sp.eye(n, format="csr")).tocsr()
     deg = np.asarray(a_tilde.sum(axis=1)).ravel()
     d_inv_sqrt = 1.0 / np.sqrt(deg)
     d_mat = sp.diags(d_inv_sqrt)
-    return NormalizedAdjacency((d_mat @ a_tilde @ d_mat).tocsr())
+    return (d_mat @ a_tilde @ d_mat).tocsr()
 
 
-def propagate(a_hat: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
+def propagate(a_hat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     """A_hat * X, the first hop; A_hat and X are fixed per graph, so callers
     compute it once and pass it to forward, loss_and_grad and masked_loss."""
-    return a_hat.matrix @ x
+    return a_hat @ x
 
 
-def forward(model: GcnModel, a_hat: NormalizedAdjacency | AdjacencyRows, ax: np.ndarray):
+def forward(model: GcnModel, a_hat: sp.csr_matrix, ax: np.ndarray):
     """logits = A_hat * relu(AX * W1) * W2 with AX = propagate(a_hat, x),
-    plus the cache for backward.
-
-    With AdjacencyRows only those rows' logits are computed. Their
-    aggregates sit at their own rows of an otherwise zero matrix, so the
-    dense product runs with the same shape as for the whole graph and each
-    computed row keeps the bits of the full forward pass.
+    plus the cache for backward. a_hat may be an AdjacencyRows.matrix.
     """
     z1 = ax @ model.W1
     h = np.maximum(z1, 0.0)
     if not np.isfinite(h).all():
         raise NumericError("non-finite hidden layer in forward pass")
-    if isinstance(a_hat, AdjacencyRows):
-        ah = np.zeros_like(h)
-        ah[a_hat.ids] = a_hat.matrix @ h
-    else:
-        ah = a_hat.matrix @ h
+    ah = a_hat @ h
     logits = ah @ model.W2
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits in forward pass")
@@ -132,12 +111,12 @@ def _masked_softmax_ce(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
 
 def loss_and_grad(
     model: GcnModel,
-    a_hat: NormalizedAdjacency,
+    a_hat: sp.csr_matrix,
     ax: np.ndarray,
     labels: np.ndarray,
     mask: np.ndarray,
 ):
-    """Masked mean cross-entropy and its exact gradient.
+    """Masked mean cross-entropy and its exact gradient, as a GcnModel.
 
     ax is propagate(a_hat, x). mask is an index array or boolean mask of
     nodes contributing to the loss; all nodes still participate in
@@ -149,15 +128,14 @@ def loss_and_grad(
     if len(mask) == 0:
         raise ValidationError("mask must select at least one node")
 
-    a = a_hat.matrix
     logits, cache = forward(model, a_hat, ax)
     loss, dlogits = _masked_softmax_ce(logits, labels, mask, grad=True)
 
     dW2 = cache["ah"].T @ dlogits
-    dh = (a @ dlogits) @ model.W2.T  # A_hat is symmetric
+    dh = (a_hat @ dlogits) @ model.W2.T  # A_hat is symmetric
     dz1 = dh * (cache["z1"] > 0)
     dW1 = ax.T @ dz1
-    return loss, GradientSet(dW1, dW2)
+    return loss, GcnModel(dW1, dW2)
 
 
 def masked_loss(model, a_hat, ax, labels, mask) -> float:
@@ -170,8 +148,8 @@ def masked_loss(model, a_hat, ax, labels, mask) -> float:
     return float(loss)
 
 
-def sgd_step(model: GcnModel, grads: GradientSet, lr: float) -> GcnModel:
+def sgd_step(model: GcnModel, grads: GcnModel, lr: float) -> GcnModel:
     if lr <= 0:
         raise ValidationError("lr must be positive")
-    return GcnModel(model.W1 - lr * grads.dW1, model.W2 - lr * grads.dW2)
+    return GcnModel(model.W1 - lr * grads.W1, model.W2 - lr * grads.W2)
 

@@ -162,6 +162,8 @@ class PartitionSpec:
     def __post_init__(self):
         if self.num_clients < 1:
             raise ValidationError("num_clients must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("partition seed must be >= 0")
         if not 0.0 <= self.overlap_coefficient < 1.0:
             raise ValidationError("overlap_coefficient must be in [0, 1)")
         if not 0.0 < self.overlap_pool_fraction <= 1.0:
@@ -277,8 +279,10 @@ def generate_sbm(
     entry of an n x n uniform draw falls below its block probability; the
     draw is taken SBM_DRAW_ROWS rows at a time from the one stream.
     """
-    if nodes_per_block < 2:
-        raise ValidationError("nodes_per_block must be >= 2")
+    if num_blocks < 1 or nodes_per_block < 2:
+        raise ValidationError("need num_blocks >= 1 and nodes_per_block >= 2")
+    if seed < 0:
+        raise ValidationError("SBM seed must be >= 0")
     if not 0.0 <= p_out <= p_in <= 1.0:
         raise ValidationError("need 0 <= p_out <= p_in <= 1")
     if feature_dim < 1:

@@ -70,7 +70,7 @@ def evaluate_global(
     mask = a_test.ids
     if len(mask) == 0:
         raise ValidationError("test mask must be non-empty")
-    logits, _ = forward(model, a_test, ax)
+    logits, _ = forward(model, a_test.matrix, ax)
     loss, _ = _masked_softmax_ce(logits, labels, mask)
     acc = float(np.mean(logits[mask].argmax(axis=1) == labels[mask]))
     return float(loss), acc

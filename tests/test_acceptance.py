@@ -171,7 +171,7 @@ def test_criterion_05_gradient_correctness():
             mask = np.sort(rng.choice(8, size=5, replace=False))
             _, grads = loss_and_grad(model, a_hat, propagate(a_hat, x), labels, mask)
             eps = 1e-6
-            for name, w, g in (("W1", model.W1, grads.dW1), ("W2", model.W2, grads.dW2)):
+            for name, w, g in (("W1", model.W1, grads.W1), ("W2", model.W2, grads.W2)):
                 num = np.zeros_like(w)
                 it = np.nditer(w, flags=["multi_index"])
                 while not it.finished:
@@ -300,8 +300,8 @@ def test_criterion_09_weighted_loss_exactness():
         model = init_model(8, 6, 3, np.random.default_rng(14))
         losses = [
             masked_loss(
-                model, normalize_adjacency(p),
-                propagate(normalize_adjacency(p), p.features), p.labels,
+                model, normalize_adjacency(p.adjacency),
+                propagate(normalize_adjacency(p.adjacency), p.features), p.labels,
                 np.arange(p.num_nodes),
             )
             for p in parts

@@ -260,6 +260,11 @@ class TestMain:
         "beta = 0",
         "encoder_dim = 8",
         "P = 60",
+        "seed = -1",
+        "partition_seed = -1",
+        "sbm_seed = -1",
+        "sbm_blocks = 0",
+        "encoder_epochs = -1",
     ])
     def test_out_of_range_value_exits_two(self, tmp_path, capsys, line):
         cfg = write_cfg(tmp_path, SMALL + line + "\n")

@@ -76,7 +76,7 @@ class TestClientRound:
     def setup_method(self):
         self.graph = small_graph()
         self.sub = induced_subgraph(self.graph, np.arange(30), 0)
-        self.a_hat = normalize_adjacency(self.sub)
+        self.a_hat = normalize_adjacency(self.sub.adjacency)
         self.ax = propagate(self.a_hat, self.sub.features)
         self.model = init_model(8, 6, 3, np.random.default_rng(1))
 
@@ -254,7 +254,7 @@ class TestFairnessWeightedLoss:
         from fairgfl.gcn import masked_loss
 
         for p in parts:
-            a_hat = normalize_adjacency(p)
+            a_hat = normalize_adjacency(p.adjacency)
             losses.append(
                 masked_loss(model, a_hat, propagate(a_hat, p.features), p.labels,
                             np.arange(p.num_nodes))
@@ -340,7 +340,7 @@ class TestRunExperiment:
         # replay: same partition, same derived rngs, plain gcn ops
         _, _, pool = split_nodes(g, cfg)
         sub = run_experiment(g, spec, dataclasses.replace(cfg, rounds=0)).parts[0]
-        a_hat = normalize_adjacency(sub)
+        a_hat = normalize_adjacency(sub.adjacency)
         model = init_model(
             g.feature_dim, cfg.hidden_dim, g.num_classes,
             np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 0, 5))),

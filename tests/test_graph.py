@@ -172,6 +172,11 @@ class TestSbm:
         across = adj[~same].mean()
         assert within > 5 * across
 
+    @pytest.mark.parametrize("blocks, seed", [(0, 0), (3, -1)])
+    def test_invalid_blocks_or_seed(self, blocks, seed):
+        with pytest.raises(ValidationError):
+            generate_sbm(blocks, 10, 0.5, 0.05, 4, seed=seed)
+
     def test_invalid_probabilities(self):
         with pytest.raises(ValidationError):
             generate_sbm(2, 10, 0.1, 0.5, 4, seed=0)

@@ -144,7 +144,7 @@ class TestEvaluateGlobal:
         """A non-finite hidden row is caught even where no test row reads it."""
         test_ids = np.array([0])
         far = next(i for i in range(59, 0, -1)
-                   if self.a_hat.matrix[0, i] == 0)
+                   if self.a_hat[0, i] == 0)
         ax = self.ax.copy()
         ax[far] = np.inf
         model = GcnModel(np.ones((6, 4)), np.ones((4, 3)))

@@ -8,10 +8,12 @@ The parent revision is extracted with ``git archive`` into ``WORK/parent``;
 the change side is the current working tree. Each tree runs ``sim run``
 from its own ``src`` on the same fixed cases, one process at a time: the
 ``bench/run.py`` workloads at the default graph draw, ``fairgfl-m`` without
-LDP and at tau percentile 25, and every multi-run suite on a 3-round config
-with 20-node blocks. Every output file (manifests included) is compared
-byte for byte. Each file that differs, or exists on one side only, is
-printed; the exit status is 1 if any does or a run fails, else 0.
+LDP, at tau percentile 25 and with 21-node blocks (147 nodes, 29 test rows:
+a row count that is not a multiple of 4, where BLAS may take another
+kernel), and every multi-run suite on a 3-round config with 20-node blocks.
+Every output file (manifests included) is compared byte for byte. Each file
+that differs, or exists on one side only, is printed; the exit status is 1
+if any does or a run fails, else 0.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ def cases() -> dict[str, tuple[str, dict]]:
     base = out["fairgfl-m"][1]
     out["fairgfl-m-noldp"] = ("single", dict(base, use_ldp="off"))
     out["fairgfl-m-tau25"] = ("single", dict(base, tau_percentile=25))
+    out["fairgfl-m-b21"] = ("single", dict(base, sbm_block_size=21))
     for suite in ("compare", "motivation", "privacy-sweep", "overlap-sweep"):
         out[suite] = (suite, {"rounds": 3, "sbm_block_size": 20})
     return out
