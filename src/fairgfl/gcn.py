@@ -60,8 +60,10 @@ def normalize_adjacency(adj: sp.csr_matrix) -> sp.csr_matrix:
     a_tilde = (adj + sp.eye(n, format="csr")).tocsr()
     deg = np.asarray(a_tilde.sum(axis=1)).ravel()
     d_inv_sqrt = 1.0 / np.sqrt(deg)
-    d_mat = sp.diags(d_inv_sqrt)
-    return (d_mat @ a_tilde @ d_mat).tocsr()
+    # D @ A_tilde @ D's two products per entry, in its order, on A_tilde's arrays.
+    rows = np.repeat(np.arange(n), np.diff(a_tilde.indptr))
+    a_tilde.data = (d_inv_sqrt[rows] * a_tilde.data) * d_inv_sqrt[a_tilde.indices]
+    return a_tilde
 
 
 def propagate(a_hat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:

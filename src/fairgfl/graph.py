@@ -16,8 +16,8 @@ logger = logging.getLogger(__name__)
 # correlates strongly with link absence.
 BLOCK_MEAN_SEPARATION = 4.0
 
-# Rows of the n x n uniform edge draw that generate_sbm holds at a time, so
-# its memory is O(SBM_DRAW_ROWS * n) rather than O(n^2).
+# Rows of the uniform edge draw that generate_sbm holds at a time, so its
+# memory is O(SBM_DRAW_ROWS * n) rather than O(n^2).
 SBM_DRAW_ROWS = 256
 
 
@@ -168,8 +168,9 @@ class PartitionSpec:
             raise ValidationError("overlap_coefficient must be in [0, 1)")
         if not 0.0 < self.overlap_pool_fraction <= 1.0:
             raise ValidationError("overlap_pool_fraction must be in (0, 1]")
-        if self.dirichlet_alpha_nonoverlap <= 0 or self.dirichlet_alpha_overlap <= 0:
-            raise ValidationError("dirichlet alphas must be positive")
+        alphas = (self.dirichlet_alpha_nonoverlap, self.dirichlet_alpha_overlap)
+        if not all(np.isfinite(a) and a > 0 for a in alphas):
+            raise ValidationError("dirichlet alphas must be finite and positive")
         if self.overlap_coefficient > 0:
             scale = self.volume_scale()
             if not np.isfinite(scale) or scale <= 0:
@@ -276,8 +277,10 @@ def generate_sbm(
     Block feature means sit at pairwise distance >= 4 standard deviations,
     so feature distance between nodes is strongly anti-correlated with the
     presence of a link. Pair (i, j), i < j, is an edge when the (i, j)
-    entry of an n x n uniform draw falls below its block probability; the
-    draw is taken SBM_DRAW_ROWS rows at a time from the one stream.
+    entry of an n x n uniform draw falls below its block probability. Of a
+    block's rows only the columns from the block's first one on are drawn,
+    SBM_DRAW_ROWS rows at a time; the rest of each row is skipped in the
+    stream, so the graph and the generator's state match the whole draw.
     """
     if num_blocks < 1 or nodes_per_block < 2:
         raise ValidationError("need num_blocks >= 1 and nodes_per_block >= 2")
@@ -297,22 +300,30 @@ def generate_sbm(
         means[b, b % feature_dim] = BLOCK_MEAN_SEPARATION * (1 + b // feature_dim)
     features = means[labels] + rng.standard_normal((n, feature_dim))
 
-    hit_rows, hit_cols = [], []
-    for r0 in range(0, n, SBM_DRAW_ROWS):
-        r1 = min(r0 + SBM_DRAW_ROWS, n)
-        # Columns up to r0 lie below the diagonal in every row of the block.
-        u = rng.random((r1 - r0, n))[:, r0 + 1 :]
-        probs = np.where(labels[r0:r1, None] == labels[None, r0 + 1 :], p_in, p_out)
-        r, c = np.nonzero(np.triu(u < probs))
-        hit_rows.append(r + r0)
-        hit_cols.append(c + r0 + 1)
-    upper_r, upper_c = np.concatenate(hit_rows), np.concatenate(hit_cols)
-    # Both directions of every edge, in row-major order as in a dense matrix.
-    keys = np.sort(np.concatenate([upper_r * n + upper_c, upper_c * n + upper_r]))
-    rows, cols = np.divmod(keys, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    adj = sp.csr_matrix((np.ones(len(keys)), cols, indptr), shape=(n, n))
+    # Row i of the n x n draw is stream values i * n .. i * n + n - 1. In the
+    # rows of block [s, e) every column left of s lies below the diagonal, so
+    # those s values are skipped with advance(s) instead of drawn.
+    skip = rng.bit_generator.advance
+    buf = np.empty(min(SBM_DRAW_ROWS, nodes_per_block) * n)
+    counts, hit_cols = np.zeros(n + 1, dtype=np.int64), []
+    for s in range(0, n, nodes_per_block):
+        e = s + nodes_per_block
+        for r0 in range(s, e, SBM_DRAW_ROWS):
+            r1 = min(r0 + SBM_DRAW_ROWS, e)
+            u = buf[: (r1 - r0) * (n - s)].reshape(r1 - r0, n - s)
+            for row in u:
+                skip(s)
+                rng.random(out=row)
+            hit = u < p_out
+            # In-block columns, cleared on and below the diagonal.
+            hit[:, : e - s] = np.triu(u[:, : e - s] < p_in, r0 - s + 1)
+            r, c = np.divmod(np.flatnonzero(hit), n - s)
+            counts[r0 + 1 : r1 + 1] = np.bincount(r, minlength=r1 - r0)
+            hit_cols.append(c + s)
+    cols = np.concatenate(hit_cols)
+    upper = sp.csr_matrix((np.ones(len(cols)), cols, np.cumsum(counts)), shape=(n, n))
+    # Both directions of every edge, each row's columns ascending.
+    adj = upper + upper.T
     return GlobalGraph(num_nodes=n, features=features, labels=labels, adjacency=adj)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 import fairgfl.cli
 from fairgfl.cli import (
+    CONFIG_SCHEMA,
     ConfigError,
     _thirds_multipliers,
     build_graph,
@@ -28,6 +29,17 @@ feature_dim = 8
 encoder_dim = 4
 encoder_epochs = 3
 """
+
+# Every non-bool numeric config key at each boundary value of its type, on a
+# 2-round, 60-node config: each run exits 0 or 2, never with a traceback.
+BOUNDARY_BASE = SMALL + "b = 5\nsbm_block_size = 20\n"
+BOUNDARY_VALUES = {float: ("nan", "inf", "-inf", "-1", "0"), int: ("-1", "0")}
+BOUNDARY_LINES = [
+    f"{key} = {value}"
+    for key, (_, _, default) in CONFIG_SCHEMA.items()
+    if type(default) in BOUNDARY_VALUES
+    for value in BOUNDARY_VALUES[type(default)]
+]
 
 
 def write_cfg(tmp_path, text=SMALL, name="cfg.txt"):
@@ -272,6 +284,15 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("line", BOUNDARY_LINES)
+    def test_boundary_value_exits_zero_or_two(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, BOUNDARY_BASE + line + "\n")
+        status = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert status in (0, 2)
+        if status == 2:
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_motivation_without_rounds_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL + "J = 0\n")

@@ -27,6 +27,15 @@ def random_case(rng, n=8, d=5, h=4, c=3, p_edge=0.4):
     return model, a_hat, x, labels
 
 
+def product_normalize(adj):
+    """A_hat as the product D @ A_tilde @ D, kept as the reference for
+    normalize_adjacency, which scales A_tilde's entries instead."""
+    n = adj.shape[0]
+    a_tilde = (adj + sp.eye(n, format="csr")).tocsr()
+    d_mat = sp.diags(1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel()))
+    return (d_mat @ a_tilde @ d_mat).tocsr()
+
+
 class TestNormalizeAdjacency:
     def test_rows_of_regular_graph(self):
         # 3-cycle: every node degree 2, so A_hat is uniform 1/3
@@ -43,6 +52,37 @@ class TestNormalizeAdjacency:
         _, a_hat, _, _ = random_case(rng)
         m = a_hat
         assert (abs(m - m.T) > 1e-12).nnz == 0
+
+    @pytest.mark.parametrize("case", [
+        "random", "induced", "coo_duplicates_zeros", "unsorted_indices", "no_edges",
+        "no_nodes", "one_node",
+    ])
+    def test_matches_product_reference(self, case):
+        rng = np.random.default_rng(21)
+        if case == "random":
+            # Weights off the powers of two, so a reordered product shows.
+            adj = sp.triu(sp.random(40, 40, density=0.2, random_state=rng), k=1)
+            adj = (adj + adj.T).tocsr()
+        elif case == "induced":
+            g = generate_sbm(3, 20, 0.3, 0.05, 4, seed=3)
+            adj = induced_subgraph(g, rng.choice(60, size=25, replace=False), 0).adjacency
+        elif case == "coo_duplicates_zeros":
+            row, col = np.array([0, 1, 0, 2, 3, 3, 4]), np.array([1, 0, 1, 3, 2, 4, 3])
+            data = np.array([1.0, 1.0, 0.3, 1.0, 1.0, 0.0, 0.0])
+            adj = sp.coo_matrix((data, (row, col)), shape=(6, 6))
+        elif case == "unsorted_indices":
+            adj = sp.csr_matrix((np.ones(6), np.array([2, 1, 2, 0, 1, 0]),
+                                 np.array([0, 2, 4, 6])), shape=(3, 3))
+            assert not adj.has_sorted_indices
+        else:
+            n = {"no_edges": 4, "no_nodes": 0, "one_node": 1}[case]
+            adj = sp.csr_matrix((n, n))
+        got, want = normalize_adjacency(adj), product_normalize(adj)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestAdjacencyRows:

@@ -131,6 +131,10 @@ class TestSbm:
         (16, 3, 11),    # n = 33, one row and no column in the last draw block
         (16, 5, 7),     # n = 35, not a multiple
         (None, 3, 100),  # n = 300 with the module's own draw block
+        (16, 3, 16),    # blocks one draw block long
+        (16, 3, 33),    # three draw blocks a block, the last of one row
+        (16, 3, 40),    # a block that ends mid draw block
+        (16, 1, 50),    # one block: no column skipped
     ])
     @pytest.mark.parametrize("p_in, p_out", [
         (0.3, 0.05), (0.4, 0.0), (1.0, 0.1), (1.0, 1.0), (0.0, 0.0),
@@ -149,6 +153,16 @@ class TestSbm:
                 got, want = getattr(g.adjacency, name), getattr(adj, name)
                 assert got.dtype == want.dtype, name
                 assert got.tobytes() == want.tobytes(), name
+
+    def test_generator_ends_where_whole_draw_ends(self, monkeypatch):
+        made, real = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(real(seed)) or made[-1])
+        monkeypatch.setattr(graph_mod, "SBM_DRAW_ROWS", 16)
+        generate_sbm(3, 33, 0.3, 0.05, 3, seed=4)
+        want = real(4)
+        want.standard_normal((99, 3))
+        want.random((99, 99))
+        assert made[0].bit_generator.state == want.bit_generator.state
 
     def test_shapes_and_labels(self):
         g = generate_sbm(3, 10, 0.5, 0.05, 4, seed=0)

@@ -10,7 +10,10 @@ from its own ``src`` on the same fixed cases, one process at a time: the
 ``bench/run.py`` workloads at the default graph draw, ``fairgfl-m`` without
 LDP, at tau percentile 25 and with 21-node blocks (147 nodes, 29 test rows:
 a row count that is not a multiple of 4, where BLAS may take another
-kernel), and every multi-run suite on a 3-round config with 20-node blocks.
+kernel), ``fairgfl-m`` on node and edge files (``dataset = file``: a small
+block graph whose edges are written shuffled, some in both directions and
+some twice), and every multi-run suite on a 3-round config with 20-node
+blocks.
 Every output file (manifests included) is compared byte for byte. Each file
 that differs, or exists on one side only, is printed; the exit status is 1
 if any does or a run fails, else 0.
@@ -25,13 +28,39 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import revision
 
 ROOT = Path.cwd()
 
 
-def cases() -> dict[str, tuple[str, dict]]:
-    """Case name -> (suite, config keys)."""
+def graph_files(top: Path) -> dict:
+    """Write a 140-node, 4-class block graph as node and edge files in top;
+    returns their config keys. Edges come in shuffled order and random
+    direction, a quarter of them also reversed and an eighth twice."""
+    rng = np.random.default_rng(11)
+    n, dim = 140, 32
+    labels = rng.integers(0, 4, size=n)
+    features = rng.standard_normal((n, dim))
+    features[np.arange(n), labels] += 4.0
+    same = labels[:, None] == labels[None, :]
+    edges = np.argwhere(np.triu(rng.random((n, n)) < np.where(same, 0.2, 0.02), k=1))
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    extra = rng.random(len(edges))
+    edges = np.concatenate([edges, edges[extra < 0.25, ::-1], edges[extra > 0.875]])
+    edges = edges[rng.permutation(len(edges))]
+    node_file, edge_file = top / "nodes.txt", top / "edges.txt"
+    node_file.write_text("".join(
+        f"{i} {' '.join(map(repr, row.tolist()))} c{lab}\n"
+        for i, (row, lab) in enumerate(zip(features, labels))))
+    edge_file.write_text("".join(f"{u} {v}\n" for u, v in edges.tolist()))
+    return {"dataset": "file", "node_file": node_file, "edge_file": edge_file}
+
+
+def cases(top: Path) -> dict[str, tuple[str, dict]]:
+    """Case name -> (suite, config keys); graph files are written in top."""
     sys.path.insert(0, str(ROOT / "bench"))
     from run import DEFAULT_SBM_SEED, WORKLOADS
 
@@ -40,6 +69,7 @@ def cases() -> dict[str, tuple[str, dict]]:
     out["fairgfl-m-noldp"] = ("single", dict(base, use_ldp="off"))
     out["fairgfl-m-tau25"] = ("single", dict(base, tau_percentile=25))
     out["fairgfl-m-b21"] = ("single", dict(base, sbm_block_size=21))
+    out["fairgfl-m-file"] = ("single", dict(base, **graph_files(top)))
     for suite in ("compare", "motivation", "privacy-sweep", "overlap-sweep"):
         out[suite] = (suite, {"rounds": 3, "sbm_block_size": 20})
     return out
@@ -70,7 +100,7 @@ def main(argv=None) -> int:
     trees = {"parent": work / "parent", "change": ROOT}
     (work / "cases").mkdir()
     bad = 0
-    for name, (suite, keys) in cases().items():
+    for name, (suite, keys) in cases(work / "cases").items():
         cfg = work / "cases" / f"{name}.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
         outs = {side: work / "out" / side / name for side in trees}
