@@ -73,18 +73,16 @@ def propagate(a_hat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 
 
 def forward(model: GcnModel, a_hat: sp.csr_matrix, ax: np.ndarray):
-    """logits = A_hat * relu(AX * W1) * W2 with AX = propagate(a_hat, x),
-    plus the cache for backward. a_hat may be an AdjacencyRows.matrix.
-    """
-    z1 = ax @ model.W1
-    h = np.maximum(z1, 0.0)
+    """(logits, h) with h = relu(AX * W1), AX = propagate(a_hat, x), and
+    logits = A_hat * (h * W2): the sparse product is num_classes wide.
+    a_hat may be an AdjacencyRows.matrix; h * W2 covers every node."""
+    h = np.maximum(ax @ model.W1, 0.0)
     if not np.isfinite(h).all():
         raise NumericError("non-finite hidden layer in forward pass")
-    ah = a_hat @ h
-    logits = ah @ model.W2
+    logits = a_hat @ (h @ model.W2)
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits in forward pass")
-    return logits, {"z1": z1, "ah": ah}
+    return logits, h
 
 
 def _masked_softmax_ce(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
@@ -122,7 +120,7 @@ def loss_and_grad(
 
     ax is propagate(a_hat, x). mask is an index array or boolean mask of
     nodes contributing to the loss; all nodes still participate in
-    propagation.
+    propagation. The one sparse product, G = A_hat * dlogits, is num_classes wide.
     """
     mask = np.asarray(mask)
     if mask.dtype == bool:
@@ -130,12 +128,12 @@ def loss_and_grad(
     if len(mask) == 0:
         raise ValidationError("mask must select at least one node")
 
-    logits, cache = forward(model, a_hat, ax)
+    logits, h = forward(model, a_hat, ax)
     loss, dlogits = _masked_softmax_ce(logits, labels, mask, grad=True)
 
-    dW2 = cache["ah"].T @ dlogits
-    dh = (a_hat @ dlogits) @ model.W2.T  # A_hat is symmetric
-    dz1 = dh * (cache["z1"] > 0)
+    g = a_hat @ dlogits  # A_hat^T * dlogits: A_hat is symmetric
+    dW2 = h.T @ g
+    dz1 = (g @ model.W2.T) * (h > 0)  # h > 0 exactly where ax @ W1 > 0
     dW1 = ax.T @ dz1
     return loss, GcnModel(dW1, dW2)
 

@@ -328,7 +328,13 @@ class TestRunExperiment:
             ]
 
     def test_single_client_equals_centralized(self):
-        """P=K=1 fedavg reproduces plain local SGD on that client's graph."""
+        """P=K=1 fedavg reproduces plain local SGD on that client's graph,
+        followed each round by the server step w + (1 * (w_1 - w)) / 1.
+
+        That step is not the identity in floating point (w + (w_1 - w) can
+        differ from w_1 in the last ulp), so the replay applies it too and
+        the comparison stays exact.
+        """
         g = small_graph()
         spec = PartitionSpec(num_clients=1, overlap_coefficient=0.0, seed=2)
         cfg = small_cfg(
@@ -347,10 +353,13 @@ class TestRunExperiment:
         )
         for j in range(1, 4):
             rng = _client_rng(cfg.seed, j, 0, 0)
+            local = model
             for _ in range(cfg.local_iters):
                 mask = rng.choice(sub.num_nodes, size=min(10, sub.num_nodes), replace=False)
-                _, grads = loss_and_grad(model, a_hat, propagate(a_hat, sub.features), sub.labels, mask)
-                model = sgd_step(model, grads, cfg.lr)
+                _, grads = loss_and_grad(local, a_hat, propagate(a_hat, sub.features), sub.labels, mask)
+                local = sgd_step(local, grads, cfg.lr)
+            model = GcnModel(model.W1 + (1.0 * (local.W1 - model.W1)) / 1.0,
+                             model.W2 + (1.0 * (local.W2 - model.W2)) / 1.0)
         assert np.array_equal(res.model.W1, model.W1)
         assert np.array_equal(res.model.W2, model.W2)
 

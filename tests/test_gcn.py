@@ -122,6 +122,43 @@ class TestForward:
             forward(bad, a_hat, propagate(a_hat, x))
 
 
+def dense_reference(model, a_hat, x, labels, mask):
+    """Logits, dW1 and dW2 in dense numpy, propagating the hidden layer
+    first: (A_hat * H) * W2, and A_hat^T in the backward pass."""
+    a = a_hat.toarray()
+    ax = a @ x
+    z1 = ax @ model.W1
+    h = np.maximum(z1, 0.0)
+    ah = a @ h
+    logits = ah @ model.W2
+    p = np.exp(logits[mask] - logits[mask].max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(len(mask)), labels[mask]] -= 1.0
+    dlogits = np.zeros_like(logits)
+    dlogits[mask] = p / len(mask)
+    dz1 = (a.T @ dlogits @ model.W2.T) * (z1 > 0)
+    return logits, ax.T @ dz1, ah.T @ dlogits
+
+
+class TestDenseReference:
+    """forward and loss_and_grad multiply A_hat by the C-wide h * W2; the
+    function is the same whether the hidden layer is wider or narrower."""
+
+    @pytest.mark.parametrize("hidden, classes", [(16, 7), (2, 5)])
+    def test_logits_and_gradients(self, hidden, classes):
+        rng = np.random.default_rng(40 + hidden)
+        model, a_hat, x, labels = random_case(rng, n=30, d=6, h=hidden, c=classes, p_edge=0.2)
+        mask = np.sort(rng.choice(30, size=12, replace=False))
+        logits, dW1, dW2 = dense_reference(model, a_hat, x, labels, mask)
+        ax = propagate(a_hat, x)
+        got, h = forward(model, a_hat, ax)
+        np.testing.assert_allclose(got, logits, rtol=1e-12)
+        assert np.array_equal(h, np.maximum(ax @ model.W1, 0.0))
+        _, grads = loss_and_grad(model, a_hat, ax, labels, mask)
+        np.testing.assert_allclose(grads.W1, dW1, rtol=1e-12)
+        np.testing.assert_allclose(grads.W2, dW2, rtol=1e-12)
+
+
 class TestLossAndGrad:
     def test_uniform_logits_loss(self):
         rng = np.random.default_rng(3)

@@ -35,17 +35,17 @@ CASES = {
 
 GOLDEN = {
     "fairgfl-ldp-cache":
-        "522aef9edb9be8004b533a74046701710e6d775f07d9e572e88c3b234181b7f6",
+        "2c3f7a6bc9154fe454e440a9ae2d29d41ecb020cdc4ca7092e5e962b5032073a",
     "fairgfl-ldp-nocache":
-        "bfe21073b11e396b26291ae54f1a4ee530e0c15c69210f34d5d234ef70e21404",
+        "1dae845afb6c53c9f99a3195566e287dcdabbc82bb49d91a904b07bec51283ec",
     "fairgfl-noldp":
-        "b55406f04c8898bea91feab92962ef74d4aaaa79db5657e2268c3a9c474129d6",
+        "9c72844efb459ea3fbf60ad1ab140c8ed8392bc67656eb33cd713e19887d54b2",
     "fairgfl-ldp-tau25":
-        "8e47b6c5f027cd184b6cfd361df57328219ea266ed22bebaf2b181678a85e4a0",
+        "7dc342b519f24edc0e5d385ddbbdfd2163f10b47a188ec2ab17c2cf0f4854e92",
     "fedavg":
-        "98f4fec52225a44b1f32db3af6f8c7adf8fa9ef65a83a6180f56fd3f094613e1",
+        "eb87026bec420ee96ebccb8be2ba818dc4611d2a587a90567a9c7ed2bca9c0fb",
     "qfedavg":
-        "287b5a4f5e187a0bf8d6a958867c630859f2a5e92d0b7114817484bdc91ad8f6",
+        "005f18612f34e3dac19449d71c8dda99b27477ac82d183367785f980259411d7",
 }
 
 GOLDEN_OVERLAP = {

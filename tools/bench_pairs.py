@@ -9,8 +9,9 @@ The parent revision is extracted with ``git archive`` into ``WORK/parent``;
 the change side is the current working tree. Pair i of every workload runs
 both sides on seed ``--first-seed`` + i, one process at a time, the parent
 first on even i and the change first on odd i. With ``--trace-seed`` each
-side also makes one traced fairgfl-m run. The JSON is rewritten after every
-run, so an interrupted run of this script keeps what it measured.
+side also makes one traced run of every workload given with ``--pairs``,
+kept under ``traced`` by workload. The JSON is rewritten after every run,
+so an interrupted run of this script keeps what it measured.
 bench/run.py itself is run unedited from each tree.
 """
 
@@ -93,7 +94,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
     ap.add_argument("--first-seed", type=int, default=31)
     ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--trace-seed", type=int, help="one traced fairgfl-m run per side")
+    ap.add_argument("--trace-seed", type=int,
+                    help="one traced run per side of every --pairs workload")
     ap.add_argument("--out", type=Path, help="default: BENCH_<tag>.json")
     args = ap.parse_args(argv)
 
@@ -112,8 +114,7 @@ def main(argv=None) -> int:
         "change": args.note,
         "parent_commit": commit,
         "command": f"python3 bench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} "
-                   f"--trace 0 (traced: --workload fairgfl-m --seed {args.trace_seed} "
-                   "--trace 1)",
+                   f"--trace 0 (traced: --workload <w> --seed {args.trace_seed} --trace 1)",
         "protocol": "one process at a time; each pair runs parent and change on the same "
                     "seed, alternating which side runs first; quartiles are inclusive; "
                     + ", ".join(f"{n} pairs on {w}" for w, n in counts.items()),
@@ -148,11 +149,13 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: experiment_s parent {exp['parent']:.3f} s, "
                   f"change {exp['change']:.3f} s", file=sys.stderr, flush=True)
     if args.trace_seed is not None:
-        doc["traced_fairgfl_m"] = {
-            side: run_bench(tree, "fairgfl-m", args.trace_seed, args.seconds, 1)
-            for side, tree in trees.items()
-        }
-        save()
+        doc["traced"] = {}
+        for workload in counts:
+            doc["traced"][workload] = {
+                side: run_bench(tree, workload, args.trace_seed, args.seconds, 1)
+                for side, tree in trees.items()
+            }
+            save()
     for workload, entry in doc["workloads"].items():
         for name, s in entry["summary"].items():
             print(f"{workload} {name}: parent {s['parent']['median']:.6g} "

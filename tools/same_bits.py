@@ -15,13 +15,16 @@ block graph whose edges are written shuffled, some in both directions and
 some twice), and every multi-run suite on a 3-round config with 20-node
 blocks.
 Every output file (manifests included) is compared byte for byte. Each file
-that differs, or exists on one side only, is printed; the exit status is 1
-if any does or a run fails, else 0.
+that differs, or exists on one side only, is printed; for a differing CSV
+whose header and row count match, so is the largest relative difference
+|a - b| / max(|a|, |b|) in each numeric column. The exit status is 1 if any
+file differs or a run fails, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import os
 import subprocess
@@ -85,6 +88,25 @@ def run_case(tree: Path, cfg: Path, suite: str, out: Path) -> str:
     return proc.stderr.strip() if proc.returncode else ""
 
 
+def column_drift(a: Path, b: Path) -> dict[str, float]:
+    """Largest relative difference per numeric column of two CSV files;
+    empty if their headers or row counts differ."""
+    rows_a, rows_b = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
+    if not rows_a or rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
+        return {}
+    out = {}
+    for k, name in enumerate(rows_a[0]):
+        try:
+            x = np.array([float(r[k]) for r in rows_a[1:]])
+            y = np.array([float(r[k]) for r in rows_b[1:]])
+        except ValueError:
+            continue
+        scale = np.maximum(np.abs(x), np.abs(y))
+        rel = np.abs(x - y) / np.where(scale > 0, scale, 1.0)
+        out[name] = float(rel.max(initial=0.0))
+    return out
+
+
 def files(top: Path) -> set[Path]:
     return {p.relative_to(top) for p in top.rglob("*") if p.is_file()}
 
@@ -117,7 +139,13 @@ def main(argv=None) -> int:
             if len(sides) == 1:
                 print(f"{name}/{rel}: only in {sides[0]}")
             elif not filecmp.cmp(outs["parent"] / rel, outs["change"] / rel, shallow=False):
-                print(f"{name}/{rel}: differs")
+                line = f"{name}/{rel}: differs"
+                if rel.suffix == ".csv":
+                    drift = column_drift(outs["parent"] / rel, outs["change"] / rel)
+                    if drift:
+                        line += "; largest relative difference by column: " + ", ".join(
+                            f"{col} {d:.2g}" for col, d in drift.items())
+                print(line)
             else:
                 identical += 1
                 continue
