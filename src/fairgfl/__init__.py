@@ -39,7 +39,6 @@ from .ldp import (
     sanitize_batch,
 )
 from .overlap import (
-    ESTIMATOR_MODES,
     MatchResult,
     OverlapState,
     match_nodes,

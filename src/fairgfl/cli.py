@@ -177,13 +177,15 @@ def _write_overlap_history(est_dir: Path, history):
 
 
 def _run_one(graph, part, fed, ldp, out_dir: Path, tag: str):
+    """Run one experiment and write its files; returns its last RoundRecord
+    (None without rounds), which is all of the result a suite reads."""
     result = run_experiment(graph, part, fed, ldp)
     # Created only now, so a run that fails in set-up leaves no directory.
     out_dir.mkdir(parents=True, exist_ok=True)
     suffix = f"_{tag}" if tag else ""
     write_round_records(out_dir / f"rounds{suffix}.csv", result.records)
     _write_overlap_history(out_dir / f"overlap_estimates{suffix}", result.overlap_history)
-    return result
+    return result.records[-1] if result.records else None
 
 
 def _thirds_multipliers(p: int) -> tuple[float, ...]:
@@ -236,7 +238,7 @@ def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
     graph = build_graph(extras)
     out_dir = Path(out_dir)
     try:
-        results = [
+        last_records = [
             _run_one(graph, *_with_keys((part, fed, ldp), keys), out_dir, tag)
             for tag, keys in runs
         ]
@@ -247,8 +249,7 @@ def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
         with open(out_dir / "motivation.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["overlap_coefficient", "loss_var", "loss_entropy"])
-            for coeff, result in zip(MOTIVATION_COEFFS, results):
-                last = result.records[-1]
+            for coeff, last in zip(MOTIVATION_COEFFS, last_records):
                 writer.writerow([coeff, repr(last.loss_variance), repr(last.loss_entropy)])
     write_manifest(out_dir / "manifest.txt", part, fed, ldp, extras, suite,
                    [(tag, keys) for tag, keys in runs if tag])

@@ -242,6 +242,17 @@ def split_nodes(graph: GlobalGraph, cfg: FedConfig) -> tuple[np.ndarray, np.ndar
     return ids[:n_test], ids[n_test : n_test + n_public], ids[n_test + n_public :]
 
 
+def _global_eval_operands(graph: GlobalGraph, test_ids: np.ndarray):
+    """(a_test, ax_global): the test rows of the global A_hat, and A_hat * X.
+
+    The whole global A_hat is needed only to build these two, so it is not
+    kept through the rounds.
+    """
+    a_hat = gcn.normalize_adjacency(graph.adjacency)
+    ax = gcn.propagate(a_hat, graph.features)
+    return gcn.adjacency_rows(a_hat, test_ids), ax
+
+
 def run_experiment(
     graph: GlobalGraph,
     part_spec: PartitionSpec,
@@ -256,7 +267,8 @@ def run_experiment(
     the pairwise overlap of the uploads, refreshes the overlap state
     (recorded in overlap_history) and aggregates with overlap-discounted
     weights. A_hat * X is computed once per graph, and the global
-    evaluation takes the test rows of the global A_hat, sliced once.
+    evaluation takes the test rows of the global A_hat, sliced once; the
+    whole global A_hat is not kept.
     """
     if part_spec.num_clients != cfg.num_clients:
         raise ValidationError(f"the partition has {part_spec.num_clients} clients, "
@@ -267,9 +279,7 @@ def run_experiment(
     parts = partition(graph, part_spec, node_pool=pool_ids)
     a_hats = [gcn.normalize_adjacency(p.adjacency) for p in parts]
     axs = [gcn.propagate(a, p.features) for a, p in zip(a_hats, parts)]
-    a_hat_global = gcn.normalize_adjacency(graph.adjacency)
-    ax_global = gcn.propagate(a_hat_global, graph.features)
-    a_test = gcn.adjacency_rows(a_hat_global, test_ids)
+    a_test, ax_global = _global_eval_operands(graph, test_ids)
 
     uploading = cfg.algorithm == "fairgfl" and cfg.estimate_overlap
     if uploading:

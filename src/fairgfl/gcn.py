@@ -60,9 +60,10 @@ def normalize_adjacency(adj: sp.csr_matrix) -> sp.csr_matrix:
     a_tilde = (adj + sp.eye(n, format="csr")).tocsr()
     deg = np.asarray(a_tilde.sum(axis=1)).ravel()
     d_inv_sqrt = 1.0 / np.sqrt(deg)
-    # D @ A_tilde @ D's two products per entry, in its order, on A_tilde's arrays.
-    rows = np.repeat(np.arange(n), np.diff(a_tilde.indptr))
-    a_tilde.data = (d_inv_sqrt[rows] * a_tilde.data) * d_inv_sqrt[a_tilde.indices]
+    # D @ A_tilde @ D's two products per entry, in its order, in place on
+    # A_tilde's data: d_i * a_ij, then times d_j.
+    a_tilde.data *= np.repeat(d_inv_sqrt, np.diff(a_tilde.indptr))
+    a_tilde.data *= d_inv_sqrt[a_tilde.indices]
     return a_tilde
 
 

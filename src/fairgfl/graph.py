@@ -68,8 +68,10 @@ class GlobalGraph:
         adj = self.adjacency
         if adj.shape != (self.num_nodes, self.num_nodes):
             raise ValidationError("adjacency shape mismatch")
-        if adj.diagonal().sum() != 0:
+        if np.count_nonzero(adj.diagonal()):
             raise ValidationError("adjacency must have zero diagonal")
+        if np.any((adj.data != 0) & (adj.data != 1)):
+            raise ValidationError("adjacency entries must be 0 or 1")
         if (adj != adj.T).nnz != 0:
             raise ValidationError("adjacency must be symmetric")
         ids = np.asarray(self.node_ids)
@@ -300,14 +302,28 @@ def generate_sbm(
         means[b, b % feature_dim] = BLOCK_MEAN_SEPARATION * (1 + b // feature_dim)
     features = means[labels] + rng.standard_normal((n, feature_dim))
 
+    cols, indptr = _upper_edges(rng, n, nodes_per_block, p_in, p_out)
+    upper = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
+    # Both directions of every edge, each row's columns ascending.
+    adj = upper + upper.T
+    del cols, indptr, upper  # freed before validate's transposed copy
+    return GlobalGraph(num_nodes=n, features=features, labels=labels, adjacency=adj)
+
+
+def _upper_edges(rng, n: int, block: int, p_in: float, p_out: float):
+    """(column indices, indptr) of generate_sbm's edges (i, j), i < j, by row.
+
+    The columns are int32, the index dtype of the CSR they go into, and the
+    draw buffer is freed on return, before the graph is mirrored.
+    """
     # Row i of the n x n draw is stream values i * n .. i * n + n - 1. In the
     # rows of block [s, e) every column left of s lies below the diagonal, so
     # those s values are skipped with advance(s) instead of drawn.
     skip = rng.bit_generator.advance
-    buf = np.empty(min(SBM_DRAW_ROWS, nodes_per_block) * n)
+    buf = np.empty(min(SBM_DRAW_ROWS, block) * n)
     counts, hit_cols = np.zeros(n + 1, dtype=np.int64), []
-    for s in range(0, n, nodes_per_block):
-        e = s + nodes_per_block
+    for s in range(0, n, block):
+        e = s + block
         for r0 in range(s, e, SBM_DRAW_ROWS):
             r1 = min(r0 + SBM_DRAW_ROWS, e)
             u = buf[: (r1 - r0) * (n - s)].reshape(r1 - r0, n - s)
@@ -319,12 +335,8 @@ def generate_sbm(
             hit[:, : e - s] = np.triu(u[:, : e - s] < p_in, r0 - s + 1)
             r, c = np.divmod(np.flatnonzero(hit), n - s)
             counts[r0 + 1 : r1 + 1] = np.bincount(r, minlength=r1 - r0)
-            hit_cols.append(c + s)
-    cols = np.concatenate(hit_cols)
-    upper = sp.csr_matrix((np.ones(len(cols)), cols, np.cumsum(counts)), shape=(n, n))
-    # Both directions of every edge, each row's columns ascending.
-    adj = upper + upper.T
-    return GlobalGraph(num_nodes=n, features=features, labels=labels, adjacency=adj)
+            hit_cols.append((c + s).astype(np.int32))
+    return np.concatenate(hit_cols), np.cumsum(counts)
 
 
 def induced_subgraph(graph: GlobalGraph, node_ids: np.ndarray, client_id: int) -> ClientSubgraph:

@@ -15,8 +15,6 @@ import numpy as np
 from .graph import ValidationError
 from .ldp import Encoder, LdpParams, SanitizedBatch, perturb_node, triu_pairs
 
-ESTIMATOR_MODES = ("corrected", "paper")
-
 # The OverlapState matrices a run records each round, in this order.
 HISTORY = ("N_round", "T_round", "N_acc", "T_acc", "O")
 
@@ -97,47 +95,28 @@ def _upper_links(batch: SanitizedBatch) -> int:
     return int(batch.sanitized_adjacency[rows, cols].sum())
 
 
-def estimate_node_ratio(
-    n_tilde: float, n_i: int, n_k: int, b_i: int, b_k: int, mode: str = "corrected"
-) -> float:
+def estimate_node_ratio(n_tilde: float, n_i: int, n_k: int, b_i: int, b_k: int) -> float:
     """Scale a batch match fraction up to a population node overlap ratio.
 
-    corrected: n_tilde * n_k / b_k, the unbiased estimator of
-    |Vi ∩ Vk| / n_i under uniform batch sampling. paper applies the
-    alternative n_i / b_k scaling for comparison. All results are clamped
-    to [0, 1].
+    n_tilde * n_k / b_k, the unbiased estimator of |Vi ∩ Vk| / n_i under
+    uniform batch sampling, clamped to [0, 1].
     """
     if b_k <= 0 or b_i <= 0:
         raise ValidationError("batch sizes must be positive")
     if b_i > n_i or b_k > n_k:
         raise ValidationError("batch size cannot exceed client node count")
-    if mode == "corrected":
-        est = n_tilde * n_k / b_k
-    elif mode == "paper":
-        est = n_tilde * n_i / b_k
-    else:
-        raise ValidationError(f"unknown estimator mode {mode!r}; use one of {ESTIMATOR_MODES}")
-    return min(max(est, 0.0), 1.0)
+    return min(max(n_tilde * n_k / b_k, 0.0), 1.0)
 
 
-def estimate_link_ratio(
-    t_tilde: float, n_k: int, b_i: int, b_k: int, mode: str = "corrected"
-) -> float:
+def estimate_link_ratio(t_tilde: float, n_k: int, b_i: int, b_k: int) -> float:
     """Scale a batch link agreement fraction up to a population link ratio.
 
-    corrected uses (n_k / b_k)^2, matching the probability that both
-    endpoints of a shared link land in client k's batch; paper uses
-    n_k^2 / b_i^2. Clamped to [0, 1].
+    Uses (n_k / b_k)^2, the inverse of the probability that both endpoints
+    of a shared link land in client k's batch. Clamped to [0, 1].
     """
     if b_i <= 0:
         raise ValidationError("b_i must be positive")
-    if mode == "corrected":
-        est = t_tilde * (n_k / b_k) ** 2
-    elif mode == "paper":
-        est = t_tilde * n_k**2 / b_i**2
-    else:
-        raise ValidationError(f"unknown estimator mode {mode!r}; use one of {ESTIMATOR_MODES}")
-    return min(max(est, 0.0), 1.0)
+    return min(max(t_tilde * (n_k / b_k) ** 2, 0.0), 1.0)
 
 
 def estimate_round(

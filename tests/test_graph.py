@@ -42,6 +42,18 @@ class TestGlobalGraph:
         with pytest.raises(ValidationError):
             GlobalGraph(3, np.eye(3), np.zeros(3, dtype=np.int64), sp.csr_matrix(adj))
 
+    def test_validate_rejects_self_loops_summing_to_zero(self):
+        adj = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValidationError, match="zero diagonal"):
+            GlobalGraph(3, np.eye(3), np.zeros(3, dtype=np.int64), sp.csr_matrix(adj))
+
+    @pytest.mark.parametrize("weight", [2.5, np.inf])
+    def test_validate_rejects_non_binary_weights(self, weight):
+        adj = np.zeros((3, 3))
+        adj[0, 1] = adj[1, 0] = weight
+        with pytest.raises(ValidationError, match="0 or 1"):
+            GlobalGraph(3, np.eye(3), np.zeros(3, dtype=np.int64), sp.csr_matrix(adj))
+
     def test_validate_rejects_nonfinite_features(self):
         feats = np.eye(3)
         feats[0, 0] = np.nan
@@ -163,6 +175,16 @@ class TestSbm:
         want.standard_normal((99, 3))
         want.random((99, 99))
         assert made[0].bit_generator.state == want.bit_generator.state
+
+    def test_peak_memory(self, traced_peak):
+        # The draw buffer and the hit columns are freed before the mirror, so
+        # validate's transposed copy sets the peak: about 2.5x the graph's
+        # bytes at 7 x 300. Buffers alive through the mirror read about 4.9x.
+        g, peak = traced_peak(generate_sbm, 7, 300, 0.2, 0.02, 32, 1)
+        adj = g.adjacency
+        graph_bytes = sum(a.nbytes for a in (adj.data, adj.indices, adj.indptr,
+                                              g.features, g.labels, g.node_ids))
+        assert peak <= 3.0 * graph_bytes
 
     def test_shapes_and_labels(self):
         g = generate_sbm(3, 10, 0.5, 0.05, 4, seed=0)

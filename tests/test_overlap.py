@@ -200,13 +200,6 @@ class TestEstimateNodeRatio:
     def test_clamped_to_unit(self):
         assert estimate_node_ratio(1.0, 100, 100, 10, 10) == 1.0
 
-    def test_paper_mode_scaling(self):
-        assert estimate_node_ratio(0.1, 50, 100, 20, 25, mode="paper") == pytest.approx(0.2)
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValidationError, match="unknown estimator"):
-            estimate_node_ratio(0.1, 10, 10, 5, 5, mode="magic")
-
     def test_batch_larger_than_population_rejected(self):
         with pytest.raises(ValidationError):
             estimate_node_ratio(0.1, 10, 10, 20, 5)
@@ -223,17 +216,14 @@ class TestEstimateNodeRatio:
         shared = int(true_overlap * n)
         v_i = np.arange(n)
         v_k = np.arange(n - shared, 2 * n - shared)
-        ests, paper_ests = [], []
+        ests = []
         for _ in range(500):
             batch_i = rng.choice(v_i, b, replace=False)
             batch_k = rng.choice(v_k, b, replace=False)
             matches = len(set(batch_i) & set(batch_k))
             n_tilde = matches / b
             ests.append(estimate_node_ratio(n_tilde, n, n, b, b))
-            paper_ests.append(estimate_node_ratio(n_tilde, n, n, b, b, mode="paper"))
         assert abs(np.mean(ests) - true_overlap) <= 0.1 * true_overlap
-        # the paper-literal scaling coincides here because n_i = n_k
-        assert np.mean(paper_ests) == pytest.approx(np.mean(ests))
 
 
 class TestEstimateLinkRatio:
@@ -242,10 +232,6 @@ class TestEstimateLinkRatio:
 
     def test_corrected_scaling(self):
         assert estimate_link_ratio(0.1, 100, 20, 50) == pytest.approx(0.4)
-
-    def test_paper_mode_scaling(self):
-        # scales by n_k^2 / b_i^2 instead of (n_k / b_k)^2
-        assert estimate_link_ratio(0.1, 100, 50, 20, mode="paper") == pytest.approx(0.4)
 
     def test_clamped(self):
         assert estimate_link_ratio(1.0, 100, 10, 10) == 1.0
