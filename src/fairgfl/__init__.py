@@ -15,10 +15,8 @@ from .graph import (
 from .gcn import (
     NumericError,
     GcnModel,
-    AdjacencyRows,
     init_model,
     normalize_adjacency,
-    adjacency_rows,
     propagate,
     forward,
     loss_and_grad,

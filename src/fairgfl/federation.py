@@ -68,6 +68,8 @@ class FedConfig:
             raise ValidationError("lam and q must be finite and >= 0")
         if not 0 < self.lr < math.inf:
             raise ValidationError("lr must be finite and positive")
+        if not (0.0 <= self.alpha <= 1.0 and 0.0 < self.beta <= 1.0):
+            raise ValidationError("alpha must be in [0, 1] and beta in (0, 1]")
         if not 0.0 <= self.tau_percentile <= 100.0:
             raise ValidationError("tau_percentile must be in [0, 100]")
         if not (0.0 <= self.test_fraction < 1.0 and 0.0 <= self.public_fraction < 1.0
@@ -243,14 +245,15 @@ def split_nodes(graph: GlobalGraph, cfg: FedConfig) -> tuple[np.ndarray, np.ndar
 
 
 def _global_eval_operands(graph: GlobalGraph, test_ids: np.ndarray):
-    """(a_test, ax_global): the test rows of the global A_hat, and A_hat * X.
+    """(a_test, ax_global): the test rows of the global A_hat, a CSR row
+    slice, and A_hat * X.
 
     The whole global A_hat is needed only to build these two, so it is not
     kept through the rounds.
     """
     a_hat = gcn.normalize_adjacency(graph.adjacency)
     ax = gcn.propagate(a_hat, graph.features)
-    return gcn.adjacency_rows(a_hat, test_ids), ax
+    return a_hat[test_ids], ax
 
 
 def run_experiment(
@@ -280,6 +283,7 @@ def run_experiment(
     a_hats = [gcn.normalize_adjacency(p.adjacency) for p in parts]
     axs = [gcn.propagate(a, p.features) for a, p in zip(a_hats, parts)]
     a_test, ax_global = _global_eval_operands(graph, test_ids)
+    test_labels = graph.labels[test_ids]
 
     uploading = cfg.algorithm == "fairgfl" and cfg.estimate_overlap
     if uploading:
@@ -343,7 +347,7 @@ def run_experiment(
             else:
                 model = aggregate_qfedavg(reports, model, cfg.q, cfg.lr)
 
-            test_loss, test_acc = metrics.evaluate_global(model, a_test, ax_global, graph.labels)
+            test_loss, test_acc = metrics.evaluate_global(model, a_test, ax_global, test_labels)
             client_losses = tuple(
                 gcn.masked_loss(model, a_hats[i], axs[i], parts[i].labels,
                                 np.arange(parts[i].num_nodes))

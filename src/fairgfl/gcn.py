@@ -20,30 +20,6 @@ class GcnModel:
     W2: np.ndarray  # (hidden_dim, num_classes)
 
 
-@dataclass(frozen=True)
-class AdjacencyRows:
-    """Rows ids of a normalized adjacency, built once for repeated use.
-
-    matrix is A_hat with every other row emptied. A CSR product computes
-    each row on its own, in stored order, so forward(model, matrix, ax)
-    gives the ids rows the bits of the full pass and the others zero.
-    """
-
-    ids: np.ndarray
-    matrix: sp.csr_matrix
-
-
-def adjacency_rows(a_hat: sp.csr_matrix, ids) -> AdjacencyRows:
-    """a_hat with every row outside the index array ids emptied."""
-    ids = np.asarray(ids)
-    keep = np.zeros(a_hat.shape[0], dtype=bool)
-    keep[ids] = True
-    lengths = np.diff(a_hat.indptr)
-    entries = np.repeat(keep, lengths)
-    kept = (a_hat.data[entries], a_hat.indices[entries], np.r_[0, np.cumsum(lengths * keep)])
-    return AdjacencyRows(ids, sp.csr_matrix(kept, shape=a_hat.shape))
-
-
 def init_model(feature_dim: int, hidden_dim: int, num_classes: int, rng) -> GcnModel:
     """Glorot-uniform initialization from the given generator."""
 
@@ -76,7 +52,9 @@ def propagate(a_hat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 def forward(model: GcnModel, a_hat: sp.csr_matrix, ax: np.ndarray):
     """(logits, h) with h = relu(AX * W1), AX = propagate(a_hat, x), and
     logits = A_hat * (h * W2): the sparse product is num_classes wide.
-    a_hat may be an AdjacencyRows.matrix; h * W2 covers every node."""
+    a_hat may be a row slice of A_hat, giving those rows of the logits with
+    the bits of the full pass: h * W2 covers every node, and a CSR product
+    computes each row on its own, in stored order."""
     h = np.maximum(ax @ model.W1, 0.0)
     if not np.isfinite(h).all():
         raise NumericError("non-finite hidden layer in forward pass")

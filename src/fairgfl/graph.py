@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,11 +41,8 @@ class GlobalGraph:
     features: np.ndarray          # (num_nodes, feature_dim) float64
     labels: np.ndarray            # (num_nodes,) int64
     adjacency: sp.csr_matrix      # (num_nodes, num_nodes) binary
-    node_ids: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.node_ids is None:
-            object.__setattr__(self, "node_ids", np.arange(self.num_nodes))
         self.validate()
 
     @property
@@ -74,11 +71,6 @@ class GlobalGraph:
             raise ValidationError("adjacency entries must be 0 or 1")
         if (adj != adj.T).nnz != 0:
             raise ValidationError("adjacency must be symmetric")
-        ids = np.asarray(self.node_ids)
-        if len(np.unique(ids)) != self.num_nodes or (
-            self.num_nodes and (ids.min() != 0 or ids.max() != self.num_nodes - 1)
-        ):
-            raise ValidationError("node_ids must be dense in [0, num_nodes)")
 
 
 @dataclass(frozen=True)
@@ -173,17 +165,8 @@ class PartitionSpec:
         alphas = (self.dirichlet_alpha_nonoverlap, self.dirichlet_alpha_overlap)
         if not all(np.isfinite(a) and a > 0 for a in alphas):
             raise ValidationError("dirichlet alphas must be finite and positive")
-        if self.overlap_coefficient > 0:
-            scale = self.volume_scale()
-            if not np.isfinite(scale) or scale <= 0:
-                raise ValidationError("overlap volume scale must be finite and positive")
         if self.overlap_multipliers is not None and len(self.overlap_multipliers) != self.num_clients:
             raise ValidationError("overlap_multipliers length must equal num_clients")
-
-    def volume_scale(self) -> float:
-        n = self.overlap_coefficient
-        r = self.overlap_pool_fraction
-        return n / (r - n * r)
 
 
 def _parse_row(line: str) -> list[str]:

@@ -177,11 +177,6 @@ def perturb_node(x: np.ndarray, params: LdpParams, rng,
     return (cum <= u[..., None]).sum(axis=-1) / p
 
 
-def _randomized_response(bits: np.ndarray, p_e: float, rng) -> np.ndarray:
-    """Flip each bit with probability p_e, drawing one uniform per bit in order."""
-    return np.where(rng.random(bits.shape) < p_e, 1 - bits, bits)
-
-
 @functools.lru_cache(maxsize=None)
 def triu_pairs(b: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``np.triu_indices(b, k=1)``, built once per batch size."""
@@ -190,21 +185,11 @@ def triu_pairs(b: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def perturb_links(adj: np.ndarray, params: LdpParams, rng) -> np.ndarray:
-    """Randomized response on each upper-triangle adjacency bit, mirrored.
-
-    Bits are drawn in row-major order of the strict upper triangle.
-    """
-    adj = np.asarray(adj)
-    b = adj.shape[0]
-    if adj.shape != (b, b) or (adj != adj.T).any():
-        raise ValidationError("adjacency must be square and symmetric")
-    rows, cols = triu_pairs(b)
-    out = np.zeros((b, b), dtype=np.int64)
-    out[rows, cols] = _randomized_response(
-        adj[rows, cols].astype(np.int64), params.flip_probability, rng
-    )
-    return out + out.T
+def perturb_links(bits: np.ndarray, params: LdpParams, rng) -> np.ndarray:
+    """Randomized response on raw 0/1 link bits: flip each with probability
+    p_e, drawing one uniform per bit in order. Returns int64 bits."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return np.where(rng.random(bits.shape) < params.flip_probability, 1 - bits, bits)
 
 
 def expected_density(x: float, p_e: float) -> float:
@@ -286,14 +271,13 @@ def sanitize_batch(
     bits = cache.links[slots[rows], slots[cols]]
     fresh = bits < 0
     raw = sub.adjacency_entries(local[rows[fresh]], local[cols[fresh]]) != 0
-    p_e = params.flip_probability
-    bits[fresh] = _randomized_response(raw.astype(np.int64), p_e, rng)
+    bits[fresh] = perturb_links(raw, params, rng)
     cache.links[slots[rows], slots[cols]] = cache.links[slots[cols], slots[rows]] = bits
     perturbed = np.zeros((b, b), dtype=np.int64)
     perturbed[rows, cols] = bits
     perturbed += perturbed.T
 
-    corrected = sparsify_correct(perturbed, vectors, p_e)
+    corrected = sparsify_correct(perturbed, vectors, params.flip_probability)
     return SanitizedBatch(
         client_id=sub.client_id,
         batch_size=b,

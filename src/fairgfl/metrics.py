@@ -7,8 +7,9 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .gcn import AdjacencyRows, GcnModel, _masked_softmax_ce, forward
+from .gcn import GcnModel, _masked_softmax_ce, forward
 from .graph import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -56,23 +57,24 @@ def loss_entropy(losses) -> float:
 
 def evaluate_global(
     model: GcnModel,
-    a_test: AdjacencyRows,
+    a_test: sp.csr_matrix,
     ax: np.ndarray,
     labels: np.ndarray,
 ) -> tuple[float, float]:
     """Cross-entropy loss and top-1 accuracy on the test nodes of the graph.
 
-    a_test is gcn.adjacency_rows(a_hat, test_ids) and ax is
-    gcn.propagate(a_hat, features), both over the whole graph; only the
-    test rows of the second hop are computed, with the bits of a
-    full-graph forward pass.
+    a_test is the test rows of the global A_hat, a_hat[test_ids], and
+    labels their labels; ax is gcn.propagate(a_hat, features) over the
+    whole graph. Only the test rows of the second hop are computed, with
+    the bits of a full-graph forward pass.
     """
-    mask = a_test.ids
-    if len(mask) == 0:
+    if a_test.shape[0] == 0:
         raise ValidationError("test mask must be non-empty")
-    logits, _ = forward(model, a_test.matrix, ax)
-    loss, _ = _masked_softmax_ce(logits, labels, mask)
-    acc = float(np.mean(logits[mask].argmax(axis=1) == labels[mask]))
+    if len(labels) != a_test.shape[0]:
+        raise ValidationError("labels must hold one entry per row of a_test")
+    logits, _ = forward(model, a_test, ax)
+    loss, _ = _masked_softmax_ce(logits, labels, np.arange(len(labels)))
+    acc = float(np.mean(logits.argmax(axis=1) == labels))
     return float(loss), acc
 
 
@@ -80,7 +82,8 @@ _CSV_HEADER = ["round", "algorithm", "test_loss", "test_acc", "loss_var", "loss_
 
 
 def write_round_records(path, records: list[RoundRecord]) -> None:
-    """Append-style CSV dump; per-client losses occupy the trailing columns."""
+    """Write records to a new CSV file at path, replacing any file there;
+    per-client losses occupy the trailing columns."""
     num_clients = len(records[0].per_client_losses) if records else 0
     header = _CSV_HEADER + [f"client_{i}_loss" for i in range(num_clients)]
     with open(path, "w", newline="") as fh:

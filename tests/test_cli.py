@@ -285,6 +285,24 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", [
+        "alpha = 2", "alpha = -0.1", "alpha = nan", "beta = 0", "beta = 1.5", "beta = nan",
+    ])
+    def test_bad_alpha_or_beta_exits_two_before_the_graph(self, tmp_path, capsys,
+                                                          monkeypatch, line):
+        """alpha and beta are checked with the rest of the config, before
+        the graph is built and the encoder trained."""
+        def no_graph(extras):
+            raise AssertionError("graph built")
+
+        monkeypatch.setattr(fairgfl.cli, "build_graph", no_graph)
+        cfg = write_cfg(tmp_path, SMALL + line + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and line.split()[0] in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("line", BOUNDARY_LINES)
     def test_boundary_value_exits_zero_or_two(self, tmp_path, capsys, line):

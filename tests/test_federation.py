@@ -71,6 +71,10 @@ class TestFedConfig:
         with pytest.raises(ValidationError):
             FedConfig(lam=-0.1)
 
+    def test_alpha_beta_bounds_accepted(self):
+        FedConfig(alpha=0.0, beta=1.0)
+        FedConfig(alpha=1.0, beta=1e-9)
+
 
 class TestClientRound:
     def setup_method(self):

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from fairgfl.gcn import (
     GcnModel,
     NumericError,
-    adjacency_rows,
     forward,
     init_model,
     loss_and_grad,
@@ -93,28 +92,23 @@ class TestNormalizeAdjacency:
         assert peak <= 2.0 * sum(a.nbytes for a in (a_hat.data, a_hat.indices, a_hat.indptr))
 
 
-class TestAdjacencyRows:
+class TestForward:
     @pytest.mark.parametrize("ids", ["unsorted", "single", "all"])
-    def test_keeps_only_the_ids_rows(self, ids):
+    def test_row_slice_keeps_full_pass_rows(self, ids):
+        """forward on the CSR row slice a_hat[ids] gives the ids rows of the
+        full pass, byte for byte: h * W2 covers every node, and a CSR
+        product computes each row on its own, in stored order."""
         rng = np.random.default_rng(14)
-        _, a_hat, _, _ = random_case(rng, n=30, p_edge=0.2)
+        model, a_hat, x, _ = random_case(rng, n=30, h=16, p_edge=0.2)
         ids = {"unsorted": rng.permutation(30)[:11], "single": np.array([17]),
                "all": np.arange(30)}[ids]
-        m = adjacency_rows(a_hat, ids).matrix
-        want = a_hat[ids]
-        assert m.shape == a_hat.shape and m.nnz == want.nnz
-        for k, i in enumerate(ids):
-            got_row, want_row = slice(*m.indptr[i:i + 2]), slice(*want.indptr[k:k + 2])
-            assert m.indices[got_row].tolist() == want.indices[want_row].tolist()
-            assert m.data[got_row].tobytes() == want.data[want_row].tobytes()
-        h = rng.standard_normal((30, 16))
-        got, full = m @ h, a_hat @ h
-        assert got[ids].tobytes() == full[ids].tobytes()
-        others = np.setdiff1d(np.arange(30), ids)
-        assert np.array_equal(got[others], np.zeros((len(others), 16)))
+        ax = propagate(a_hat, x)
+        full, h_full = forward(model, a_hat, ax)
+        got, h_got = forward(model, a_hat[ids], ax)
+        assert got.shape == (len(ids), full.shape[1])
+        assert got.tobytes() == full[ids].tobytes()
+        assert h_got.tobytes() == h_full.tobytes()
 
-
-class TestForward:
     def test_zero_weights_give_zero_logits(self):
         rng = np.random.default_rng(1)
         model, a_hat, x, _ = random_case(rng)

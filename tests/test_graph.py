@@ -183,7 +183,7 @@ class TestSbm:
         g, peak = traced_peak(generate_sbm, 7, 300, 0.2, 0.02, 32, 1)
         adj = g.adjacency
         graph_bytes = sum(a.nbytes for a in (adj.data, adj.indices, adj.indptr,
-                                              g.features, g.labels, g.node_ids))
+                                              g.features, g.labels))
         assert peak <= 3.0 * graph_bytes
 
     def test_shapes_and_labels(self):

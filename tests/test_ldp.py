@@ -144,22 +144,6 @@ class TestPerturbNodeReference:
 
 
 class TestPerturbLinks:
-    def test_symmetric_zero_diagonal(self):
-        params = LdpParams(3.0, 1.0, 8)
-        rng = np.random.default_rng(4)
-        adj = np.zeros((6, 6), dtype=np.int64)
-        adj[0, 1] = adj[1, 0] = 1
-        out = perturb_links(adj, params, rng)
-        assert np.array_equal(out, out.T)
-        assert out.diagonal().sum() == 0
-
-    def test_asymmetric_rejected(self):
-        params = LdpParams(3.0, 1.0, 8)
-        adj = np.zeros((3, 3), dtype=np.int64)
-        adj[0, 1] = 1
-        with pytest.raises(ValidationError):
-            perturb_links(adj, params, np.random.default_rng(0))
-
     @pytest.mark.parametrize("x,p_e", [(0.05, 0.1), (0.1, 0.25), (0.5, 0.1)])
     def test_density_formula(self, x, p_e):
         """Monte Carlo post-flip density matches x + p_e - 2*x*p_e."""
@@ -170,10 +154,10 @@ class TestPerturbLinks:
         b = 450  # ~1e5 strict-upper entries
         upper = np.triu(rng.random((b, b)) < x, k=1)
         adj = (upper | upper.T).astype(np.int64)
-        out = perturb_links(adj, params, rng)
         rows, cols = np.triu_indices(b, k=1)
+        out = perturb_links(adj[rows, cols], params, rng)
         n = len(rows)
-        density = out[rows, cols].mean()
+        density = out.mean()
         target = expected_density(x, p_e)
         sigma = np.sqrt(target * (1 - target) / n)
         assert abs(density - target) < 3 * sigma
@@ -332,6 +316,35 @@ class TestSanitizeBatch:
         other = induced_subgraph(self.graph, np.arange(5, 35), 1)
         with pytest.raises(ValidationError, match="client"):
             sanitize_batch(other, np.arange(5, 10), self.encoder, self.params, cache, rng)
+
+    def test_flips_only_fresh_pairs_through_perturb_links(self, monkeypatch):
+        """Uploads flip links only through perturb_links, and pass it exactly
+        the raw bits of their uncached pairs, in row-major order."""
+        sent = []
+        monkeypatch.setattr(ldp_mod, "perturb_links",
+                            lambda bits, *args: sent.append(bits) or perturb_links(bits, *args))
+        adj = self.sub.adjacency.toarray() != 0
+        cache, rng = PermanentCache(), np.random.default_rng(20)
+        for batch in (np.arange(6), np.arange(4, 10), np.array([5, 0, 3])):
+            sanitize_batch(self.sub, batch, self.encoder, self.params, cache, rng)
+        # the second batch shares pair (4, 5) with the first; the third is cached
+        assert [len(bits) for bits in sent] == [15, 14, 0]
+        rows, cols = np.triu_indices(6, k=1)
+        assert np.array_equal(sent[0], adj[rows, cols])
+        sanitize_batch(self.sub, np.arange(6), self.encoder, self.params, None, rng)
+        assert len(sent[-1]) == 15
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_uploads_symmetric_zero_diagonal(self, cached):
+        cache = PermanentCache() if cached else None
+        rng, picks = np.random.default_rng(21), np.random.default_rng(22)
+        for _ in range(10):
+            batch = picks.choice(30, size=8, replace=False)
+            adj = sanitize_batch(self.sub, batch, self.encoder, self.params, cache, rng)
+            adj = adj.sanitized_adjacency
+            assert np.array_equal(adj, adj.T)
+            assert not adj.diagonal().any()
+            assert np.isin(adj, (0, 1)).all()
 
     def test_link_bits_match_scalar_reference(self):
         """Uploads equal per-row, per-element and per-pair scalar loops.

@@ -5,7 +5,6 @@ from fairgfl.gcn import (
     GcnModel,
     NumericError,
     _masked_softmax_ce,
-    adjacency_rows,
     forward,
     init_model,
     normalize_adjacency,
@@ -81,27 +80,26 @@ class TestEvaluateGlobal:
 
     def test_uniform_model(self):
         model = GcnModel(np.zeros((6, 4)), np.zeros((4, 3)))
-        loss, acc = evaluate_global(
-            model, adjacency_rows(self.a_hat, np.arange(60)), self.ax, self.graph.labels
-        )
+        loss, acc = evaluate_global(model, self.a_hat, self.ax, self.graph.labels)
         assert loss == pytest.approx(np.log(3))
         # argmax of all-zero logits is class 0; one block of three
         assert acc == pytest.approx(1.0 / 3.0)
 
     def test_single_node_mask(self):
         model = GcnModel(np.zeros((6, 4)), np.zeros((4, 3)))
-        _, acc = evaluate_global(
-            model, adjacency_rows(self.a_hat, np.array([0])), self.ax, self.graph.labels
-        )
+        _, acc = evaluate_global(model, self.a_hat[[0]], self.ax, self.graph.labels[[0]])
         assert acc in (0.0, 1.0)
 
     def test_empty_mask_rejected(self):
         model = GcnModel(np.zeros((6, 4)), np.zeros((4, 3)))
         with pytest.raises(ValidationError):
-            evaluate_global(
-                model, adjacency_rows(self.a_hat, np.array([], dtype=int)), self.ax,
-                self.graph.labels,
-            )
+            none = np.array([], dtype=int)
+            evaluate_global(model, self.a_hat[none], self.ax, self.graph.labels[none])
+
+    def test_labels_of_other_rows_rejected(self):
+        model = GcnModel(np.zeros((6, 4)), np.zeros((4, 3)))
+        with pytest.raises(ValidationError, match="one entry per row"):
+            evaluate_global(model, self.a_hat[:5], self.ax, self.graph.labels)
 
     @pytest.mark.parametrize("ids", [
         "unsorted", "one", "all", "all-shuffled", "last-rows",
@@ -128,17 +126,14 @@ class TestEvaluateGlobal:
             logits, _ = forward(model, self.a_hat, self.ax)
             expect_loss, _ = _masked_softmax_ce(logits, labels, test_ids)
             expect_acc = float(np.mean(logits[test_ids].argmax(axis=1) == labels[test_ids]))
-            loss, acc = evaluate_global(
-                model, adjacency_rows(self.a_hat, test_ids), self.ax, labels
-            )
+            loss, acc = evaluate_global(model, self.a_hat[test_ids], self.ax, labels[test_ids])
             assert loss == float(expect_loss)
             assert acc == expect_acc
 
     def test_inf_weights_raise(self):
         model = GcnModel(np.full((6, 4), np.inf), np.zeros((4, 3)))
         with pytest.raises(NumericError):
-            evaluate_global(model, adjacency_rows(self.a_hat, np.arange(5)), self.ax,
-                            self.graph.labels)
+            evaluate_global(model, self.a_hat[:5], self.ax, self.graph.labels[:5])
 
     def test_nonfinite_hidden_row_outside_test_rows_raises(self):
         """A non-finite hidden row is caught even where no test row reads it."""
@@ -149,7 +144,7 @@ class TestEvaluateGlobal:
         ax[far] = np.inf
         model = GcnModel(np.ones((6, 4)), np.ones((4, 3)))
         with pytest.raises(NumericError):
-            evaluate_global(model, adjacency_rows(self.a_hat, test_ids), ax, self.graph.labels)
+            evaluate_global(model, self.a_hat[test_ids], ax, self.graph.labels[test_ids])
 
 
 class TestRoundRecordCsv:
