@@ -44,7 +44,7 @@ from .overlap import (
     estimate_link_ratio,
     estimate_round,
     update_state,
-    client_overall_ratio,
+    client_weights,
     calibrate_tau,
 )
 from .metrics import (
@@ -64,7 +64,6 @@ from .federation import (
     sample_clients,
     client_round,
     aggregate_fair,
-    aggregate_fedavg,
     aggregate_qfedavg,
     fairness_weighted_loss,
     split_nodes,

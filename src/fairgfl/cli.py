@@ -9,7 +9,8 @@ import sys
 from pathlib import Path
 
 from .federation import ALGORITHMS, FedConfig, RoundError, run_experiment
-from .graph import GraphFormatError, PartitionSpec, ValidationError, generate_sbm, load_graph
+from .graph import (GraphFormatError, PartitionSpec, ValidationError, generate_sbm, load_graph,
+                    text_lines)
 from .ldp import LdpParams
 from .metrics import write_round_records
 from .overlap import HISTORY
@@ -47,9 +48,9 @@ DATASET_DEFAULTS = {
 }
 
 # Config key -> (section, field, default), derived from the config
-# dataclasses: each key's type is the type of its default. PartitionSpec
-# takes num_clients from FedConfig, its seed is the partition_seed key, and
-# its overlap_multipliers are set by the motivation suite only.
+# dataclasses: each key's type is the type of its default. partition takes
+# num_clients from FedConfig, PartitionSpec's seed is the partition_seed key,
+# and its overlap_multipliers are set by the motivation suite only.
 _SECTIONS = (("fed", FedConfig), ("part", PartitionSpec), ("ldp", LdpParams))
 _RENAMED = {("part", "seed"): "partition_seed"}
 CONFIG_SCHEMA = {
@@ -100,15 +101,14 @@ def parse_config(path=None, overrides: dict | None = None):
             values[key] = raw
 
     if path is not None:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                assign(key, raw)
+        for lineno, line in text_lines(path, ConfigError):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            assign(key, raw)
     for key, raw in (overrides or {}).items():
         assign(key, raw)
 
@@ -116,7 +116,7 @@ def parse_config(path=None, overrides: dict | None = None):
     for key, (section, name, _) in CONFIG_SCHEMA.items():
         sections[section][name] = values[key]
     fed = FedConfig(**sections["fed"])
-    part = PartitionSpec(num_clients=fed.num_clients, **sections["part"])
+    part = PartitionSpec(**sections["part"])
     ldp = LdpParams(**sections["ldp"])
     return part, fed, ldp, sections["extras"]
 
@@ -233,7 +233,7 @@ def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
         )
     if suite == "motivation":
         # Set on the suite-level configs, so the manifest records them too.
-        part = dataclasses.replace(part, overlap_multipliers=_thirds_multipliers(part.num_clients))
+        part = dataclasses.replace(part, overlap_multipliers=_thirds_multipliers(fed.num_clients))
         fed = dataclasses.replace(fed, algorithm="fedavg")
     graph = build_graph(extras)
     out_dir = Path(out_dir)

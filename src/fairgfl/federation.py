@@ -161,19 +161,21 @@ def _combine(w_global: GcnModel, reports, coeffs, divisor) -> GcnModel:
 def aggregate_fair(
     reports: list[ClientReport],
     w_global: GcnModel,
-    state: overlap.OverlapState,
+    weights: np.ndarray,
     lam: float,
 ) -> GcnModel:
-    """Overlap-discounted update average plus the max-loss regularizer step.
+    """Weighted update average plus the max-loss regularizer step.
 
-    Each client's update is weighted by 1 / (1 + O_i); the client with the
-    largest reported loss (the first one on a tie) contributes an extra
-    lam-scaled update.
+    Report i's update is scaled by weights[i] (1 / (1 + O_i) from
+    overlap.client_weights); the client with the largest reported loss
+    (the first one on a tie) contributes an extra lam-scaled update. Unit
+    weights with lam = 0 are FedAvg.
     """
     if not reports:
         raise ValidationError("reports must be non-empty")
-    coeffs = [1.0 / (1.0 + overlap.client_overall_ratio(state, r.client_id)) for r in reports]
-    new = _combine(w_global, reports, coeffs, float(len(reports)))
+    if len(weights) != len(reports):
+        raise ValidationError(f"{len(weights)} weights for {len(reports)} reports")
+    new = _combine(w_global, reports, weights, float(len(reports)))
     if lam > 0:
         top = max(reports, key=lambda r: r.train_loss)
         new = GcnModel(
@@ -181,13 +183,6 @@ def aggregate_fair(
             new.W2 + lam * (top.model.W2 - w_global.W2),
         )
     return new
-
-
-def aggregate_fedavg(reports: list[ClientReport], w_global: GcnModel) -> GcnModel:
-    """Uniform average of client updates."""
-    if not reports:
-        raise ValidationError("reports must be non-empty")
-    return _combine(w_global, reports, [1.0] * len(reports), float(len(reports)))
 
 
 def aggregate_qfedavg(
@@ -260,26 +255,23 @@ def run_experiment(
     graph: GlobalGraph,
     part_spec: PartitionSpec,
     cfg: FedConfig,
-    ldp_params: ldp.LdpParams | None = None,
+    ldp_params: ldp.LdpParams = ldp.LdpParams(),
 ) -> ExperimentResult:
     """Run J federated rounds and return records plus the final model.
 
     Test and encoder-training ("public") nodes are held out before
     partitioning. Each round the sampled clients train locally; for
     fairgfl they also upload a sanitized batch, and the server estimates
-    the pairwise overlap of the uploads, refreshes the overlap state
-    (recorded in overlap_history) and aggregates with overlap-discounted
-    weights. A_hat * X is computed once per graph, and the global
-    evaluation takes the test rows of the global A_hat, sliced once; the
-    whole global A_hat is not kept.
+    the pairwise overlap of the uploads and refreshes the overlap state
+    (recorded in overlap_history). fedavg is aggregate_fair with unit
+    weights and lam = 0. A_hat * X is computed once per graph, and the
+    global evaluation takes the test rows of the global A_hat, sliced
+    once; the whole global A_hat is not kept.
     """
-    if part_spec.num_clients != cfg.num_clients:
-        raise ValidationError(f"the partition has {part_spec.num_clients} clients, "
-                              f"the config {cfg.num_clients}")
     test_ids, public_ids, pool_ids = split_nodes(graph, cfg)
     if cfg.rounds and len(test_ids) == 0:
         raise ValidationError("the test split is empty; raise test_fraction")
-    parts = partition(graph, part_spec, node_pool=pool_ids)
+    parts = partition(graph, part_spec, cfg.num_clients, node_pool=pool_ids)
     a_hats = [gcn.normalize_adjacency(p.adjacency) for p in parts]
     axs = [gcn.propagate(a, p.features) for a, p in zip(a_hats, parts)]
     a_test, ax_global = _global_eval_operands(graph, test_ids)
@@ -287,8 +279,6 @@ def run_experiment(
 
     uploading = cfg.algorithm == "fairgfl" and cfg.estimate_overlap
     if uploading:
-        if ldp_params is None:
-            ldp_params = ldp.LdpParams()
         public_feats = graph.features[public_ids]
         encoder = ldp.train_encoder(
             public_feats, cfg.encoder_dim, cfg.encoder_epochs,
@@ -307,6 +297,7 @@ def run_experiment(
     model = gcn.init_model(graph.feature_dim, cfg.hidden_dim, graph.num_classes, init_rng)
 
     state = overlap.OverlapState.initial(cfg.num_clients, cfg.alpha, cfg.beta)
+    lam = cfg.lam if cfg.algorithm == "fairgfl" else 0.0
     records: list[metrics.RoundRecord] = []
     history: list[dict[str, np.ndarray]] = []
 
@@ -337,15 +328,14 @@ def run_experiment(
                 raise RoundError(j, int(cid), exc) from exc
 
         try:
-            if cfg.algorithm == "fairgfl":
-                if uploading:
-                    state = overlap.update_state(state, overlap.estimate_round(batches, tau))
-                    history.append({name: getattr(state, name) for name in overlap.HISTORY})
-                model = aggregate_fair(reports, model, state, cfg.lam)
-            elif cfg.algorithm == "fedavg":
-                model = aggregate_fedavg(reports, model)
-            else:
+            if uploading:
+                state = overlap.update_state(state, overlap.estimate_round(batches, tau))
+                history.append({name: getattr(state, name) for name in overlap.HISTORY})
+            if cfg.algorithm == "qfedavg":
                 model = aggregate_qfedavg(reports, model, cfg.q, cfg.lr)
+            else:
+                weights = overlap.client_weights(state.O)[sampled]
+                model = aggregate_fair(reports, model, weights, lam)
 
             test_loss, test_acc = metrics.evaluate_global(model, a_test, ax_global, test_labels)
             client_losses = tuple(

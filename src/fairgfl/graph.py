@@ -143,7 +143,6 @@ class PartitionSpec:
     across clients.
     """
 
-    num_clients: int
     overlap_coefficient: float = 0.1
     overlap_pool_fraction: float = 0.3
     dirichlet_alpha_nonoverlap: float = 0.5
@@ -154,8 +153,6 @@ class PartitionSpec:
     overlap_multipliers: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.num_clients < 1:
-            raise ValidationError("num_clients must be >= 1")
         if self.seed < 0:
             raise ValidationError("partition seed must be >= 0")
         if not 0.0 <= self.overlap_coefficient < 1.0:
@@ -165,8 +162,17 @@ class PartitionSpec:
         alphas = (self.dirichlet_alpha_nonoverlap, self.dirichlet_alpha_overlap)
         if not all(np.isfinite(a) and a > 0 for a in alphas):
             raise ValidationError("dirichlet alphas must be finite and positive")
-        if self.overlap_multipliers is not None and len(self.overlap_multipliers) != self.num_clients:
-            raise ValidationError("overlap_multipliers length must equal num_clients")
+        if not all(np.isfinite(m) and m >= 0 for m in self.overlap_multipliers or ()):
+            raise ValidationError("overlap_multipliers must be finite and >= 0")
+
+
+def text_lines(path, error: type[Exception] = GraphFormatError):
+    """Yield (line number, line) of a file; raise error if it is not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            raise error(f"{path}: not UTF-8 text") from None
 
 
 def _parse_row(line: str) -> list[str]:
@@ -183,27 +189,26 @@ def load_graph(node_file, edge_file) -> GlobalGraph:
     """
     raw_ids, feats, raw_labels = [], [], []
     n_fields = None
-    with open(node_file) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = _parse_row(line)
-            if not parts:
-                continue
-            if n_fields is None:
-                n_fields = len(parts)
-                if n_fields < 3:
-                    raise GraphFormatError(
-                        f"{node_file}:{lineno}: node rows need id, features, label"
-                    )
-            elif len(parts) != n_fields:
+    for lineno, line in text_lines(node_file):
+        parts = _parse_row(line)
+        if not parts:
+            continue
+        if n_fields is None:
+            n_fields = len(parts)
+            if n_fields < 3:
                 raise GraphFormatError(
-                    f"{node_file}:{lineno}: expected {n_fields} fields, got {len(parts)}"
+                    f"{node_file}:{lineno}: node rows need id, features, label"
                 )
-            try:
-                feats.append([float(v) for v in parts[1:-1]])
-            except ValueError as exc:
-                raise GraphFormatError(f"{node_file}:{lineno}: bad feature value") from exc
-            raw_ids.append(parts[0])
-            raw_labels.append(parts[-1])
+        elif len(parts) != n_fields:
+            raise GraphFormatError(
+                f"{node_file}:{lineno}: expected {n_fields} fields, got {len(parts)}"
+            )
+        try:
+            feats.append([float(v) for v in parts[1:-1]])
+        except ValueError as exc:
+            raise GraphFormatError(f"{node_file}:{lineno}: bad feature value") from exc
+        raw_ids.append(parts[0])
+        raw_labels.append(parts[-1])
 
     if len(set(raw_ids)) != len(raw_ids):
         seen = set()
@@ -218,25 +223,24 @@ def load_graph(node_file, edge_file) -> GlobalGraph:
 
     rows, cols = [], []
     dropped = 0
-    with open(edge_file) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = _parse_row(line)
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise GraphFormatError(
-                    f"{edge_file}:{lineno}: expected 2 fields, got {len(parts)}"
-                )
-            src, dst = parts
-            if src not in id_map or dst not in id_map:
-                dropped += 1
-                continue
-            u, v = id_map[src], id_map[dst]
-            if u == v:
-                dropped += 1
-                continue
-            rows.append(u)
-            cols.append(v)
+    for lineno, line in text_lines(edge_file):
+        parts = _parse_row(line)
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise GraphFormatError(
+                f"{edge_file}:{lineno}: expected 2 fields, got {len(parts)}"
+            )
+        src, dst = parts
+        if src not in id_map or dst not in id_map:
+            dropped += 1
+            continue
+        u, v = id_map[src], id_map[dst]
+        if u == v:
+            dropped += 1
+            continue
+        rows.append(u)
+        cols.append(v)
     if dropped:
         logger.warning("dropped %d edges (unknown endpoints or self-loops)", dropped)
 
@@ -347,9 +351,10 @@ def _split_counts(weights: np.ndarray, total: int) -> np.ndarray:
 def partition(
     graph: GlobalGraph,
     spec: PartitionSpec,
+    num_clients: int,
     node_pool: np.ndarray | None = None,
 ) -> list[ClientSubgraph]:
-    """Split the graph into overlapping client subgraphs.
+    """Split the graph into num_clients overlapping client subgraphs.
 
     Nodes (optionally restricted to node_pool) are divided into an overlap
     pool and a non-overlap pool. Non-overlap nodes are assigned disjointly
@@ -365,11 +370,14 @@ def partition(
         if node_pool is None
         else np.asarray(node_pool, dtype=np.int64)
     )
-    if spec.num_clients > len(pool_ids):
-        raise ValidationError("more clients than available nodes")
+    P = num_clients
+    if not 1 <= P <= len(pool_ids):
+        raise ValidationError(f"need 1 to {len(pool_ids)} clients (one node each), got {P}")
+    multipliers = (1.0,) * P if spec.overlap_multipliers is None else spec.overlap_multipliers
+    if len(multipliers) != P:
+        raise ValidationError("overlap_multipliers length must equal num_clients")
 
     rng = np.random.default_rng(spec.seed)
-    P = spec.num_clients
     num_classes = graph.num_classes
     shuffled = rng.permutation(pool_ids)
     pool_size = int(round(spec.overlap_pool_fraction * len(shuffled)))
@@ -390,7 +398,6 @@ def partition(
         c: overlap_pool[graph.labels[overlap_pool] == c] for c in range(num_classes)
     }
     R = len(overlap_pool)
-    multipliers = spec.overlap_multipliers or (1.0,) * P
     for i in range(P):
         target = spec.overlap_coefficient * multipliers[i]
         if target <= 0 or R == 0:

@@ -21,6 +21,10 @@ from .gcn import NumericError
 # through floating-point representation error.
 _FLOOR_EPS = 1e-12
 
+# Step size and mini-batch size of train_encoder's autoencoder SGD.
+ENCODER_LR = 0.01
+ENCODER_BATCH = 32
+
 
 @dataclass(frozen=True)
 class LdpParams:
@@ -95,8 +99,7 @@ class SanitizedBatch:
     node_ids: np.ndarray = None       # bookkeeping only; estimators must not read
 
 
-def train_encoder(public_nodes: np.ndarray, d1: int, epochs: int, seed: int,
-                  lr: float = 0.01, batch_size: int = 32) -> Encoder:
+def train_encoder(public_nodes: np.ndarray, d1: int, epochs: int, seed: int) -> Encoder:
     """Train an autoencoder on public node features and return its encode half.
 
     The clamp range [x_min, x_max] is the min/max of encoder outputs over
@@ -119,8 +122,8 @@ def train_encoder(public_nodes: np.ndarray, d1: int, epochs: int, seed: int,
     n = x.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            xb = x[order[start : start + batch_size]]
+        for start in range(0, n, ENCODER_BATCH):
+            xb = x[order[start : start + ENCODER_BATCH]]
             z = xb @ W1 + b1
             h = np.tanh(z)
             rec = h @ W2 + b2
@@ -132,10 +135,10 @@ def train_encoder(public_nodes: np.ndarray, d1: int, epochs: int, seed: int,
             dz = dh * (1.0 - h**2)
             dW1 = xb.T @ dz
             db1 = dz.sum(axis=0)
-            W1 -= lr * dW1
-            b1 -= lr * db1
-            W2 -= lr * dW2
-            b2 -= lr * db2
+            W1 -= ENCODER_LR * dW1
+            b1 -= ENCODER_LR * db1
+            W2 -= ENCODER_LR * dW2
+            b2 -= ENCODER_LR * db2
 
     out = np.tanh(x @ W1 + b1)
     lo, hi = float(out.min()), float(out.max())

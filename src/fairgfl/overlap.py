@@ -174,10 +174,10 @@ def update_state(
     return replace(state, N_round=n_round, T_round=t_round, N_acc=n_acc, T_acc=t_acc, O=o)
 
 
-def client_overall_ratio(state: OverlapState, i: int) -> float:
-    """Row sum of the coupled overlap matrix, diagonal excluded."""
-    row = state.O[i]
-    return float(row.sum() - row[i])
+def client_weights(o: np.ndarray) -> np.ndarray:
+    """Aggregation weight 1 / (1 + O_i) of every client, where O_i is row i
+    of the coupled overlap matrix o summed without its diagonal entry."""
+    return 1.0 / (1.0 + (o.sum(axis=1) - o.diagonal()))
 
 
 def calibrate_tau(
@@ -185,7 +185,7 @@ def calibrate_tau(
     public_nodes: np.ndarray,
     params: LdpParams,
     rng,
-    percentile: float = 95.0,
+    percentile: float,
 ) -> float:
     """Distance threshold at the given percentile of sanitized self-distance.
 

@@ -199,7 +199,7 @@ def test_criterion_06_overlap_inflates_variance():
 
         def final_variance(coeff, seed):
             spec = PartitionSpec(
-                num_clients=10, overlap_coefficient=coeff, seed=seed + 1,
+                overlap_coefficient=coeff, seed=seed + 1,
                 overlap_pool_fraction=0.5, dirichlet_alpha_nonoverlap=5.0,
                 overlap_multipliers=mult,
             )
@@ -225,7 +225,7 @@ def test_criterion_07_fairness_improvement():
 
         def run(alg, seed, lam):
             spec = PartitionSpec(
-                num_clients=6, overlap_coefficient=0.2, seed=seed + 1,
+                overlap_coefficient=0.2, seed=seed + 1,
                 overlap_pool_fraction=0.5, dirichlet_alpha_nonoverlap=5.0,
                 overlap_multipliers=mult,
             )
@@ -254,7 +254,7 @@ def test_criterion_08_reduction_identities():
     produce bitwise-identical 5-round trajectories under shared seeds."""
     with report(8):
         g = generate_sbm(3, 20, 0.3, 0.05, 8, seed=21)
-        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.1, seed=1)
+        spec = PartitionSpec(overlap_coefficient=0.1, seed=1)
         runs = {}
         for alg, kw in (
             ("fairgfl", dict(lam=0.0, estimate_overlap=False)),
@@ -325,7 +325,7 @@ def test_criterion_11_training_loss_monotone():
     the final 50 of 100 rounds on the default graph and config."""
     with report(11):
         g = generate_sbm(7, 60, 0.2, 0.02, 32, seed=7)
-        spec = PartitionSpec(num_clients=10, overlap_coefficient=0.1, seed=1)
+        spec = PartitionSpec(overlap_coefficient=0.1, seed=1)
         cfg = fg.FedConfig(rounds=100, seed=0)
         records = run_experiment(g, spec, cfg).records
         train = np.array([np.mean(r.per_client_losses) for r in records])

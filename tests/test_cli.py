@@ -312,6 +312,30 @@ class TestMain:
         if status == 2:
             assert capsys.readouterr().err.startswith("error: ")
 
+    def test_config_not_utf8_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"\xff\xfeP = 4\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("binary", ["node_file", "edge_file"])
+    def test_graph_file_not_utf8_exits_two(self, tmp_path, capsys, binary):
+        files = {"node_file": tmp_path / "nodes.txt", "edge_file": tmp_path / "edges.txt"}
+        files["node_file"].write_text(
+            "".join(f"n{i} {i % 3} {i % 5} {i % 7} {i % 2} {i % 4} {i % 6} c{i % 2}\n"
+                    for i in range(40)))
+        files["edge_file"].write_text("".join(f"n{i} n{i + 1}\n" for i in range(39)))
+        # An executable's first bytes: an ELF header, then bytes that are not UTF-8.
+        files[binary].write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+        cfg = write_cfg(tmp_path, SMALL + "dataset = file\n" + "".join(
+            f"{key} = {path}\n" for key, path in files.items()))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {files[binary]}: not UTF-8 text\n"
+        assert not out.exists()
+
     def test_motivation_without_rounds_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL + "J = 0\n")
         out = tmp_path / "o"

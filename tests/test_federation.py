@@ -9,7 +9,6 @@ from fairgfl.federation import (
     RoundError,
     _client_rng,
     aggregate_fair,
-    aggregate_fedavg,
     aggregate_qfedavg,
     client_round,
     fairness_weighted_loss,
@@ -32,7 +31,7 @@ from fairgfl.graph import (
     induced_subgraph,
     true_overlap_matrices,
 )
-from fairgfl.overlap import OverlapState, update_state
+from fairgfl.overlap import OverlapState, client_weights, update_state
 
 
 def small_graph():
@@ -118,16 +117,22 @@ class TestClientRound:
         assert after <= before
 
 
+def fedavg(reports, w_g):
+    """The fedavg server step: unit weights and lam = 0."""
+    return aggregate_fair(reports, w_g, np.ones(len(reports)), lam=0.0)
+
+
 class TestAggregateFair:
     def test_zero_overlap_zero_lam_is_fedavg(self):
         rng = np.random.default_rng(3)
         w_g = rand_model(rng)
         reports = [report(i, rand_model(rng), 1.0) for i in range(3)]
-        state = OverlapState.initial(3, 0.8, 0.5)
-        fair = aggregate_fair(reports, w_g, state, lam=0.0)
-        avg = aggregate_fedavg(reports, w_g)
-        assert np.array_equal(fair.W1, avg.W1)
-        assert np.array_equal(fair.W2, avg.W2)
+        weights = client_weights(OverlapState.initial(3, 0.8, 0.5).O)
+        assert weights.tolist() == [1.0, 1.0, 1.0]
+        fair = aggregate_fair(reports, w_g, weights, lam=0.0)
+        mean = np.mean([r.model.W1 for r in reports], axis=0)
+        assert np.allclose(fair.W1, mean)
+        assert np.allclose(fair.W2, np.mean([r.model.W2 for r in reports], axis=0))
 
     def test_hand_arithmetic_two_clients(self):
         # O = (1, 0): new model = w + (1/2)(u/2 + v) for updates u, v
@@ -136,7 +141,8 @@ class TestAggregateFair:
         m0, m1 = rand_model(rng), rand_model(rng)
         state = OverlapState.initial(2, alpha=1.0, beta=1.0)
         state = update_state(state, {(0, 1): (1.0, 1.0)})
-        out = aggregate_fair([report(0, m0, 1.0), report(1, m1, 1.0)], w_g, state, lam=0.0)
+        out = aggregate_fair([report(0, m0, 1.0), report(1, m1, 1.0)], w_g,
+                             client_weights(state.O), lam=0.0)
         u = m0.W1 - w_g.W1
         v = m1.W1 - w_g.W1
         assert np.allclose(out.W1, w_g.W1 + 0.5 * (u / 2 + v))
@@ -145,9 +151,8 @@ class TestAggregateFair:
         rng = np.random.default_rng(5)
         w_g = rand_model(rng)
         reports = [report(0, rand_model(rng), 0.5), report(1, rand_model(rng), 2.0)]
-        state = OverlapState.initial(2, 0.8, 0.5)
-        base = aggregate_fair(reports, w_g, state, lam=0.0)
-        out = aggregate_fair(reports, w_g, state, lam=0.5)
+        base = aggregate_fair(reports, w_g, np.ones(2), lam=0.0)
+        out = aggregate_fair(reports, w_g, np.ones(2), lam=0.5)
         shift = out.W1 - base.W1
         assert np.allclose(shift, 0.5 * (reports[1].model.W1 - w_g.W1))
 
@@ -155,9 +160,8 @@ class TestAggregateFair:
         rng = np.random.default_rng(6)
         w_g = rand_model(rng)
         reports = [report(1, rand_model(rng), 2.0), report(0, rand_model(rng), 2.0)]
-        state = OverlapState.initial(2, 0.8, 0.5)
-        base = aggregate_fair(reports, w_g, state, lam=0.0)
-        out = aggregate_fair(reports, w_g, state, lam=1.0)
+        base = aggregate_fair(reports, w_g, np.ones(2), lam=0.0)
+        out = aggregate_fair(reports, w_g, np.ones(2), lam=1.0)
         # first report in list order wins the tie
         assert np.allclose(out.W1 - base.W1, reports[0].model.W1 - w_g.W1)
 
@@ -169,25 +173,43 @@ class TestAggregateFair:
         low = OverlapState.initial(2, 1.0, 1.0)
         low = update_state(low, {(0, 1): (0.1, 0.0)})
         high = update_state(low, {(0, 1): (0.9, 0.0)})
-        out_low = aggregate_fair(reports, w_g, low, lam=0.0)
-        out_high = aggregate_fair(reports, w_g, high, lam=0.0)
+        out_low = aggregate_fair(reports, w_g, client_weights(low.O), lam=0.0)
+        out_high = aggregate_fair(reports, w_g, client_weights(high.O), lam=0.0)
         # client 0's update enters with a smaller coefficient under high overlap
         shrink_low = np.linalg.norm(out_low.W1 - w_g.W1)
         shrink_high = np.linalg.norm(out_high.W1 - w_g.W1)
         assert shrink_high != shrink_low
 
     def test_empty_reports_rejected(self):
-        state = OverlapState.initial(1, 0.8, 0.5)
         with pytest.raises(ValidationError):
-            aggregate_fair([], rand_model(np.random.default_rng(0)), state, 0.0)
+            aggregate_fair([], rand_model(np.random.default_rng(0)), np.ones(0), 0.0)
+
+    @pytest.mark.parametrize("n_weights", [1, 3])
+    def test_weight_count_must_match_reports(self, n_weights):
+        rng = np.random.default_rng(15)
+        w_g = rand_model(rng)
+        reports = [report(i, rand_model(rng), 1.0) for i in range(2)]
+        with pytest.raises(ValidationError, match=f"{n_weights} weights for 2 reports"):
+            aggregate_fair(reports, w_g, np.ones(n_weights), 0.0)
+
+    def test_weights_scale_each_update(self):
+        rng = np.random.default_rng(16)
+        w_g = rand_model(rng)
+        m0, m1 = rand_model(rng), rand_model(rng)
+        out = aggregate_fair([report(0, m0, 1.0), report(1, m1, 1.0)], w_g,
+                             np.array([0.25, 1.0]), lam=0.0)
+        expect = w_g.W1 + (0.25 * (m0.W1 - w_g.W1) + (m1.W1 - w_g.W1)) / 2
+        assert np.allclose(out.W1, expect)
 
 
 class TestAggregateFedavg:
+    """FedAvg is aggregate_fair with unit weights and lam = 0."""
+
     def test_single_report(self):
         rng = np.random.default_rng(8)
         w_g = rand_model(rng)
         m = rand_model(rng)
-        out = aggregate_fedavg([report(0, m, 1.0)], w_g)
+        out = fedavg([report(0, m, 1.0)], w_g)
         assert np.allclose(out.W1, m.W1)
         assert np.allclose(out.W2, m.W2)
 
@@ -197,7 +219,7 @@ class TestAggregateFedavg:
         delta = rng.standard_normal(w_g.W1.shape)
         m_plus = GcnModel(w_g.W1 + delta, w_g.W2)
         m_minus = GcnModel(w_g.W1 - delta, w_g.W2)
-        out = aggregate_fedavg([report(0, m_plus, 1.0), report(1, m_minus, 1.0)], w_g)
+        out = fedavg([report(0, m_plus, 1.0), report(1, m_minus, 1.0)], w_g)
         assert np.allclose(out.W1, w_g.W1)
 
 
@@ -207,7 +229,7 @@ class TestAggregateQfedavg:
         w_g = rand_model(rng)
         reports = [report(i, rand_model(rng), 0.5 + i) for i in range(3)]
         qf = aggregate_qfedavg(reports, w_g, q=0.0, lr=0.05)
-        avg = aggregate_fedavg(reports, w_g)
+        avg = fedavg(reports, w_g)
         assert np.array_equal(qf.W1, avg.W1)
         assert np.array_equal(qf.W2, avg.W2)
 
@@ -292,13 +314,13 @@ class TestSampleClients:
 class TestRunExperiment:
     def test_zero_rounds(self):
         g = small_graph()
-        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.1, seed=1)
+        spec = PartitionSpec(overlap_coefficient=0.1, seed=1)
         res = run_experiment(g, spec, small_cfg(rounds=0))
         assert res.records == []
 
     def test_round_count_and_schema(self):
         g = small_graph()
-        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.1, seed=1)
+        spec = PartitionSpec(overlap_coefficient=0.1, seed=1)
         res = run_experiment(g, spec, small_cfg(rounds=3))
         assert len(res.records) == 3
         assert [r.round_index for r in res.records] == [1, 2, 3]
@@ -306,7 +328,7 @@ class TestRunExperiment:
 
     def test_bitwise_reproducible(self):
         g = small_graph()
-        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.1, seed=1)
+        spec = PartitionSpec(overlap_coefficient=0.1, seed=1)
         a = run_experiment(g, spec, small_cfg(rounds=3))
         b = run_experiment(g, spec, small_cfg(rounds=3))
         assert np.array_equal(a.model.W1, b.model.W1)
@@ -315,7 +337,7 @@ class TestRunExperiment:
     def test_reduction_chain_bitwise(self):
         """fairgfl(lam=0, O=0), fedavg, and qfedavg(q=0) coincide bitwise."""
         g = small_graph()
-        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.1, seed=1)
+        spec = PartitionSpec(overlap_coefficient=0.1, seed=1)
         runs = {}
         for alg, kw in (
             ("fairgfl", dict(lam=0.0, estimate_overlap=False)),
@@ -340,7 +362,7 @@ class TestRunExperiment:
         the comparison stays exact.
         """
         g = small_graph()
-        spec = PartitionSpec(num_clients=1, overlap_coefficient=0.0, seed=2)
+        spec = PartitionSpec(overlap_coefficient=0.0, seed=2)
         cfg = small_cfg(
             num_clients=1, clients_per_round=1, rounds=3, local_iters=2,
             algorithm="fedavg",
@@ -369,7 +391,7 @@ class TestRunExperiment:
 
     def test_fairgfl_updates_overlap_state(self):
         g = small_graph()
-        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.3, seed=3)
+        spec = PartitionSpec(overlap_coefficient=0.3, seed=3)
         res = run_experiment(g, spec, small_cfg(rounds=2, algorithm="fairgfl"))
         assert res.state is not None
         assert res.state.O.sum() > 0.0
@@ -382,7 +404,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(gcn_mod, "sgd_step", boom)
         g = small_graph()
-        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.1, seed=1)
+        spec = PartitionSpec(overlap_coefficient=0.1, seed=1)
         cfg = small_cfg(rounds=1, estimate_overlap=False)
         with pytest.raises(RoundError) as err:
             run_experiment(g, spec, cfg)
@@ -398,7 +420,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(overlap_mod, "estimate_round", boom)
         g = small_graph()
-        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.1, seed=1)
+        spec = PartitionSpec(overlap_coefficient=0.1, seed=1)
         with pytest.raises(RoundError) as err:
             run_experiment(g, spec, small_cfg(rounds=1, algorithm="fairgfl"))
         assert err.value.round_index == 1
@@ -407,29 +429,39 @@ class TestRunExperiment:
 
     def test_empty_test_split_rejected_before_round_one(self):
         g = small_graph()
-        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.1, seed=1)
+        spec = PartitionSpec(overlap_coefficient=0.1, seed=1)
         with pytest.raises(ValidationError, match="test split"):
             run_experiment(g, spec, small_cfg(test_fraction=0.0))
         assert run_experiment(g, spec, small_cfg(test_fraction=0.0, rounds=0)).records == []
 
-    @pytest.mark.parametrize("spec_clients", [10, 3])
-    def test_client_count_mismatch_rejected_before_setup(self, monkeypatch, spec_clients):
-        """More parts than clients left parts unsampled; fewer raised IndexError."""
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fairgfl"])
+    def test_one_server_step_for_fedavg_and_fairgfl(self, monkeypatch, algorithm):
+        """fedavg runs aggregate_fair with unit weights and lam 0; fairgfl with
+        the refreshed state's client_weights over the sampled clients."""
         from fairgfl import federation as federation_mod
 
-        def boom(*args, **kwargs):
-            raise AssertionError("set-up started")
+        calls, real = [], federation_mod.aggregate_fair
 
-        monkeypatch.setattr(federation_mod, "split_nodes", boom)
-        g = generate_sbm(4, 30, 0.3, 0.05, 8, seed=21)
-        spec = PartitionSpec(num_clients=spec_clients, overlap_coefficient=0.1, seed=1)
-        cfg = small_cfg(num_clients=5, clients_per_round=3, algorithm="fedavg")
-        with pytest.raises(ValidationError, match=f"partition has {spec_clients} clients"):
-            run_experiment(g, spec, cfg)
+        def spy(reports, w_global, weights, lam):
+            calls.append(([r.client_id for r in reports], np.array(weights), lam))
+            return real(reports, w_global, weights, lam)
+
+        monkeypatch.setattr(federation_mod, "aggregate_fair", spy)
+        spec = PartitionSpec(overlap_coefficient=0.2, seed=4)
+        res = run_experiment(small_graph(), spec, small_cfg(algorithm=algorithm))
+        assert len(calls) == 3
+        for (ids, weights, lam), snap in zip(calls, res.overlap_history or [None] * 3):
+            if algorithm == "fedavg":
+                assert weights.tolist() == [1.0] * 3 and lam == 0.0
+            else:
+                assert np.array_equal(weights, client_weights(snap["O"])[ids])
+                assert lam == 0.1
+        if algorithm == "fairgfl":
+            assert min(w.min() for _, w, _ in calls) < 1.0
 
     def test_overlap_history_recorded(self):
         g = small_graph()
-        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.2, seed=4)
+        spec = PartitionSpec(overlap_coefficient=0.2, seed=4)
         res = run_experiment(g, spec, small_cfg(rounds=2, algorithm="fairgfl"))
         assert len(res.overlap_history) == 2
         assert res.overlap_history[0]["O"].shape == (4, 4)
@@ -437,7 +469,7 @@ class TestRunExperiment:
     def test_one_upload_per_round_keeps_overlap_zero(self):
         """K = 1 leaves no pair to match: history every round, O stays zero."""
         g = small_graph()
-        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.3, seed=3)
+        spec = PartitionSpec(overlap_coefficient=0.3, seed=3)
         res = run_experiment(g, spec, small_cfg(clients_per_round=1, algorithm="fairgfl"))
         assert len(res.overlap_history) == 3
         for snap in res.overlap_history:

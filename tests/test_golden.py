@@ -64,7 +64,7 @@ OVERLAP_NAMES = ("N_round", "T_round", "N_acc", "T_acc", "O")
 
 def run_case(case: str):
     graph = generate_sbm(4, 30, 0.3, 0.03, 8, seed=3)
-    spec = PartitionSpec(num_clients=5, overlap_coefficient=0.2, seed=1)
+    spec = PartitionSpec(overlap_coefficient=0.2, seed=1)
     cfg = FedConfig(**BASE, **CASES[case])
     return run_experiment(graph, spec, cfg, LdpParams(3.0, 1.0, 8))
 

@@ -294,8 +294,8 @@ class TestSplitCounts:
 class TestPartition:
     def test_zero_overlap_disjoint(self):
         g = generate_sbm(3, 20, 0.3, 0.05, 4, seed=3)
-        spec = PartitionSpec(num_clients=4, overlap_coefficient=0.0, seed=1)
-        parts = partition(g, spec)
+        spec = PartitionSpec(overlap_coefficient=0.0, seed=1)
+        parts = partition(g, spec, 4)
         seen = set()
         for p in parts:
             ids = set(p.node_ids.tolist())
@@ -305,8 +305,8 @@ class TestPartition:
     def test_coverage_subset_of_pool(self):
         g = generate_sbm(3, 20, 0.3, 0.05, 4, seed=3)
         pool = np.arange(30)
-        spec = PartitionSpec(num_clients=3, overlap_coefficient=0.2, seed=1)
-        parts = partition(g, spec, node_pool=pool)
+        spec = PartitionSpec(overlap_coefficient=0.2, seed=1)
+        parts = partition(g, spec, 3, node_pool=pool)
         union = set()
         for p in parts:
             union |= set(p.node_ids.tolist())
@@ -314,8 +314,8 @@ class TestPartition:
 
     def test_induced_adjacency_matches_global(self):
         g = generate_sbm(3, 20, 0.3, 0.05, 4, seed=4)
-        spec = PartitionSpec(num_clients=3, overlap_coefficient=0.2, seed=2)
-        for p in partition(g, spec):
+        spec = PartitionSpec(overlap_coefficient=0.2, seed=2)
+        for p in partition(g, spec, 3):
             expect = g.adjacency[p.node_ids][:, p.node_ids].todense()
             assert np.array_equal(np.asarray(p.adjacency.todense()), np.asarray(expect))
 
@@ -324,8 +324,8 @@ class TestPartition:
         target = 0.15
         ratios = []
         for seed in range(8):
-            spec = PartitionSpec(num_clients=6, overlap_coefficient=target, seed=seed)
-            node_m, _ = true_overlap_matrices(partition(g, spec))
+            spec = PartitionSpec(overlap_coefficient=target, seed=seed)
+            node_m, _ = true_overlap_matrices(partition(g, spec, 6))
             off = node_m[~np.eye(6, dtype=bool)]
             ratios.append(off.mean())
         assert abs(np.mean(ratios) - target) < 0.3 * target
@@ -333,19 +333,18 @@ class TestPartition:
     def test_every_client_nonempty(self):
         g = generate_sbm(3, 20, 0.3, 0.05, 4, seed=6)
         spec = PartitionSpec(
-            num_clients=8, overlap_coefficient=0.0,
-            dirichlet_alpha_nonoverlap=0.05, seed=0,
+            overlap_coefficient=0.0, dirichlet_alpha_nonoverlap=0.05, seed=0,
         )
-        for p in partition(g, spec):
+        for p in partition(g, spec, 8):
             assert p.num_nodes >= 1
 
     def test_multipliers_order_overlap(self):
         g = generate_sbm(4, 40, 0.3, 0.03, 4, seed=8)
         spec = PartitionSpec(
-            num_clients=6, overlap_coefficient=0.15, seed=3,
+            overlap_coefficient=0.15, seed=3,
             overlap_multipliers=(0.0, 0.0, 1.0, 1.0, 2.0, 2.0),
         )
-        node_m, _ = true_overlap_matrices(partition(g, spec))
+        node_m, _ = true_overlap_matrices(partition(g, spec, 6))
         row = node_m.sum(axis=1) - 1.0
         assert row[:2].mean() < row[4:].mean()
         assert row[:2].max() == 0.0
@@ -353,15 +352,31 @@ class TestPartition:
     def test_more_clients_than_nodes(self):
         g = tiny_graph()
         with pytest.raises(ValidationError):
-            partition(g, PartitionSpec(num_clients=10, overlap_coefficient=0.0))
+            partition(g, PartitionSpec(overlap_coefficient=0.0), 10)
+
+    @pytest.mark.parametrize("num_clients, pool", [
+        (0, None), (-1, None), (7, None), (4, np.arange(3)),
+    ], ids=["zero", "negative", "more-than-graph", "more-than-pool"])
+    def test_client_count_out_of_range_rejected(self, num_clients, pool):
+        spec = PartitionSpec(overlap_coefficient=0.1)
+        with pytest.raises(ValidationError, match="clients"):
+            partition(tiny_graph(), spec, num_clients, node_pool=pool)
+
+    @pytest.mark.parametrize("mult", [(), (1.0,), (1.0, 1.0, 1.0)])
+    def test_multipliers_length_must_equal_num_clients(self, mult):
+        spec = PartitionSpec(overlap_coefficient=0.1, overlap_multipliers=mult)
+        with pytest.raises(ValidationError, match="overlap_multipliers length"):
+            partition(tiny_graph(), spec, 2)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
-            PartitionSpec(num_clients=0, overlap_coefficient=0.1)
-        with pytest.raises(ValidationError):
-            PartitionSpec(num_clients=2, overlap_coefficient=1.0)
-        with pytest.raises(ValidationError):
-            PartitionSpec(num_clients=2, overlap_coefficient=0.1, overlap_multipliers=(1.0,))
+            PartitionSpec(overlap_coefficient=1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_spec_rejects_bad_multipliers(self, bad):
+        """NaN and inf reached partition and raised there; -1 acted as 0."""
+        with pytest.raises(ValidationError, match="overlap_multipliers"):
+            PartitionSpec(overlap_coefficient=0.1, overlap_multipliers=(1.0, bad))
 
 
 class TestTrueOverlapMatrices:

@@ -10,7 +10,7 @@ from fairgfl.overlap import (
     MatchResult,
     OverlapState,
     calibrate_tau,
-    client_overall_ratio,
+    client_weights,
     estimate_link_ratio,
     estimate_node_ratio,
     estimate_round,
@@ -341,11 +341,22 @@ class TestOverlapState:
         assert state.O.sum() == 0.0
         assert out is not state
 
-    def test_client_overall_ratio_excludes_diagonal(self):
+    def test_client_weights_exclude_diagonal(self):
         state = OverlapState.initial(3, alpha=1.0, beta=1.0)
         state = update_state(state, {(0, 1): (0.3, 0.0), (0, 2): (0.2, 0.0)})
-        assert client_overall_ratio(state, 0) == pytest.approx(0.5)
-        assert client_overall_ratio(state, 1) == 0.0
+        o = state.O.copy()
+        np.fill_diagonal(o, 7.0)  # the diagonal must not count
+        assert client_weights(o) == pytest.approx([1.0 / 1.5, 1.0, 1.0])
+        assert client_weights(state.O)[1:].tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10, 39])
+    def test_client_weights_match_per_row_formula(self, p):
+        """Bit for bit the per-row 1 / (1 + (row.sum() - row[i])) they replace."""
+        rng = np.random.default_rng(p)
+        for _ in range(50):
+            o = rng.random((p, p)) * rng.choice([1e-3, 1.0, 30.0])
+            expect = [1.0 / (1.0 + float(o[i].sum() - o[i, i])) for i in range(p)]
+            assert client_weights(o).tolist() == expect
 
 
 class TestCalibrateTau:
