@@ -18,6 +18,11 @@ from .gcn import (
     init_model,
     normalize_adjacency,
     propagate,
+    Stack,
+    stack_graphs,
+    stack_forward,
+    stack_loss_and_grad,
+    stack_losses,
     forward,
     loss_and_grad,
     masked_loss,
@@ -62,10 +67,10 @@ from .federation import (
     ClientReport,
     ExperimentResult,
     sample_clients,
+    train_clients,
     client_round,
     aggregate_fair,
     aggregate_qfedavg,
-    fairness_weighted_loss,
     split_nodes,
     run_experiment,
 )

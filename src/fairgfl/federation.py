@@ -104,6 +104,37 @@ def sample_clients(seed: int, round_index: int, num_clients: int, k: int) -> np.
     return np.sort(rng.choice(num_clients, size=k, replace=False))
 
 
+def train_clients(
+    subs: list[ClientSubgraph],
+    stack: gcn.Stack,
+    w_global: GcnModel,
+    cfg: FedConfig,
+    train_rngs,
+) -> list[ClientReport]:
+    """E local SGD steps for each client on masked mini-batches, then each
+    client's report; every step is one pass over the stack of their graphs.
+
+    stack holds subs' graphs, in order, and sub i draws its mini-batches
+    from train_rngs[i]. Propagation always uses the full local graph; only
+    the mini-batch nodes contribute to each step's loss. The reported loss
+    is evaluated on the full local graph after training.
+    """
+    models = [w_global] * len(subs)
+    for _ in range(cfg.local_iters):
+        masks = [rng.choice(sub.num_nodes, size=min(cfg.batch_size, sub.num_nodes),
+                            replace=False)
+                 for sub, rng in zip(subs, train_rngs)]
+        losses, grads = gcn.stack_loss_and_grad(models, stack, masks)
+        for i, (sub, loss) in enumerate(zip(subs, losses)):
+            if not np.isfinite(loss):
+                raise gcn.NumericError(f"client {sub.client_id} diverged")
+            models[i] = gcn.sgd_step(models[i], grads[i], cfg.lr)
+
+    losses = gcn.stack_losses(models, stack)
+    return [ClientReport(sub.client_id, model, loss)
+            for sub, model, loss in zip(subs, models, losses)]
+
+
 def client_round(
     sub: ClientSubgraph,
     a_hat: sp.csr_matrix,
@@ -112,25 +143,9 @@ def client_round(
     cfg: FedConfig,
     train_rng,
 ) -> ClientReport:
-    """E local SGD steps on masked mini-batches, then report model and loss.
-
-    ax is gcn.propagate(a_hat, sub.features). Propagation always uses the
-    full local graph; only the mini-batch nodes contribute to each step's
-    loss. The reported loss is evaluated on the full local graph after
-    training.
-    """
-    n_i = sub.num_nodes
-    b = min(cfg.batch_size, n_i)
-    model = w_global
-    for _ in range(cfg.local_iters):
-        mask = train_rng.choice(n_i, size=b, replace=False)
-        loss, grads = gcn.loss_and_grad(model, a_hat, ax, sub.labels, mask)
-        if not np.isfinite(loss):
-            raise gcn.NumericError(f"client {sub.client_id} diverged")
-        model = gcn.sgd_step(model, grads, cfg.lr)
-
-    full_loss = gcn.masked_loss(model, a_hat, ax, sub.labels, np.arange(n_i))
-    return ClientReport(sub.client_id, model, float(full_loss))
+    """train_clients for one client; ax is gcn.propagate(a_hat, sub.features)."""
+    one = gcn.Stack(a_hat, (ax,), sub.labels, (0, sub.num_nodes))
+    return train_clients([sub], one, w_global, cfg, [train_rng])[0]
 
 
 def _plain_batch(sub: ClientSubgraph, batch_ids, encoder) -> ldp.SanitizedBatch:
@@ -213,13 +228,6 @@ def aggregate_qfedavg(
     return _combine(w_global, reports, coeffs, divisor)
 
 
-def fairness_weighted_loss(losses, overall_ratios) -> float:
-    """Sum of per-client losses discounted by 1 / (1 + O_i)."""
-    losses = np.asarray(losses, dtype=np.float64)
-    ratios = np.asarray(overall_ratios, dtype=np.float64)
-    return float(np.sum(losses / (1.0 + ratios)))
-
-
 @dataclass
 class ExperimentResult:
     records: list[metrics.RoundRecord]
@@ -266,15 +274,17 @@ def run_experiment(
     (recorded in overlap_history). fedavg is aggregate_fair with unit
     weights and lam = 0. A_hat * X is computed once per graph, and the
     global evaluation takes the test rows of the global A_hat, sliced
-    once; the whole global A_hat is not kept.
+    once; the whole global A_hat is not kept. The client graphs are
+    stacked once (gcn.stack_graphs): each local step of a round is one
+    pass over the sampled clients' stack, and the client losses of the
+    evaluation are one pass over the whole stack.
     """
     test_ids, public_ids, pool_ids = split_nodes(graph, cfg)
     if cfg.rounds and len(test_ids) == 0:
         raise ValidationError("the test split is empty; raise test_fraction")
     parts = partition(graph, part_spec, cfg.num_clients, node_pool=pool_ids)
-    a_hats = [gcn.normalize_adjacency(p.adjacency) for p in parts]
-    axs = [gcn.propagate(a, p.features) for a, p in zip(a_hats, parts)]
     a_test, ax_global = _global_eval_operands(graph, test_ids)
+    stack = gcn.stack_graphs(parts)
     test_labels = graph.labels[test_ids]
 
     uploading = cfg.algorithm == "fairgfl" and cfg.estimate_overlap
@@ -304,13 +314,23 @@ def run_experiment(
     for j in range(1, cfg.rounds + 1):
         t0 = time.perf_counter()
         sampled = sample_clients(cfg.seed, j, cfg.num_clients, cfg.clients_per_round)
+        subs = [parts[cid] for cid in sampled]
+        try:
+            stacked = train_clients(
+                subs, stack.select(sampled), model, cfg,
+                [_client_rng(cfg.seed, j, cid, 0) for cid in sampled],
+            )
+        except Exception:  # noqa: BLE001 - replayed client by client below
+            # A client failed. Train again one client at a time, each one's
+            # upload after its training, so that the error names the first
+            # client that fails, after the uploads of the clients before it.
+            stacked = None
         reports, batches = [], []
-        for cid in sampled:
-            sub = parts[cid]
+        for k, (cid, sub) in enumerate(zip(sampled, subs)):
             try:
-                reports.append(client_round(
-                    sub, a_hats[cid], axs[cid], model, cfg, _client_rng(cfg.seed, j, cid, 0)
-                ))
+                reports.append(stacked[k] if stacked is not None else train_clients(
+                    [sub], stack.select([cid]), model, cfg, [_client_rng(cfg.seed, j, cid, 0)]
+                )[0])
                 if uploading:
                     batch_rng = _client_rng(cfg.seed, j, cid, 1)
                     batch_ids = batch_rng.choice(
@@ -338,11 +358,7 @@ def run_experiment(
                 model = aggregate_fair(reports, model, weights, lam)
 
             test_loss, test_acc = metrics.evaluate_global(model, a_test, ax_global, test_labels)
-            client_losses = tuple(
-                gcn.masked_loss(model, a_hats[i], axs[i], parts[i].labels,
-                                np.arange(parts[i].num_nodes))
-                for i in range(cfg.num_clients)
-            )
+            client_losses = tuple(gcn.stack_losses([model] * cfg.num_clients, stack))
         except Exception as exc:  # noqa: BLE001 - annotate and rethrow
             raise RoundError(j, None, exc) from exc
         records.append(

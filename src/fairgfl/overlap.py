@@ -108,14 +108,12 @@ def estimate_node_ratio(n_tilde: float, n_i: int, n_k: int, b_i: int, b_k: int) 
     return min(max(n_tilde * n_k / b_k, 0.0), 1.0)
 
 
-def estimate_link_ratio(t_tilde: float, n_k: int, b_i: int, b_k: int) -> float:
+def estimate_link_ratio(t_tilde: float, n_k: int, b_k: int) -> float:
     """Scale a batch link agreement fraction up to a population link ratio.
 
     Uses (n_k / b_k)^2, the inverse of the probability that both endpoints
     of a shared link land in client k's batch. Clamped to [0, 1].
     """
-    if b_i <= 0:
-        raise ValidationError("b_i must be positive")
     return min(max(t_tilde * (n_k / b_k) ** 2, 0.0), 1.0)
 
 
@@ -146,7 +144,7 @@ def estimate_round(
                 estimates[(x.client_id, y.client_id)] = (
                     estimate_node_ratio(matched, x.reported_n, y.reported_n,
                                         x.batch_size, y.batch_size),
-                    estimate_link_ratio(agreed, y.reported_n, x.batch_size, y.batch_size),
+                    estimate_link_ratio(agreed, y.reported_n, y.batch_size),
                 )
     return estimates
 

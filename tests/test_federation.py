@@ -11,18 +11,22 @@ from fairgfl.federation import (
     aggregate_fair,
     aggregate_qfedavg,
     client_round,
-    fairness_weighted_loss,
     run_experiment,
     sample_clients,
     split_nodes,
+    train_clients,
 )
 from fairgfl.gcn import (
     GcnModel,
+    NumericError,
     init_model,
     loss_and_grad,
+    masked_loss,
     normalize_adjacency,
     propagate,
     sgd_step,
+    stack_graphs,
+    stack_losses,
 )
 from fairgfl.graph import (
     PartitionSpec,
@@ -115,6 +119,43 @@ class TestClientRound:
             self.sub, self.a_hat, self.ax, self.model, cfg, np.random.default_rng(2)
         ).train_loss
         assert after <= before
+
+
+class TestTrainClients:
+    @staticmethod
+    def uneven_parts():
+        """Clients of 1, 7, 30 and 22 nodes (the last two share 20): one
+        holds a single node and one fewer than the batch size of 10."""
+        g = small_graph()
+        sets = [np.array([5]), np.arange(10, 17), np.arange(20, 50), np.arange(30, 52)]
+        return [induced_subgraph(g, s, i) for i, s in enumerate(sets)]
+
+    @pytest.mark.parametrize("ids", [[0, 1, 2, 3], [3, 0, 2], [1]],
+                             ids=["all", "unordered", "one"])
+    def test_stacked_round_is_client_by_client_bit_for_bit(self, ids):
+        """One stacked pass per step gives every report, and every client
+        loss, with the bits of the one-client path run client by client."""
+        parts = self.uneven_parts()
+        stack = stack_graphs(parts)
+        cfg = small_cfg(local_iters=3, batch_size=10, lr=0.5)
+        model = init_model(8, 6, 3, np.random.default_rng(7))
+        got = train_clients([parts[i] for i in ids], stack.select(ids), model, cfg,
+                            [np.random.default_rng(50 + i) for i in ids])
+        for i, rep in zip(ids, got):
+            a_hat = normalize_adjacency(parts[i].adjacency)
+            want = client_round(parts[i], a_hat, propagate(a_hat, parts[i].features),
+                                model, cfg, np.random.default_rng(50 + i))
+            assert rep.client_id == want.client_id == i
+            assert np.array_equal(rep.model.W1, want.model.W1)
+            assert np.array_equal(rep.model.W2, want.model.W2)
+            assert np.array_equal(rep.train_loss, want.train_loss)
+        for trained in [model] + [rep.model for rep in got]:
+            losses = stack_losses([trained] * len(parts), stack)
+            for p, loss in zip(parts, losses):
+                a_hat = normalize_adjacency(p.adjacency)
+                want = masked_loss(trained, a_hat, propagate(a_hat, p.features), p.labels,
+                                   np.arange(p.num_nodes))
+                assert np.array_equal(loss, want)
 
 
 def fedavg(reports, w_g):
@@ -273,7 +314,6 @@ class TestFairnessWeightedLoss:
                 np.arange(20, 40), np.arange(40, 60), np.arange(40, 60)]
         parts = [induced_subgraph(g, s, i) for i, s in enumerate(sets)]
         node_m, _ = true_overlap_matrices(parts)
-        ratios = node_m.sum(axis=1) - 1.0
         rng = np.random.default_rng(14)
         model = init_model(8, 6, 3, rng)
         losses = []
@@ -285,7 +325,7 @@ class TestFairnessWeightedLoss:
                 masked_loss(model, a_hat, propagate(a_hat, p.features), p.labels,
                             np.arange(p.num_nodes))
             )
-        weighted = fairness_weighted_loss(losses, ratios)
+        weighted = np.sum(losses * client_weights(node_m))
         dedup = losses[0] + losses[3] + losses[4]
         assert abs(weighted - dedup) < 1e-10
 
@@ -411,6 +451,36 @@ class TestRunExperiment:
         assert err.value.round_index == 1
         assert err.value.client_id is not None
         assert "injected failure" in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_failure_names_first_failing_client_after_earlier_uploads(self, monkeypatch, k):
+        """Only the k-th sampled client fails (an infinite feature row): the
+        error names it with the message of its own forward pass, and the
+        clients before it have uploaded, in order, and no client after."""
+        from fairgfl import ldp as ldp_mod
+
+        g = small_graph()
+        spec = PartitionSpec(overlap_coefficient=0.0, seed=1)
+        cfg = small_cfg(rounds=1)
+        sampled = sample_clients(cfg.seed, 1, cfg.num_clients, cfg.clients_per_round)
+        parts = run_experiment(g, spec, dataclasses.replace(cfg, rounds=0)).parts
+        g.features[parts[sampled[k]].node_ids[0]] = np.inf
+        uploads = []
+        sanitize = ldp_mod.sanitize_batch
+
+        def spy(sub, *args, **kwargs):
+            uploads.append(sub.client_id)
+            return sanitize(sub, *args, **kwargs)
+
+        monkeypatch.setattr(ldp_mod, "sanitize_batch", spy)
+        with pytest.raises(RoundError) as err:
+            run_experiment(g, spec, cfg)
+        assert (err.value.round_index, err.value.client_id) == (1, sampled[k])
+        assert isinstance(err.value.cause, NumericError)
+        assert str(err.value) == (
+            f"round 1, client {sampled[k]}: non-finite hidden layer in forward pass")
+        assert uploads == list(sampled[:k])
 
     def test_server_error_carries_round(self, monkeypatch):
         from fairgfl import overlap as overlap_mod

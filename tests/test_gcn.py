@@ -12,6 +12,9 @@ from fairgfl.gcn import (
     normalize_adjacency,
     propagate,
     sgd_step,
+    stack_graphs,
+    stack_loss_and_grad,
+    stack_losses,
 )
 from fairgfl.graph import ValidationError, generate_sbm, induced_subgraph
 
@@ -90,6 +93,68 @@ class TestNormalizeAdjacency:
         adj = generate_sbm(7, 300, 0.2, 0.02, 32, seed=1).adjacency
         a_hat, peak = traced_peak(normalize_adjacency, adj)
         assert peak <= 2.0 * sum(a.nbytes for a in (a_hat.data, a_hat.indices, a_hat.indptr))
+
+
+class TestStack:
+    @staticmethod
+    def graphs():
+        """Subgraphs of 1, 12, 35 and 3 nodes of a 45-node graph, two of
+        them overlapping."""
+        g = generate_sbm(3, 15, 0.4, 0.05, 6, seed=4)
+        sets = [np.array([7]), np.arange(0, 12), np.arange(10, 45), np.array([3, 30, 44])]
+        return [induced_subgraph(g, ids, i) for i, ids in enumerate(sets)]
+
+    def test_each_block_keeps_its_graphs_operands(self):
+        """A graph selected alone has its own A_hat's CSR arrays and its
+        A_hat * X, byte for byte."""
+        parts = self.graphs()
+        stack = stack_graphs(parts)
+        assert stack.bounds == (0, 1, 13, 48, 51)
+        for i, p in enumerate(parts):
+            one = stack.select([i])
+            want = normalize_adjacency(p.adjacency)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(one.a_hat, name), getattr(want, name)), name
+            assert one.a_hat.data.tobytes() == want.data.tobytes()
+            assert one.axs[0].tobytes() == propagate(want, p.features).tobytes()
+            assert np.array_equal(one.labels, p.labels)
+            assert one.bounds == (0, p.num_nodes)
+
+    def test_select_is_block_diagonal_in_the_given_order(self):
+        parts = self.graphs()
+        sel = stack_graphs(parts).select([2, 0, 3])
+        blocks = [normalize_adjacency(parts[i].adjacency) for i in (2, 0, 3)]
+        assert np.array_equal(sel.a_hat.toarray(), sp.block_diag(blocks).toarray())
+        assert sel.bounds == (0, 35, 36, 39)
+        assert np.array_equal(sel.labels, np.concatenate([parts[i].labels for i in (2, 0, 3)]))
+
+    def test_stacked_pass_equals_each_graph_alone(self):
+        """Every graph's loss and gradient from one stacked pass, each with
+        its own model, equal those of a pass over the graph alone, bit for
+        bit; so do the losses of every node."""
+        parts = self.graphs()
+        stack = stack_graphs(parts)
+        rng = np.random.default_rng(8)
+        models = [init_model(6, 5, 3, rng) for _ in parts]
+        masks = [rng.choice(p.num_nodes, size=min(4, p.num_nodes), replace=False)
+                 for p in parts]
+        losses, grads = stack_loss_and_grad(models, stack, masks)
+        full = stack_losses(models, stack)
+        for p, model, mask, loss, grad, whole in zip(parts, models, masks, losses, grads, full):
+            a_hat = normalize_adjacency(p.adjacency)
+            ax = propagate(a_hat, p.features)
+            want, want_grad = loss_and_grad(model, a_hat, ax, p.labels, mask)
+            assert np.array_equal(loss, want)
+            assert np.array_equal(grad.W1, want_grad.W1)
+            assert np.array_equal(grad.W2, want_grad.W2)
+            assert whole == masked_loss(model, a_hat, ax, p.labels, np.arange(p.num_nodes))
+
+    def test_empty_mask_of_one_graph_rejected(self):
+        parts = self.graphs()
+        model = init_model(6, 5, 3, np.random.default_rng(9))
+        masks = [np.array([0]), np.array([], dtype=int), np.array([1]), np.array([2])]
+        with pytest.raises(ValidationError):
+            stack_loss_and_grad([model] * 4, stack_graphs(parts), masks)
 
 
 class TestForward:

@@ -228,13 +228,13 @@ class TestEstimateNodeRatio:
 
 class TestEstimateLinkRatio:
     def test_full_batches_noise_free(self):
-        assert estimate_link_ratio(0.4, 100, 100, 100) == pytest.approx(0.4)
+        assert estimate_link_ratio(0.4, 100, 100) == pytest.approx(0.4)
 
     def test_corrected_scaling(self):
-        assert estimate_link_ratio(0.1, 100, 20, 50) == pytest.approx(0.4)
+        assert estimate_link_ratio(0.1, 100, 50) == pytest.approx(0.4)
 
     def test_clamped(self):
-        assert estimate_link_ratio(1.0, 100, 10, 10) == 1.0
+        assert estimate_link_ratio(1.0, 100, 10) == 1.0
 
 
 class TestEstimateRound:
@@ -267,7 +267,7 @@ class TestEstimateRound:
                     estimate_node_ratio(len(match.pairs) / a.batch_size, a.reported_n,
                                         b.reported_n, a.batch_size, b.batch_size),
                     estimate_link_ratio(match.shared / links if links else 0.0,
-                                        b.reported_n, a.batch_size, b.batch_size),
+                                        b.reported_n, b.batch_size),
                 )
         got = estimate_round(batches, tau)
         assert got == expect

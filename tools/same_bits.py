@@ -12,8 +12,11 @@ LDP, at tau percentile 25 and with 21-node blocks (147 nodes, 29 test rows:
 a row count that is not a multiple of 4, where BLAS may take another
 kernel), ``fairgfl-m`` on node and edge files (``dataset = file``: a small
 block graph whose edges are written shuffled, some in both directions and
-some twice), and every multi-run suite on a 3-round config with 20-node
-blocks.
+some twice), ``fairgfl-m`` on uneven clients (``dirichlet_alpha_nonoverlap =
+0.05``, ``overlap_coefficient = 0.02``: clients of 38, 1, 19, 75, 50, 2, 53,
+5, 33 and 1 nodes, so two hold a single node and five fewer than the
+``batch_size`` of 20), and every multi-run suite on a 3-round config with
+20-node blocks.
 Every output file (manifests included) is compared byte for byte. Each file
 that differs, or exists on one side only, is printed; for a differing CSV
 whose header and row count match, so is the largest relative difference
@@ -73,6 +76,8 @@ def cases(top: Path) -> dict[str, tuple[str, dict]]:
     out["fairgfl-m-tau25"] = ("single", dict(base, tau_percentile=25))
     out["fairgfl-m-b21"] = ("single", dict(base, sbm_block_size=21))
     out["fairgfl-m-file"] = ("single", dict(base, **graph_files(top)))
+    out["fairgfl-m-uneven"] = ("single", dict(base, dirichlet_alpha_nonoverlap=0.05,
+                                              overlap_coefficient=0.02))
     for suite in ("compare", "motivation", "privacy-sweep", "overlap-sweep"):
         out[suite] = (suite, {"rounds": 3, "sbm_block_size": 20})
     return out
