@@ -8,6 +8,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .federation import ALGORITHMS, FedConfig, RoundError, run_experiment
 from .graph import (GraphFormatError, PartitionSpec, ValidationError, generate_sbm, load_graph,
                     text_lines)
@@ -163,17 +165,24 @@ def write_manifest(path, part, fed, ldp, extras, suite, runs):
 
 
 def _write_overlap_history(est_dir: Path, history):
+    """One CSV per HISTORY matrix: a header, then the round and the matrix's
+    entries, repr-formatted, on each line, as csv.writer writes them."""
     if not history:
         return
     est_dir.mkdir(exist_ok=True)
     p = history[0]["O"].shape[0]
-    header = ["round"] + [f"o_{i}_{k}" for i in range(p) for k in range(p)]
+    header = ",".join(["round"] + [f"o_{i}_{k}" for i in range(p) for k in range(p)])
     for name in HISTORY:
+        # Each distinct value is formatted once. Keyed by its float64 bits,
+        # so -0.0 and 0.0, equal as numbers, keep their own text.
+        text = {}
         with open(est_dir / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
+            fh.write(header + "\r\n")
             for j, snap in enumerate(history, start=1):
-                writer.writerow([j, *map(repr, snap[name].ravel().tolist())])
+                m = snap[name].ravel()
+                cells = [text.get(b) or text.setdefault(b, repr(v))
+                         for b, v in zip(m.view(np.int64).tolist(), m.tolist())]
+                fh.write(f"{j},{','.join(cells)}\r\n")
 
 
 def _run_one(graph, part, fed, ldp, out_dir: Path, tag: str):

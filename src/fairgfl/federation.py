@@ -248,15 +248,26 @@ def split_nodes(graph: GlobalGraph, cfg: FedConfig) -> tuple[np.ndarray, np.ndar
 
 
 def _global_eval_operands(graph: GlobalGraph, test_ids: np.ndarray):
-    """(a_test, ax_global): the test rows of the global A_hat, a CSR row
-    slice, and A_hat * X.
+    """(a_test, ax_global): the test rows of the global A_hat, in test_ids
+    order, as a CSR matrix, and A_hat * X.
 
-    The whole global A_hat is needed only to build these two, so it is not
-    kept through the rounds.
+    A_hat is built a row block at a time (gcn.normalized_blocks): each
+    block gives its rows of A_hat * X and keeps only its test rows, so the
+    whole global A_hat never exists. Both are byte for byte
+    normalize_adjacency(adj)[test_ids] and propagate(normalize_adjacency(adj), X).
     """
-    a_hat = gcn.normalize_adjacency(graph.adjacency)
-    ax = gcn.propagate(a_hat, graph.features)
-    return a_hat[test_ids], ax
+    ax = np.empty(graph.features.shape)
+    kept, where = [], []
+    for lo, hi, a_rows in gcn.normalized_blocks(graph.adjacency):
+        ax[lo:hi] = gcn.propagate(a_rows, graph.features)
+        here = (lo <= test_ids) & (test_ids < hi)
+        kept.append(a_rows[test_ids[here] - lo])
+        where.append(np.flatnonzero(here))
+    if len(kept) == 1:  # one block: its test rows are already in test_ids order
+        return kept[0], ax
+    a_test = sp.vstack(kept, format="csr")
+    del kept
+    return a_test[np.argsort(np.concatenate(where))], ax
 
 
 def run_experiment(

@@ -8,7 +8,7 @@ from itertools import accumulate
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import ValidationError
+from .graph import ValidationError, csr_rows, row_blocks
 
 
 class NumericError(ArithmeticError):
@@ -33,15 +33,61 @@ def init_model(feature_dim: int, hidden_dim: int, num_classes: int, rng) -> GcnM
 
 def normalize_adjacency(adj: sp.csr_matrix) -> sp.csr_matrix:
     """A_hat = D^-1/2 (A + I) D^-1/2, the symmetric normalization with self-loops."""
-    n = adj.shape[0]
-    a_tilde = (adj + sp.eye(n, format="csr")).tocsr()
-    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
-    d_inv_sqrt = 1.0 / np.sqrt(deg)
+    return normalize_rows(adj, 0, adj.shape[0])
+
+
+def normalize_rows(adj, lo: int, hi: int, d_inv_sqrt: np.ndarray | None = None) -> sp.csr_matrix:
+    """Rows [lo, hi) of A_hat = D^-1/2 (A + I) D^-1/2, a (hi - lo) x n CSR.
+
+    d_inv_sqrt is deg^-1/2 of the whole graph's A + I; without it the rows
+    must be all of adj, and their own degrees are used.
+    """
+    a_tilde = _tilde_rows(adj, lo, hi)
+    if d_inv_sqrt is None:
+        d_inv_sqrt = 1.0 / np.sqrt(_row_sums(a_tilde))
     # D @ A_tilde @ D's two products per entry, in its order, in place on
-    # A_tilde's data: d_i * a_ij, then times d_j.
-    a_tilde.data *= np.repeat(d_inv_sqrt, np.diff(a_tilde.indptr))
-    a_tilde.data *= d_inv_sqrt[a_tilde.indices]
+    # A_tilde's data: d_i * a_ij, then times d_j. A row block at a time, so
+    # no temporary is as long as the matrix.
+    ptr, data, d_rows = a_tilde.indptr, a_tilde.data, d_inv_sqrt[lo:hi]
+    for r0, r1 in row_blocks(a_tilde):
+        seg = data[ptr[r0] : ptr[r1]]
+        seg *= np.repeat(d_rows[r0:r1], np.diff(ptr[r0 : r1 + 1]))
+        seg *= d_inv_sqrt[a_tilde.indices[ptr[r0] : ptr[r1]]]
     return a_tilde
+
+
+def _tilde_rows(adj, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows [lo, hi) of A + I: scipy's sum of those rows of adj and of I."""
+    adj = adj.tocsr()
+    n = adj.shape[0]
+    rows = adj if (lo, hi) == (0, n) else csr_rows(adj, lo, hi)
+    idx = adj.indices.dtype
+    eye = sp.csr_matrix((np.ones(hi - lo), np.arange(lo, hi, dtype=idx),
+                         np.arange(hi - lo + 1, dtype=idx)), shape=(hi - lo, n))
+    return (rows + eye).tocsr()
+
+
+def _row_sums(a: sp.csr_matrix) -> np.ndarray:
+    return np.asarray(a.sum(axis=1)).ravel()
+
+
+def normalized_blocks(adj):
+    """Yield (lo, hi, rows [lo, hi) of A_hat) over adj's rows, a block of
+    graph.row_blocks at a time: for an adj of 0/1 entries, the rows of
+    normalize_adjacency(adj), byte for byte, with at most a block of A_hat
+    alive at a time.
+
+    A + I's degrees are adj's row sums plus 1: sums of ones, exact in any
+    order, so they equal A + I's own row sums. A block of a non-canonical
+    adj (unsorted or duplicate entries) could take scipy's other addition
+    path, which orders a row's entries differently from the whole sum, so
+    such an adj is one block.
+    """
+    adj = adj.tocsr()
+    d_inv_sqrt = 1.0 / np.sqrt(_row_sums(adj) + 1.0)
+    bounds = row_blocks(adj) if adj.has_canonical_format else [(0, adj.shape[0])]
+    for lo, hi in bounds:
+        yield lo, hi, normalize_rows(adj, lo, hi, d_inv_sqrt)
 
 
 def propagate(a_hat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:

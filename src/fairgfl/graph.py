@@ -16,9 +16,14 @@ logger = logging.getLogger(__name__)
 # correlates strongly with link absence.
 BLOCK_MEAN_SEPARATION = 4.0
 
-# Rows of the uniform edge draw that generate_sbm holds at a time, so its
-# memory is O(SBM_DRAW_ROWS * n) rather than O(n^2).
-SBM_DRAW_ROWS = 256
+# Values of the uniform edge draw that generate_sbm holds at a time (but at
+# least one row), so its memory is O(SBM_DRAW_VALUES + n) rather than O(n^2).
+SBM_DRAW_VALUES = 1 << 18
+
+# Rows of an adjacency that GlobalGraph.validate and gcn.normalized_blocks
+# read at a time (at least; see row_blocks), so their temporaries are
+# bounded by a block, not the graph.
+ROW_BLOCK = 512
 
 
 class GraphFormatError(ValueError):
@@ -69,8 +74,72 @@ class GlobalGraph:
             raise ValidationError("adjacency must have zero diagonal")
         if np.any((adj.data != 0) & (adj.data != 1)):
             raise ValidationError("adjacency entries must be 0 or 1")
-        if (adj != adj.T).nnz != 0:
+        if not _is_symmetric(adj):
             raise ValidationError("adjacency must be symmetric")
+
+
+def _is_symmetric(adj) -> bool:
+    """``(adj != adj.T).nnz == 0`` for an adj of 0/1 entries, checked
+    without a transposed copy.
+
+    On a canonical CSR (rows sorted, no duplicates) without stored zeros,
+    every entry is 1, and adj is symmetric when the entries of every column
+    j, read in row order, are row j's entries in stored order. The rows are
+    read a block of row_blocks at a time, a block's entries grouped by
+    column by a CSC conversion of the block alone, and nxt[j] is where the
+    next entry of column j must sit in row j. Any other adj is first copied
+    to that form, duplicates summed and zeros dropped, as ``!=`` compares
+    the sums; the sums are then compared too.
+    """
+    sums = None
+    if not (adj.format == "csr" and adj.has_canonical_format
+            and np.count_nonzero(adj.data) == adj.nnz):
+        adj = sp.csr_matrix(adj, copy=True)
+        adj.sum_duplicates()
+        adj.eliminate_zeros()
+        sums = adj.data
+    ptr, idx = adj.indptr, adj.indices
+    nxt = ptr[:-1].astype(np.int64)
+    for lo, hi in row_blocks(adj):
+        block = csr_rows(adj, lo, hi)
+        if sums is None:
+            block.data = np.ones(block.nnz, dtype=np.int8)  # cheaper to convert
+        block = block.tocsc()
+        count = np.diff(block.indptr)
+        if np.any(nxt + count > ptr[1:]):
+            return False
+        pos = np.repeat(nxt - block.indptr[:-1], count) + np.arange(block.nnz)
+        if not np.array_equal(idx[pos], block.indices + lo):
+            return False
+        if sums is not None and not np.array_equal(sums[pos], block.data):
+            return False
+        nxt += count
+    # No column overran its row, and the columns hold nnz entries in all, as
+    # the rows do: so every column filled its row exactly.
+    return True
+
+
+def row_blocks(a: sp.csr_matrix) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of a's rows in blocks of ROW_BLOCK rows, or of more
+    when the rows are short, so that a block holds about as many entries as
+    a has columns: a block's O(columns) steps then cost O(nnz) in all."""
+    m, n = a.shape
+    rows = max(ROW_BLOCK, -(-m * n // max(a.nnz, 1)))
+    return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+
+
+def csr_rows(adj: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows [lo, hi) of a CSR matrix, entries in stored order, on views of
+    its data and indices.
+
+    The arrays are set on an empty matrix: scipy's constructor, and its
+    row slice, would copy views this much shorter than their base.
+    """
+    a, b = adj.indptr[lo], adj.indptr[hi]
+    rows = sp.csr_matrix((hi - lo, adj.shape[1]), dtype=adj.dtype)
+    rows.data, rows.indices = adj.data[a:b], adj.indices[a:b]
+    rows.indptr = adj.indptr[lo : hi + 1] - a
+    return rows
 
 
 @dataclass(frozen=True)
@@ -268,8 +337,9 @@ def generate_sbm(
     presence of a link. Pair (i, j), i < j, is an edge when the (i, j)
     entry of an n x n uniform draw falls below its block probability. Of a
     block's rows only the columns from the block's first one on are drawn,
-    SBM_DRAW_ROWS rows at a time; the rest of each row is skipped in the
-    stream, so the graph and the generator's state match the whole draw.
+    as many rows at a time as fit in SBM_DRAW_VALUES values (at least one);
+    the rest of each row is skipped in the stream, so the graph and the
+    generator's state match the whole draw.
     """
     if num_blocks < 1 or nodes_per_block < 2:
         raise ValidationError("need num_blocks >= 1 and nodes_per_block >= 2")
@@ -290,10 +360,15 @@ def generate_sbm(
     features = means[labels] + rng.standard_normal((n, feature_dim))
 
     cols, indptr = _upper_edges(rng, n, nodes_per_block, p_in, p_out)
-    upper = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
-    # Both directions of every edge, each row's columns ascending.
-    adj = upper + upper.T
-    del cols, indptr, upper  # freed before validate's transposed copy
+    upper = sp.csr_matrix((np.ones(len(cols), dtype=np.int8), cols, indptr), shape=(n, n))
+    del cols, indptr
+    # Both directions of every edge, each row's columns ascending. The mirror
+    # is made with int8 data, 5 bytes an entry where float64 takes 12, and the
+    # graph then gets one float64 data array on the mirror's index arrays.
+    mirror = upper + upper.T
+    del upper
+    adj = sp.csr_matrix((np.ones(mirror.nnz), mirror.indices, mirror.indptr), shape=(n, n))
+    del mirror
     return GlobalGraph(num_nodes=n, features=features, labels=labels, adjacency=adj)
 
 
@@ -307,12 +382,15 @@ def _upper_edges(rng, n: int, block: int, p_in: float, p_out: float):
     # rows of block [s, e) every column left of s lies below the diagonal, so
     # those s values are skipped with advance(s) instead of drawn.
     skip = rng.bit_generator.advance
-    buf = np.empty(min(SBM_DRAW_ROWS, block) * n)
+    starts = range(0, n, block)
+    # Rows drawn at a time in each block: SBM_DRAW_VALUES of its n - s wide rows.
+    steps = [min(block, max(1, SBM_DRAW_VALUES // (n - s))) for s in starts]
+    buf = np.empty(max(step * (n - s) for s, step in zip(starts, steps)))
     counts, hit_cols = np.zeros(n + 1, dtype=np.int64), []
-    for s in range(0, n, block):
+    for s, step in zip(starts, steps):
         e = s + block
-        for r0 in range(s, e, SBM_DRAW_ROWS):
-            r1 = min(r0 + SBM_DRAW_ROWS, e)
+        for r0 in range(s, e, step):
+            r1 = min(r0 + step, e)
             u = buf[: (r1 - r0) * (n - s)].reshape(r1 - r0, n - s)
             for row in u:
                 skip(s)

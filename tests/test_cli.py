@@ -1,5 +1,7 @@
+import csv
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import fairgfl.cli
@@ -15,6 +17,7 @@ from fairgfl.cli import (
 from fairgfl.federation import run_experiment
 from fairgfl.gcn import NumericError
 from fairgfl.metrics import read_round_records
+from fairgfl.overlap import HISTORY
 
 SMALL = """
 # tiny run for tests
@@ -155,6 +158,25 @@ class TestRunSuite:
                 cells = line.split(",")
                 assert cells[0] == str(j)
                 assert [float(c) for c in cells[1:]] == snap[name].ravel().tolist()
+
+    def test_overlap_history_bytes_match_csv_writer(self, tmp_path):
+        """The writer formats each distinct value once; its files are the
+        csv.writer ones byte for byte, with -0.0 apart from 0.0."""
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1 / 3, 1e16]
+        history = [{name: rng.choice(special + list(rng.random(3)), size=(3, 3))
+                    for name in HISTORY} for _ in range(6)]
+        fairgfl.cli._write_overlap_history(tmp_path / "est", history)
+        for name in HISTORY:
+            ref = tmp_path / f"ref_{name}.csv"
+            with open(ref, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["round"] + [f"o_{i}_{k}" for i in range(3) for k in range(3)])
+                for j, snap in enumerate(history, start=1):
+                    writer.writerow([j, *map(repr, snap[name].ravel().tolist())])
+            got = (tmp_path / "est" / f"{name}.csv").read_bytes()
+            assert got == ref.read_bytes()
+            assert b",-0.0" in got and b",0.0" in got
 
     def test_manifest_roundtrip(self, tmp_path):
         configs = parse_config(write_cfg(tmp_path, SMALL + "use_ldp = off\nlam = 0.3\n"))

@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fairgfl import graph as graph_mod
 from fairgfl.federation import (
     ClientReport,
     FedConfig,
     RoundError,
     _client_rng,
+    _global_eval_operands,
     aggregate_fair,
     aggregate_qfedavg,
     client_round,
@@ -545,6 +547,53 @@ class TestRunExperiment:
         for snap in res.overlap_history:
             assert not snap["O"].any()
         assert not res.state.O.any()
+
+
+class TestGlobalEvalOperands:
+    """The global A_hat is built a row block at a time; the test rows and
+    A_hat * X equal the whole graph's, byte for byte."""
+
+    @pytest.mark.parametrize("block, case", [
+        (16, "unsorted"),  # 45 rows: blocks of 16, 16 and 13
+        (64, "unsorted"),  # one block, longer than the graph
+        (16, "sorted"),
+        (16, "gap"),       # the middle block holds no test row
+        (16, "repeated"),  # a test id twice, as a row slice allows
+        (16, "empty"),
+    ])
+    def test_matches_whole_graph(self, monkeypatch, block, case):
+        monkeypatch.setattr(graph_mod, "ROW_BLOCK", block)
+        g = generate_sbm(3, 15, 0.4, 0.05, 6, seed=4)
+        unsorted = np.random.default_rng(3).permutation(g.num_nodes)[:12]
+        test_ids = {
+            "unsorted": unsorted,
+            "sorted": np.sort(unsorted),
+            "gap": np.array([40, 3, 44, 0, 15, 32]),
+            "repeated": np.array([20, 7, 20, 33]),
+            "empty": np.array([], dtype=np.int64),
+        }[case]
+        assert len(graph_mod.row_blocks(g.adjacency)) == (3 if block == 16 else 1)
+        a_test, ax = _global_eval_operands(g, test_ids)
+        a_hat = normalize_adjacency(g.adjacency)
+        want = a_hat[test_ids]
+        assert a_test.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            got, exp = getattr(a_test, name), getattr(want, name)
+            assert got.dtype == exp.dtype, name
+            assert got.tobytes() == exp.tobytes(), name
+        want_ax = propagate(a_hat, g.features)
+        assert ax.dtype == want_ax.dtype
+        assert ax.tobytes() == want_ax.tobytes()
+
+    def test_peak_memory(self, traced_peak):
+        # At 7 x 300 with 20% test rows: about 1.05x the bytes of the whole
+        # A_hat (a row block, the kept test rows and A_hat * X), against
+        # about 1.7x when the whole A_hat was built and then sliced.
+        g = generate_sbm(7, 300, 0.2, 0.02, 32, seed=1)
+        test_ids = np.random.default_rng(0).permutation(g.num_nodes)[:420]
+        _, peak = traced_peak(_global_eval_operands, g, test_ids)
+        a_hat = normalize_adjacency(g.adjacency)
+        assert peak <= 1.3 * sum(a.nbytes for a in (a_hat.data, a_hat.indices, a_hat.indptr))
 
 
 class TestSplitNodes:

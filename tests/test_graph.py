@@ -54,6 +54,45 @@ class TestGlobalGraph:
         with pytest.raises(ValidationError, match="0 or 1"):
             GlobalGraph(3, np.eye(3), np.zeros(3, dtype=np.int64), sp.csr_matrix(adj))
 
+    def test_symmetry_check_agrees_with_transpose_comparison(self, monkeypatch):
+        """_is_symmetric(adj) == ((adj != adj.T).nnz == 0) on random small
+        matrices of 0/1 entries, in every format validate may see: the
+        entries are drawn as COO triples, so they hold duplicates (some
+        summing to 2 on one side only), explicit zeros, self-loops (some
+        only zeros) and, as CSR, unsorted rows; a quarter are permutations,
+        whose rows and columns all hold one entry, and half are mirrored, so
+        both answers occur. ROW_BLOCK 1, 2 and 512."""
+        rng = np.random.default_rng(17)
+        seen = {True: 0, False: 0, "several blocks": 0}
+        for _ in range(400):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(0, 3 * n))
+            rows, cols = rng.integers(0, n, k), rng.integers(0, n, k)
+            if rng.random() < 0.25:
+                # A permutation: every row and column holds one entry, so
+                # only the positions tell whether it is symmetric.
+                rows, cols = np.arange(n), rng.permutation(n)
+            data = rng.choice([0.0, 1.0], size=len(rows), p=[0.25, 0.75])
+            if rng.random() < 0.5:
+                rows, cols, data = np.r_[rows, cols], np.r_[cols, rows], np.r_[data, data]
+            # CSR with each row's entries in a random order, duplicates kept.
+            order = np.lexsort((rng.random(len(rows)), rows))
+            indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))].astype(np.int32)
+            unsorted = sp.csr_matrix((data[order], cols[order].astype(np.int32), indptr),
+                                     shape=(n, n))
+            coo = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
+            summed = coo.tocsr()  # duplicates summed; kept only while 0/1
+            for adj in (unsorted, coo, unsorted.tocsc(), summed):
+                if not np.isin(adj.data, (0.0, 1.0)).all():
+                    continue
+                want = (adj != adj.T).nnz == 0
+                seen[want] += 1
+                for block in (1, 2, 512):
+                    monkeypatch.setattr(graph_mod, "ROW_BLOCK", block)
+                    seen["several blocks"] += len(graph_mod.row_blocks(adj)) > 1
+                    assert graph_mod._is_symmetric(adj) == want
+        assert min(seen.values()) > 100
+
     def test_validate_rejects_nonfinite_features(self):
         feats = np.eye(3)
         feats[0, 0] = np.nan
@@ -136,17 +175,21 @@ def dense_sbm(num_blocks, nodes_per_block, p_in, p_out, feature_dim, seed):
 
 
 class TestSbm:
+    # SBM_DRAW_VALUES is set to draw_rows rows of the first block's width n.
+    # Each block [s, e) then draws min(e - s, max(1, draw_rows * n // (n - s)))
+    # rows at a time: draw_rows in the first block, more in later ones.
     @pytest.mark.parametrize("draw_rows, blocks, block_size", [
-        (16, 3, 4),     # n = 12, below the draw block
-        (16, 4, 4),     # n = 16, equal to it
-        (16, 8, 4),     # n = 32, a multiple
-        (16, 3, 11),    # n = 33, one row and no column in the last draw block
-        (16, 5, 7),     # n = 35, not a multiple
-        (None, 3, 100),  # n = 300 with the module's own draw block
-        (16, 3, 16),    # blocks one draw block long
-        (16, 3, 33),    # three draw blocks a block, the last of one row
-        (16, 3, 40),    # a block that ends mid draw block
+        (16, 3, 4),     # n = 12, blocks shorter than a buffer
+        (16, 4, 4),     # n = 16
+        (16, 8, 4),     # n = 32
+        (16, 3, 11),    # n = 33
+        (16, 5, 7),     # n = 35, not a multiple of the first block's buffer
+        (None, 3, 100),  # n = 300 with the module's own buffer
+        (16, 3, 16),    # a first block exactly one buffer long
+        (16, 3, 33),    # a first block of buffers of 16, 16 and 1 rows
+        (16, 3, 40),    # a first block of 16, 16 and 8 rows: it ends mid buffer
         (16, 1, 50),    # one block: no column skipped
+        (1, 1, 50),     # one row per buffer
     ])
     @pytest.mark.parametrize("p_in, p_out", [
         (0.3, 0.05), (0.4, 0.0), (1.0, 0.1), (1.0, 1.0), (0.0, 0.0),
@@ -154,7 +197,7 @@ class TestSbm:
     def test_matches_dense_reference(self, monkeypatch, draw_rows, blocks, block_size,
                                      p_in, p_out):
         if draw_rows is not None:
-            monkeypatch.setattr(graph_mod, "SBM_DRAW_ROWS", draw_rows)
+            monkeypatch.setattr(graph_mod, "SBM_DRAW_VALUES", draw_rows * blocks * block_size)
         for seed in (0, 5):
             g = generate_sbm(blocks, block_size, p_in, p_out, 3, seed)
             features, labels, adj = dense_sbm(blocks, block_size, p_in, p_out, 3, seed)
@@ -169,7 +212,8 @@ class TestSbm:
     def test_generator_ends_where_whole_draw_ends(self, monkeypatch):
         made, real = [], np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(real(seed)) or made[-1])
-        monkeypatch.setattr(graph_mod, "SBM_DRAW_ROWS", 16)
+        # The first block in buffers of 16, 16 and 1 rows.
+        monkeypatch.setattr(graph_mod, "SBM_DRAW_VALUES", 16 * 99)
         generate_sbm(3, 33, 0.3, 0.05, 3, seed=4)
         want = real(4)
         want.standard_normal((99, 3))
@@ -177,14 +221,15 @@ class TestSbm:
         assert made[0].bit_generator.state == want.bit_generator.state
 
     def test_peak_memory(self, traced_peak):
-        # The draw buffer and the hit columns are freed before the mirror, so
-        # validate's transposed copy sets the peak: about 2.5x the graph's
-        # bytes at 7 x 300. Buffers alive through the mirror read about 4.9x.
+        # The draw buffer is freed before the mirror, the mirror is made with
+        # int8 data, and validate holds a row block at a time: about 1.5x the
+        # graph's bytes at 7 x 300. A float64 mirror with validate's
+        # transposed copy read about 2.5x.
         g, peak = traced_peak(generate_sbm, 7, 300, 0.2, 0.02, 32, 1)
         adj = g.adjacency
         graph_bytes = sum(a.nbytes for a in (adj.data, adj.indices, adj.indptr,
                                               g.features, g.labels))
-        assert peak <= 3.0 * graph_bytes
+        assert peak <= 1.8 * graph_bytes
 
     def test_shapes_and_labels(self):
         g = generate_sbm(3, 10, 0.5, 0.05, 4, seed=0)

@@ -10,9 +10,12 @@ Each size runs the ``sim run`` defaults on an SBM of N nodes in ``sbm_blocks``
 so the expected degree stays near 15 + 6 · 1.5 = 24 whatever N is. Every size
 runs in a fresh process with 1 BLAS thread, and reports the seconds of
 ``cli.build_graph`` and of ``federation.run_experiment``, and ``ru_maxrss``
-after the build and at the end. With ``--parent`` the parent revision is
-extracted with ``git archive`` into ``WORK/parent`` and every size runs on the
-parent first, then on the working tree. The results, with the config, machine
+after the build, after a set-up (``run_experiment`` at 0 rounds, run once
+before the timed experiment) and at the end. The set-up figure leaves out
+what only the rounds hold, such as the uploads' link cache. With
+``--parent`` the parent revision is extracted with ``git archive`` into
+``WORK/parent`` and every size runs on the parent first, then on the
+working tree. The results, with the config, machine
 and numpy/scipy versions, go to ``BENCH_scale_<tag>.json``, rewritten after
 every run.
 """
@@ -33,7 +36,7 @@ ROOT = Path.cwd()
 
 # Runs in the fresh process, with the tree's src first on sys.path.
 CHILD = """
-import json, resource, sys, time
+import dataclasses, json, resource, sys, time
 from fairgfl import cli, federation
 
 nodes, rounds = int(sys.argv[1]), int(sys.argv[2])
@@ -47,6 +50,8 @@ t0 = time.perf_counter()
 graph = cli.build_graph(extras)
 build_s = time.perf_counter() - t0
 after_build = maxrss_mb()
+federation.run_experiment(graph, part, dataclasses.replace(fed, rounds=0), ldp)
+after_setup = maxrss_mb()
 t0 = time.perf_counter()
 result = federation.run_experiment(graph, part, fed, ldp)
 run_s = time.perf_counter() - t0
@@ -54,7 +59,8 @@ print(json.dumps({
     "nodes": graph.num_nodes, "edges": graph.adjacency.nnz // 2, "rounds": rounds,
     "block_size": size, "sbm_p_in": 15 / size, "sbm_p_out": 1.5 / size,
     "build_s": build_s, "run_s": run_s, "maxrss_after_build_mb": after_build,
-    "maxrss_mb": maxrss_mb(), "final_test_loss": result.records[-1].test_loss,
+    "maxrss_after_setup_mb": after_setup, "maxrss_mb": maxrss_mb(),
+    "final_test_loss": result.records[-1].test_loss,
 }))
 """
 
@@ -93,7 +99,7 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     doc = {"tag": args.tag, "command": " ".join(["python3", "tools/scale_probe.py", *sys.argv[1:]])}
     if args.parent:
-        trees = {"parent": args.work / "parent", **trees}
+        trees = {"parent": args.work.resolve() / "parent", **trees}
         doc["parent_commit"] = revision.extract(ROOT, args.parent, trees["parent"])
     doc.update({
         "config": {
@@ -104,6 +110,8 @@ def main(argv=None) -> int:
             "blas_threads": 1,
             "timed": "build_s: cli.build_graph; run_s: federation.run_experiment "
                      "(partition, normalization, encoder, tau calibration and rounds)",
+            "maxrss_after_setup_mb": "ru_maxrss after run_experiment at 0 rounds, "
+                                     "run between the build and the timed run",
         },
         "machine": machine(),
         "versions": versions(),
@@ -116,7 +124,8 @@ def main(argv=None) -> int:
             doc["runs"].append(run)
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"{side} {n} nodes: build {run['build_s']:.2f} s "
-                  f"({run['maxrss_after_build_mb']:.0f} MB), run {run['run_s']:.2f} s, "
+                  f"({run['maxrss_after_build_mb']:.0f} MB), set-up "
+                  f"{run['maxrss_after_setup_mb']:.0f} MB, run {run['run_s']:.2f} s, "
                   f"peak {run['maxrss_mb']:.0f} MB", file=sys.stderr, flush=True)
     return 0
 
