@@ -17,12 +17,8 @@ from .gcn import (
     GcnModel,
     init_model,
     normalize_adjacency,
-    propagate,
     Stack,
     stack_graphs,
-    stack_forward,
-    stack_loss_and_grad,
-    stack_losses,
     forward,
     loss_and_grad,
     masked_loss,
@@ -68,7 +64,6 @@ from .federation import (
     ExperimentResult,
     sample_clients,
     train_clients,
-    client_round,
     aggregate_fair,
     aggregate_qfedavg,
     split_nodes,

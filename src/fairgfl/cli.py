@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .federation import ALGORITHMS, FedConfig, RoundError, run_experiment
+from .gcn import NumericError
 from .graph import (GraphFormatError, PartitionSpec, ValidationError, generate_sbm, load_graph,
                     text_lines)
 from .ldp import LdpParams
@@ -251,7 +252,7 @@ def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
             _run_one(graph, *_with_keys((part, fed, ldp), keys), out_dir, tag)
             for tag, keys in runs
         ]
-    except RoundError as exc:
+    except (RoundError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if suite == "motivation":

@@ -124,28 +124,15 @@ def train_clients(
         masks = [rng.choice(sub.num_nodes, size=min(cfg.batch_size, sub.num_nodes),
                             replace=False)
                  for sub, rng in zip(subs, train_rngs)]
-        losses, grads = gcn.stack_loss_and_grad(models, stack, masks)
+        losses, grads = gcn.loss_and_grad(models, stack, masks)
         for i, (sub, loss) in enumerate(zip(subs, losses)):
             if not np.isfinite(loss):
                 raise gcn.NumericError(f"client {sub.client_id} diverged")
             models[i] = gcn.sgd_step(models[i], grads[i], cfg.lr)
 
-    losses = gcn.stack_losses(models, stack)
+    losses = gcn.masked_loss(models, stack)
     return [ClientReport(sub.client_id, model, loss)
             for sub, model, loss in zip(subs, models, losses)]
-
-
-def client_round(
-    sub: ClientSubgraph,
-    a_hat: sp.csr_matrix,
-    ax: np.ndarray,
-    w_global: GcnModel,
-    cfg: FedConfig,
-    train_rng,
-) -> ClientReport:
-    """train_clients for one client; ax is gcn.propagate(a_hat, sub.features)."""
-    one = gcn.Stack(a_hat, (ax,), sub.labels, (0, sub.num_nodes))
-    return train_clients([sub], one, w_global, cfg, [train_rng])[0]
 
 
 def _plain_batch(sub: ClientSubgraph, batch_ids, encoder) -> ldp.SanitizedBatch:
@@ -254,12 +241,12 @@ def _global_eval_operands(graph: GlobalGraph, test_ids: np.ndarray):
     A_hat is built a row block at a time (gcn.normalized_blocks): each
     block gives its rows of A_hat * X and keeps only its test rows, so the
     whole global A_hat never exists. Both are byte for byte
-    normalize_adjacency(adj)[test_ids] and propagate(normalize_adjacency(adj), X).
+    A_hat[test_ids] and A_hat @ X, with A_hat = normalize_adjacency(adj).
     """
     ax = np.empty(graph.features.shape)
     kept, where = [], []
     for lo, hi, a_rows in gcn.normalized_blocks(graph.adjacency):
-        ax[lo:hi] = gcn.propagate(a_rows, graph.features)
+        ax[lo:hi] = a_rows @ graph.features
         here = (lo <= test_ids) & (test_ids < hi)
         kept.append(a_rows[test_ids[here] - lo])
         where.append(np.flatnonzero(here))
@@ -369,7 +356,7 @@ def run_experiment(
                 model = aggregate_fair(reports, model, weights, lam)
 
             test_loss, test_acc = metrics.evaluate_global(model, a_test, ax_global, test_labels)
-            client_losses = tuple(gcn.stack_losses([model] * cfg.num_clients, stack))
+            client_losses = tuple(gcn.masked_loss([model] * cfg.num_clients, stack))
         except Exception as exc:  # noqa: BLE001 - annotate and rethrow
             raise RoundError(j, None, exc) from exc
         records.append(

@@ -33,10 +33,10 @@ def init_model(feature_dim: int, hidden_dim: int, num_classes: int, rng) -> GcnM
 
 def normalize_adjacency(adj: sp.csr_matrix) -> sp.csr_matrix:
     """A_hat = D^-1/2 (A + I) D^-1/2, the symmetric normalization with self-loops."""
-    return normalize_rows(adj, 0, adj.shape[0])
+    return _normalize_rows(adj, 0, adj.shape[0])
 
 
-def normalize_rows(adj, lo: int, hi: int, d_inv_sqrt: np.ndarray | None = None) -> sp.csr_matrix:
+def _normalize_rows(adj, lo: int, hi: int, d_inv_sqrt: np.ndarray | None = None) -> sp.csr_matrix:
     """Rows [lo, hi) of A_hat = D^-1/2 (A + I) D^-1/2, a (hi - lo) x n CSR.
 
     d_inv_sqrt is deg^-1/2 of the whole graph's A + I; without it the rows
@@ -87,13 +87,7 @@ def normalized_blocks(adj):
     d_inv_sqrt = 1.0 / np.sqrt(_row_sums(adj) + 1.0)
     bounds = row_blocks(adj) if adj.has_canonical_format else [(0, adj.shape[0])]
     for lo, hi in bounds:
-        yield lo, hi, normalize_rows(adj, lo, hi, d_inv_sqrt)
-
-
-def propagate(a_hat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """A_hat * X, the first hop; A_hat and X are fixed per graph, so callers
-    compute it once and pass it to forward, loss_and_grad and masked_loss."""
-    return a_hat @ x
+        yield lo, hi, _normalize_rows(adj, lo, hi, d_inv_sqrt)
 
 
 @dataclass(frozen=True)
@@ -133,7 +127,7 @@ class Stack:
 
 
 def stack_graphs(subgraphs) -> Stack:
-    """Normalize and propagate each subgraph, and stack the results.
+    """Normalize each subgraph, take its A_hat * X, and stack the results.
 
     Each graph's CSR arrays are concatenated with offsets, so every row of
     the stack keeps the entries, in the entry order, of the graph alone.
@@ -144,7 +138,7 @@ def stack_graphs(subgraphs) -> Stack:
     nnz = 0
     for s, lo, hi in zip(subgraphs, bounds[:-1], bounds[1:]):
         a_hat = normalize_adjacency(s.adjacency)
-        ax[lo:hi] = propagate(a_hat, s.features)
+        ax[lo:hi] = a_hat @ s.features
         data.append(a_hat.data)
         indices.append(a_hat.indices + lo)
         indptr.append(a_hat.indptr[:-1] + nnz)
@@ -158,7 +152,7 @@ def stack_graphs(subgraphs) -> Stack:
     return Stack(a_hat, axs, np.concatenate([s.labels for s in subgraphs]), bounds)
 
 
-def stack_forward(models, a_hat: sp.csr_matrix, axs):
+def forward(models, a_hat: sp.csr_matrix, axs):
     """(logits, h) of stacked graphs: graph b has model models[b] and
     A_hat * X axs[b], and a_hat is the graphs' block-diagonal A_hat, or a
     CSR row slice of it, giving those rows of the logits.
@@ -183,13 +177,6 @@ def stack_forward(models, a_hat: sp.csr_matrix, axs):
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits in forward pass")
     return logits, h
-
-
-def forward(model: GcnModel, a_hat: sp.csr_matrix, ax: np.ndarray):
-    """stack_forward of one graph: (logits, h). a_hat may be a row slice
-    of A_hat, giving those rows of the logits with the bits of the full
-    pass."""
-    return stack_forward((model,), a_hat, (ax,))
 
 
 def _softmax_ce(logits, rows, labels, sizes, grad=False):
@@ -224,13 +211,6 @@ def _softmax_ce(logits, rows, labels, sizes, grad=False):
     return losses, dlogits
 
 
-def _masked_softmax_ce(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray,
-                       grad: bool = False):
-    """Mean cross-entropy over masked rows; returns (loss, dlogits or None)."""
-    (loss,), dlogits = _softmax_ce(logits, mask, labels[mask], (len(mask),), grad)
-    return loss, dlogits
-
-
 def _mask_rows(stack: Stack, masks):
     """(rows, labels, sizes): the stack rows that per-graph masks select, in
     order, their labels, and how many each graph gives. masks[b] is an index
@@ -248,7 +228,7 @@ def _mask_rows(stack: Stack, masks):
     return rows, stack.labels[rows], sizes
 
 
-def stack_loss_and_grad(models, stack: Stack, masks):
+def loss_and_grad(models, stack: Stack, masks):
     """Each graph's masked mean cross-entropy and its exact gradient, in one
     pass over a Stack: (losses, grads), one loss and one GcnModel per graph.
 
@@ -260,7 +240,7 @@ def stack_loss_and_grad(models, stack: Stack, masks):
     rows, labels, sizes = _mask_rows(stack, masks)
     if 0 in sizes:
         raise ValidationError("mask must select at least one node")
-    logits, h = stack_forward(models, stack.a_hat, stack.axs)
+    logits, h = forward(models, stack.a_hat, stack.axs)
     losses, dlogits = _softmax_ce(logits, rows, labels, sizes, grad=True)
     g = stack.a_hat @ dlogits  # A_hat^T * dlogits: A_hat is symmetric
     dz1 = np.empty_like(h)
@@ -273,33 +253,13 @@ def stack_loss_and_grad(models, stack: Stack, masks):
     return losses, grads
 
 
-def stack_losses(models, stack: Stack, masks=None) -> list[float]:
+def masked_loss(models, stack: Stack, masks=None) -> list[float]:
     """Each graph's masked mean cross-entropy, in one pass over a Stack;
-    masks as in stack_loss_and_grad, None for every node of every graph."""
+    masks as in loss_and_grad, None for every node of every graph."""
     rows, labels, sizes = _mask_rows(stack, masks)
-    logits, _ = stack_forward(models, stack.a_hat, stack.axs)
+    logits, _ = forward(models, stack.a_hat, stack.axs)
     losses, _ = _softmax_ce(logits, rows, labels, sizes)
     return [float(loss) for loss in losses]
-
-
-def loss_and_grad(
-    model: GcnModel,
-    a_hat: sp.csr_matrix,
-    ax: np.ndarray,
-    labels: np.ndarray,
-    mask: np.ndarray,
-):
-    """stack_loss_and_grad of one graph: its masked mean cross-entropy and
-    the exact gradient, as a GcnModel. ax is propagate(a_hat, x)."""
-    one = Stack(a_hat, (ax,), labels, (0, len(ax)))
-    (loss,), (grads,) = stack_loss_and_grad((model,), one, (mask,))
-    return loss, grads
-
-
-def masked_loss(model, a_hat, ax, labels, mask) -> float:
-    """stack_losses of one graph: its masked mean cross-entropy; ax is
-    propagate(a_hat, x)."""
-    return stack_losses((model,), Stack(a_hat, (ax,), labels, (0, len(ax))), (mask,))[0]
 
 
 def sgd_step(model: GcnModel, grads: GcnModel, lr: float) -> GcnModel:

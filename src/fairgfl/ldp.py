@@ -103,7 +103,8 @@ def train_encoder(public_nodes: np.ndarray, d1: int, epochs: int, seed: int) -> 
     """Train an autoencoder on public node features and return its encode half.
 
     The clamp range [x_min, x_max] is the min/max of encoder outputs over
-    the public set, padded by 5% of the span.
+    the public set, padded by 5% of the span. Raises NumericError if the
+    weights or the range are not finite.
     """
     x = np.asarray(public_nodes, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -142,6 +143,8 @@ def train_encoder(public_nodes: np.ndarray, d1: int, epochs: int, seed: int) -> 
 
     out = np.tanh(x @ W1 + b1)
     lo, hi = float(out.min()), float(out.max())
+    if not (np.isfinite(W1).all() and np.isfinite(b1).all() and math.isfinite(lo + hi)):
+        raise NumericError("encoder training diverged")
     pad = 0.05 * max(hi - lo, 1e-12)
     return Encoder(W=W1, b=b1, d1=d1, x_min=lo - pad, x_max=hi + pad)
 

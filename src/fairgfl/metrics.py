@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .gcn import GcnModel, _masked_softmax_ce, forward
+from .gcn import GcnModel, _softmax_ce, forward
 from .graph import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -64,16 +64,16 @@ def evaluate_global(
     """Cross-entropy loss and top-1 accuracy on the test nodes of the graph.
 
     a_test is the test rows of the global A_hat, a_hat[test_ids], and
-    labels their labels; ax is gcn.propagate(a_hat, features) over the
-    whole graph. Only the test rows of the second hop are computed, with
-    the bits of a full-graph forward pass.
+    labels their labels; ax is A_hat * X over the whole graph. Only the
+    test rows of the second hop are computed, with the bits of a
+    full-graph forward pass.
     """
     if a_test.shape[0] == 0:
         raise ValidationError("test mask must be non-empty")
     if len(labels) != a_test.shape[0]:
         raise ValidationError("labels must hold one entry per row of a_test")
-    logits, _ = forward(model, a_test, ax)
-    loss, _ = _masked_softmax_ce(logits, labels, np.arange(len(labels)))
+    logits, _ = forward((model,), a_test, (ax,))
+    (loss,), _ = _softmax_ce(logits, None, labels, (len(labels),))
     acc = float(np.mean(logits.argmax(axis=1) == labels))
     return float(loss), acc
 

@@ -2,6 +2,8 @@ import tracemalloc
 
 import pytest
 
+from fairgfl.gcn import Stack
+
 
 @pytest.fixture
 def traced_peak():
@@ -22,3 +24,9 @@ def traced_peak():
                 tracemalloc.stop()
 
     return run
+
+
+@pytest.fixture
+def one_graph():
+    """one_graph(a_hat, x, labels) -> the gcn.Stack of that graph alone."""
+    return lambda a_hat, x, labels: Stack(a_hat, (a_hat @ x,), labels, (0, len(x)))

@@ -20,7 +20,7 @@ from fairgfl.gcn import (
     loss_and_grad,
     masked_loss,
     normalize_adjacency,
-    propagate,
+    stack_graphs,
 )
 from fairgfl.graph import (
     PartitionSpec,
@@ -147,7 +147,7 @@ def test_criterion_04_noisy_separation():
         assert wins >= 18
 
 
-def test_criterion_05_gradient_correctness():
+def test_criterion_05_gradient_correctness(one_graph):
     """Analytic GCN gradients vs central finite differences on 10 random
     8-node graphs, max relative error <= 1e-4."""
     with report(5):
@@ -161,7 +161,8 @@ def test_criterion_05_gradient_correctness():
             labels = rng.integers(0, 3, size=8)
             model = init_model(5, 4, 3, rng)
             mask = np.sort(rng.choice(8, size=5, replace=False))
-            _, grads = loss_and_grad(model, a_hat, propagate(a_hat, x), labels, mask)
+            stack = one_graph(a_hat, x, labels)
+            _, (grads,) = loss_and_grad((model,), stack, (mask,))
             eps = 1e-6
             for name, w, g in (("W1", model.W1, grads.W1), ("W2", model.W2, grads.W2)):
                 num = np.zeros_like(w)
@@ -175,7 +176,7 @@ def test_criterion_05_gradient_correctness():
                             w_p if name == "W1" else model.W1,
                             w_p if name == "W2" else model.W2,
                         )
-                        num[idx] += sign * masked_loss(m, a_hat, propagate(a_hat, x), labels, mask)
+                        num[idx] += sign * masked_loss((m,), stack, (mask,))[0]
                     it.iternext()
                 num /= 2 * eps
                 denom = np.maximum(np.abs(num), 1e-3)
@@ -289,14 +290,8 @@ def test_criterion_09_weighted_loss_exactness():
         parts = [induced_subgraph(g, s, i) for i, s in enumerate(sets)]
         node_m, _ = true_overlap_matrices(parts)
         model = init_model(8, 6, 3, np.random.default_rng(14))
-        losses = [
-            masked_loss(
-                model, normalize_adjacency(p.adjacency),
-                propagate(normalize_adjacency(p.adjacency), p.features), p.labels,
-                np.arange(p.num_nodes),
-            )
-            for p in parts
-        ]
+        losses = [masked_loss((model,), stack_graphs([p]), (np.arange(p.num_nodes),))[0]
+                  for p in parts]
         weighted = np.sum(losses * overlap.client_weights(node_m))
         dedup = losses[0] + losses[3] + losses[4]
         assert abs(weighted - dedup) <= 1e-10

@@ -428,6 +428,24 @@ class TestMain:
         assert err.startswith("error: round 1, server: non-finite")
         assert "Traceback" not in err
 
+    def test_diverged_encoder_exits_one(self, tmp_path, capsys):
+        """Finite features of about 1e200 pass validation, but the encoder
+        trained on them diverges in set-up: one error line, no directory."""
+        rng = np.random.default_rng(0)
+        feats = rng.choice([-1.0, 1.0], size=(60, 8)) * rng.uniform(0.5, 1.5, (60, 8)) * 1e200
+        (tmp_path / "nodes.txt").write_text("".join(
+            f"n{i} {' '.join(map(repr, row.tolist()))} c{i % 3}\n" for i, row in enumerate(feats)))
+        (tmp_path / "edges.txt").write_text("".join(f"n{i} n{i + 1}\n" for i in range(59)))
+        cfg = write_cfg(tmp_path, SMALL + f"dataset = file\nnode_file = {tmp_path / 'nodes.txt'}\n"
+                        f"edge_file = {tmp_path / 'edges.txt'}\n")
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "encoder training diverged" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_key_exits_two(self, tmp_path):
         cfg = write_cfg(tmp_path, "bogus = 1\n")
         status = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])

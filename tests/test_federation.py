@@ -12,7 +12,6 @@ from fairgfl.federation import (
     _global_eval_operands,
     aggregate_fair,
     aggregate_qfedavg,
-    client_round,
     run_experiment,
     sample_clients,
     split_nodes,
@@ -25,10 +24,8 @@ from fairgfl.gcn import (
     loss_and_grad,
     masked_loss,
     normalize_adjacency,
-    propagate,
     sgd_step,
     stack_graphs,
-    stack_losses,
 )
 from fairgfl.graph import (
     PartitionSpec,
@@ -85,41 +82,34 @@ class TestClientRound:
     def setup_method(self):
         self.graph = small_graph()
         self.sub = induced_subgraph(self.graph, np.arange(30), 0)
-        self.a_hat = normalize_adjacency(self.sub.adjacency)
-        self.ax = propagate(self.a_hat, self.sub.features)
+        self.stack = stack_graphs([self.sub])
         self.model = init_model(8, 6, 3, np.random.default_rng(1))
+
+    def train(self, cfg, seed):
+        """train_clients for this one client, its batches drawn with seed."""
+        return train_clients([self.sub], self.stack, self.model, cfg,
+                             [np.random.default_rng(seed)])[0]
 
     def test_zero_iters_returns_global(self):
         cfg = small_cfg(local_iters=0)
-        rep = client_round(
-            self.sub, self.a_hat, self.ax, self.model, cfg, np.random.default_rng(0)
-        )
+        rep = self.train(cfg, 0)
         assert np.array_equal(rep.model.W1, self.model.W1)
         assert np.array_equal(rep.model.W2, self.model.W2)
 
     def test_single_full_batch_step_matches_sgd(self):
         """E=1 with a full batch must equal one composed gcn step."""
         cfg = small_cfg(local_iters=1, batch_size=30, lr=0.1)
-        rep = client_round(
-            self.sub, self.a_hat, self.ax, self.model, cfg, np.random.default_rng(5)
-        )
+        rep = self.train(cfg, 5)
         mask = np.random.default_rng(5).choice(30, size=30, replace=False)
-        _, grads = loss_and_grad(
-            self.model, self.a_hat, self.ax, self.sub.labels, mask
-        )
+        _, (grads,) = loss_and_grad((self.model,), self.stack, (mask,))
         expect = sgd_step(self.model, grads, 0.1)
         assert np.array_equal(rep.model.W1, expect.W1)
         assert np.array_equal(rep.model.W2, expect.W2)
 
     def test_training_reduces_loss(self):
         cfg = small_cfg(local_iters=5, batch_size=30, lr=0.05)
-        before = client_round(
-            self.sub, self.a_hat, self.ax, self.model, small_cfg(local_iters=0),
-            np.random.default_rng(2),
-        ).train_loss
-        after = client_round(
-            self.sub, self.a_hat, self.ax, self.model, cfg, np.random.default_rng(2)
-        ).train_loss
+        before = self.train(small_cfg(local_iters=0), 2).train_loss
+        after = self.train(cfg, 2).train_loss
         assert after <= before
 
 
@@ -144,19 +134,16 @@ class TestTrainClients:
         got = train_clients([parts[i] for i in ids], stack.select(ids), model, cfg,
                             [np.random.default_rng(50 + i) for i in ids])
         for i, rep in zip(ids, got):
-            a_hat = normalize_adjacency(parts[i].adjacency)
-            want = client_round(parts[i], a_hat, propagate(a_hat, parts[i].features),
-                                model, cfg, np.random.default_rng(50 + i))
+            want = train_clients([parts[i]], stack_graphs([parts[i]]), model, cfg,
+                                 [np.random.default_rng(50 + i)])[0]
             assert rep.client_id == want.client_id == i
             assert np.array_equal(rep.model.W1, want.model.W1)
             assert np.array_equal(rep.model.W2, want.model.W2)
             assert np.array_equal(rep.train_loss, want.train_loss)
         for trained in [model] + [rep.model for rep in got]:
-            losses = stack_losses([trained] * len(parts), stack)
+            losses = masked_loss([trained] * len(parts), stack)
             for p, loss in zip(parts, losses):
-                a_hat = normalize_adjacency(p.adjacency)
-                want = masked_loss(trained, a_hat, propagate(a_hat, p.features), p.labels,
-                                   np.arange(p.num_nodes))
+                want = masked_loss((trained,), stack_graphs([p]), (np.arange(p.num_nodes),))[0]
                 assert np.array_equal(loss, want)
 
 
@@ -318,15 +305,8 @@ class TestFairnessWeightedLoss:
         node_m, _ = true_overlap_matrices(parts)
         rng = np.random.default_rng(14)
         model = init_model(8, 6, 3, rng)
-        losses = []
-        from fairgfl.gcn import masked_loss
-
-        for p in parts:
-            a_hat = normalize_adjacency(p.adjacency)
-            losses.append(
-                masked_loss(model, a_hat, propagate(a_hat, p.features), p.labels,
-                            np.arange(p.num_nodes))
-            )
+        losses = [masked_loss((model,), stack_graphs([p]), (np.arange(p.num_nodes),))[0]
+                  for p in parts]
         weighted = np.sum(losses * client_weights(node_m))
         dedup = losses[0] + losses[3] + losses[4]
         assert abs(weighted - dedup) < 1e-10
@@ -414,7 +394,7 @@ class TestRunExperiment:
         # replay: same partition, same derived rngs, plain gcn ops
         _, _, pool = split_nodes(g, cfg)
         sub = run_experiment(g, spec, dataclasses.replace(cfg, rounds=0)).parts[0]
-        a_hat = normalize_adjacency(sub.adjacency)
+        stack = stack_graphs([sub])
         model = init_model(
             g.feature_dim, cfg.hidden_dim, g.num_classes,
             np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 0, 5))),
@@ -424,7 +404,7 @@ class TestRunExperiment:
             local = model
             for _ in range(cfg.local_iters):
                 mask = rng.choice(sub.num_nodes, size=min(10, sub.num_nodes), replace=False)
-                _, grads = loss_and_grad(local, a_hat, propagate(a_hat, sub.features), sub.labels, mask)
+                _, (grads,) = loss_and_grad((local,), stack, (mask,))
                 local = sgd_step(local, grads, cfg.lr)
             model = GcnModel(model.W1 + (1.0 * (local.W1 - model.W1)) / 1.0,
                              model.W2 + (1.0 * (local.W2 - model.W2)) / 1.0)
@@ -581,7 +561,7 @@ class TestGlobalEvalOperands:
             got, exp = getattr(a_test, name), getattr(want, name)
             assert got.dtype == exp.dtype, name
             assert got.tobytes() == exp.tobytes(), name
-        want_ax = propagate(a_hat, g.features)
+        want_ax = a_hat @ g.features
         assert ax.dtype == want_ax.dtype
         assert ax.tobytes() == want_ax.tobytes()
 

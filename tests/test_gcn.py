@@ -10,11 +10,8 @@ from fairgfl.gcn import (
     loss_and_grad,
     masked_loss,
     normalize_adjacency,
-    propagate,
     sgd_step,
     stack_graphs,
-    stack_loss_and_grad,
-    stack_losses,
 )
 from fairgfl.graph import ValidationError, generate_sbm, induced_subgraph
 
@@ -117,7 +114,7 @@ class TestStack:
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(one.a_hat, name), getattr(want, name)), name
             assert one.a_hat.data.tobytes() == want.data.tobytes()
-            assert one.axs[0].tobytes() == propagate(want, p.features).tobytes()
+            assert one.axs[0].tobytes() == (want @ p.features).tobytes()
             assert np.array_equal(one.labels, p.labels)
             assert one.bounds == (0, p.num_nodes)
 
@@ -139,23 +136,22 @@ class TestStack:
         models = [init_model(6, 5, 3, rng) for _ in parts]
         masks = [rng.choice(p.num_nodes, size=min(4, p.num_nodes), replace=False)
                  for p in parts]
-        losses, grads = stack_loss_and_grad(models, stack, masks)
-        full = stack_losses(models, stack)
+        losses, grads = loss_and_grad(models, stack, masks)
+        full = masked_loss(models, stack)
         for p, model, mask, loss, grad, whole in zip(parts, models, masks, losses, grads, full):
-            a_hat = normalize_adjacency(p.adjacency)
-            ax = propagate(a_hat, p.features)
-            want, want_grad = loss_and_grad(model, a_hat, ax, p.labels, mask)
+            alone = stack_graphs([p])
+            (want,), (want_grad,) = loss_and_grad((model,), alone, (mask,))
             assert np.array_equal(loss, want)
             assert np.array_equal(grad.W1, want_grad.W1)
             assert np.array_equal(grad.W2, want_grad.W2)
-            assert whole == masked_loss(model, a_hat, ax, p.labels, np.arange(p.num_nodes))
+            assert whole == masked_loss((model,), alone, (np.arange(p.num_nodes),))[0]
 
     def test_empty_mask_of_one_graph_rejected(self):
         parts = self.graphs()
         model = init_model(6, 5, 3, np.random.default_rng(9))
         masks = [np.array([0]), np.array([], dtype=int), np.array([1]), np.array([2])]
         with pytest.raises(ValidationError):
-            stack_loss_and_grad([model] * 4, stack_graphs(parts), masks)
+            loss_and_grad([model] * 4, stack_graphs(parts), masks)
 
 
 class TestForward:
@@ -168,9 +164,9 @@ class TestForward:
         model, a_hat, x, _ = random_case(rng, n=30, h=16, p_edge=0.2)
         ids = {"unsorted": rng.permutation(30)[:11], "single": np.array([17]),
                "all": np.arange(30)}[ids]
-        ax = propagate(a_hat, x)
-        full, h_full = forward(model, a_hat, ax)
-        got, h_got = forward(model, a_hat[ids], ax)
+        ax = a_hat @ x
+        full, h_full = forward((model,), a_hat, (ax,))
+        got, h_got = forward((model,), a_hat[ids], (ax,))
         assert got.shape == (len(ids), full.shape[1])
         assert got.tobytes() == full[ids].tobytes()
         assert h_got.tobytes() == h_full.tobytes()
@@ -179,7 +175,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         model, a_hat, x, _ = random_case(rng)
         zero = GcnModel(np.zeros_like(model.W1), np.zeros_like(model.W2))
-        logits, _ = forward(zero, a_hat, propagate(a_hat, x))
+        logits, _ = forward((zero,), a_hat, (a_hat @ x,))
         assert np.array_equal(logits, np.zeros_like(logits))
 
     def test_nonfinite_raises(self):
@@ -187,7 +183,7 @@ class TestForward:
         model, a_hat, x, _ = random_case(rng)
         bad = GcnModel(model.W1 * np.inf, model.W2)
         with pytest.raises(NumericError):
-            forward(bad, a_hat, propagate(a_hat, x))
+            forward((bad,), a_hat, (a_hat @ x,))
 
 
 def dense_reference(model, a_hat, x, labels, mask):
@@ -213,52 +209,54 @@ class TestDenseReference:
     function is the same whether the hidden layer is wider or narrower."""
 
     @pytest.mark.parametrize("hidden, classes", [(16, 7), (2, 5)])
-    def test_logits_and_gradients(self, hidden, classes):
+    def test_logits_and_gradients(self, hidden, classes, one_graph):
         rng = np.random.default_rng(40 + hidden)
         model, a_hat, x, labels = random_case(rng, n=30, d=6, h=hidden, c=classes, p_edge=0.2)
         mask = np.sort(rng.choice(30, size=12, replace=False))
         logits, dW1, dW2 = dense_reference(model, a_hat, x, labels, mask)
-        ax = propagate(a_hat, x)
-        got, h = forward(model, a_hat, ax)
+        stack = one_graph(a_hat, x, labels)
+        got, h = forward((model,), a_hat, stack.axs)
         np.testing.assert_allclose(got, logits, rtol=1e-12)
-        assert np.array_equal(h, np.maximum(ax @ model.W1, 0.0))
-        _, grads = loss_and_grad(model, a_hat, ax, labels, mask)
+        assert np.array_equal(h, np.maximum(stack.axs[0] @ model.W1, 0.0))
+        _, (grads,) = loss_and_grad((model,), stack, (mask,))
         np.testing.assert_allclose(grads.W1, dW1, rtol=1e-12)
         np.testing.assert_allclose(grads.W2, dW2, rtol=1e-12)
 
 
 class TestLossAndGrad:
-    def test_uniform_logits_loss(self):
+    def test_uniform_logits_loss(self, one_graph):
         rng = np.random.default_rng(3)
         model, a_hat, x, labels = random_case(rng, c=3)
         zero = GcnModel(np.zeros_like(model.W1), np.zeros_like(model.W2))
-        loss, _ = loss_and_grad(zero, a_hat, propagate(a_hat, x), labels, np.arange(8))
+        (loss,), _ = loss_and_grad((zero,), one_graph(a_hat, x, labels), (np.arange(8),))
         assert loss == pytest.approx(np.log(3.0))
 
-    def test_empty_mask_rejected(self):
+    def test_empty_mask_rejected(self, one_graph):
         rng = np.random.default_rng(4)
         model, a_hat, x, labels = random_case(rng)
         with pytest.raises(ValidationError):
-            loss_and_grad(model, a_hat, propagate(a_hat, x), labels, np.array([], dtype=int))
+            loss_and_grad((model,), one_graph(a_hat, x, labels), (np.array([], dtype=int),))
 
-    def test_boolean_mask_equals_index_mask(self):
+    def test_boolean_mask_equals_index_mask(self, one_graph):
         rng = np.random.default_rng(5)
         model, a_hat, x, labels = random_case(rng)
+        stack = one_graph(a_hat, x, labels)
         mask = np.zeros(8, dtype=bool)
         mask[[1, 4, 6]] = True
-        l1, g1 = loss_and_grad(model, a_hat, propagate(a_hat, x), labels, mask)
-        l2, g2 = loss_and_grad(model, a_hat, propagate(a_hat, x), labels, np.array([1, 4, 6]))
+        (l1,), (g1,) = loss_and_grad((model,), stack, (mask,))
+        (l2,), (g2,) = loss_and_grad((model,), stack, (np.array([1, 4, 6]),))
         assert l1 == l2
         assert np.array_equal(g1.W1, g2.W1)
         assert np.array_equal(g1.W2, g2.W2)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_finite_difference_oracle(self, seed):
+    def test_finite_difference_oracle(self, seed, one_graph):
         """Analytic gradients against central differences, rel err <= 1e-4."""
         rng = np.random.default_rng(100 + seed)
         model, a_hat, x, labels = random_case(rng)
+        stack = one_graph(a_hat, x, labels)
         mask = np.sort(rng.choice(8, size=5, replace=False))
-        _, grads = loss_and_grad(model, a_hat, propagate(a_hat, x), labels, mask)
+        _, (grads,) = loss_and_grad((model,), stack, (mask,))
         eps = 1e-6
         for name, w, g in (("W1", model.W1, grads.W1), ("W2", model.W2, grads.W2)):
             num = np.zeros_like(w)
@@ -270,7 +268,7 @@ class TestLossAndGrad:
                     w_p[idx] += sign * eps
                     m = GcnModel(w_p if name == "W1" else model.W1,
                                  w_p if name == "W2" else model.W2)
-                    num[idx] += sign * masked_loss(m, a_hat, propagate(a_hat, x), labels, mask)
+                    num[idx] += sign * masked_loss((m,), stack, (mask,))[0]
                 it.iternext()
             num /= 2 * eps
             denom = np.maximum(np.abs(num), 1e-3)
@@ -294,15 +292,15 @@ class TestSgdStep:
     def test_training_reduces_loss(self):
         g = generate_sbm(3, 15, 0.4, 0.03, 6, seed=9)
         sub = induced_subgraph(g, np.arange(30), 0)
-        a_hat = normalize_adjacency(sub.adjacency)
+        stack = stack_graphs([sub])
         rng = np.random.default_rng(6)
         model = init_model(6, 8, 3, rng)
         mask = np.arange(30)
-        before = masked_loss(model, a_hat, propagate(a_hat, sub.features), sub.labels, mask)
+        before = masked_loss((model,), stack, (mask,))[0]
         for _ in range(20):
-            _, grads = loss_and_grad(model, a_hat, propagate(a_hat, sub.features), sub.labels, mask)
+            _, (grads,) = loss_and_grad((model,), stack, (mask,))
             model = sgd_step(model, grads, 0.1)
-        after = masked_loss(model, a_hat, propagate(a_hat, sub.features), sub.labels, mask)
+        after = masked_loss((model,), stack, (mask,))[0]
         assert after < before
 
 
