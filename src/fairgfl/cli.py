@@ -292,7 +292,8 @@ def main(argv=None) -> int:
 
     try:
         part, fed, ldp, extras = parse_config(args.config, overrides)
-        return run_suite(args.suite, part, fed, ldp, extras, args.out)
+        with np.errstate(all="ignore"):  # every non-finite result is checked explicitly
+            return run_suite(args.suite, part, fed, ldp, extras, args.out)
     except (ConfigError, ValidationError, GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ from itertools import accumulate
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import ValidationError, csr_rows, row_blocks
+from .graph import ValidationError, row_blocks
 
 
 class NumericError(ArithmeticError):
@@ -60,7 +60,7 @@ def _tilde_rows(adj, lo: int, hi: int) -> sp.csr_matrix:
     """Rows [lo, hi) of A + I: scipy's sum of those rows of adj and of I."""
     adj = adj.tocsr()
     n = adj.shape[0]
-    rows = adj if (lo, hi) == (0, n) else csr_rows(adj, lo, hi)
+    rows = adj if (lo, hi) == (0, n) else adj[lo:hi]
     idx = adj.indices.dtype
     eye = sp.csr_matrix((np.ones(hi - lo), np.arange(lo, hi, dtype=idx),
                          np.arange(hi - lo + 1, dtype=idx)), shape=(hi - lo, n))

@@ -20,9 +20,9 @@ BLOCK_MEAN_SEPARATION = 4.0
 # least one row), so its memory is O(SBM_DRAW_VALUES + n) rather than O(n^2).
 SBM_DRAW_VALUES = 1 << 18
 
-# Rows of an adjacency that GlobalGraph.validate and gcn.normalized_blocks
-# read at a time (at least; see row_blocks), so their temporaries are
-# bounded by a block, not the graph.
+# Rows of an adjacency that gcn.normalized_blocks, and the scaling in
+# gcn._normalize_rows, take at a time (at least; see row_blocks), so their
+# temporaries are bounded by a block, not the graph.
 ROW_BLOCK = 512
 
 
@@ -59,17 +59,18 @@ class GlobalGraph:
         return int(self.labels.max()) + 1 if self.num_nodes else 0
 
     def validate(self) -> None:
-        if self.features.shape[0] != self.num_nodes:
-            raise ValidationError("feature rows must match num_nodes")
+        n = self.num_nodes
+        if self.features.ndim != 2 or self.features.shape[0] != n:
+            raise ValidationError("features must be a num_nodes x feature_dim matrix")
         if not np.isfinite(self.features).all():
             raise ValidationError("features must be finite")
-        if self.labels.shape != (self.num_nodes,):
-            raise ValidationError("labels must be a vector of length num_nodes")
-        if self.num_nodes and self.labels.min() < 0:
+        if self.labels.shape != (n,) or not np.issubdtype(self.labels.dtype, np.integer):
+            raise ValidationError("labels must be an integer vector of length num_nodes")
+        if n and self.labels.min() < 0:
             raise ValidationError("labels must be non-negative class indices")
         adj = self.adjacency
-        if adj.shape != (self.num_nodes, self.num_nodes):
-            raise ValidationError("adjacency shape mismatch")
+        if not (sp.issparse(adj) and adj.format == "csr" and adj.shape == (n, n)):
+            raise ValidationError("adjacency must be a num_nodes x num_nodes scipy CSR matrix")
         if np.count_nonzero(adj.diagonal()):
             raise ValidationError("adjacency must have zero diagonal")
         if np.any((adj.data != 0) & (adj.data != 1)):
@@ -79,67 +80,34 @@ class GlobalGraph:
 
 
 def _is_symmetric(adj) -> bool:
-    """``(adj != adj.T).nnz == 0`` for an adj of 0/1 entries, checked
-    without a transposed copy.
+    """``(adj != adj.T).nnz == 0`` for an adj of 0/1 entries, in any sparse format.
 
-    On a canonical CSR (rows sorted, no duplicates) without stored zeros,
-    every entry is 1, and adj is symmetric when the entries of every column
-    j, read in row order, are row j's entries in stored order. The rows are
-    read a block of row_blocks at a time, a block's entries grouped by
-    column by a CSC conversion of the block alone, and nxt[j] is where the
-    next entry of column j must sit in row j. Any other adj is first copied
-    to that form, duplicates summed and zeros dropped, as ``!=`` compares
-    the sums; the sums are then compared too.
+    A canonical CSR (rows sorted, no duplicates) without stored zeros holds
+    only ones, and is symmetric when the CSC arrays of its int8 copy, which
+    are the CSR arrays of its transpose, equal its own. Any other adj is
+    first copied to that form, duplicates summed and zeros dropped, as
+    ``!=`` compares the sums; the sums are then compared too.
     """
-    sums = None
-    if not (adj.format == "csr" and adj.has_canonical_format
-            and np.count_nonzero(adj.data) == adj.nnz):
+    canonical = (adj.format == "csr" and adj.has_canonical_format
+                 and np.count_nonzero(adj.data) == adj.nnz)
+    if not canonical:
         adj = sp.csr_matrix(adj, copy=True)
         adj.sum_duplicates()
         adj.eliminate_zeros()
-        sums = adj.data
-    ptr, idx = adj.indptr, adj.indices
-    nxt = ptr[:-1].astype(np.int64)
-    for lo, hi in row_blocks(adj):
-        block = csr_rows(adj, lo, hi)
-        if sums is None:
-            block.data = np.ones(block.nnz, dtype=np.int8)  # cheaper to convert
-        block = block.tocsc()
-        count = np.diff(block.indptr)
-        if np.any(nxt + count > ptr[1:]):
-            return False
-        pos = np.repeat(nxt - block.indptr[:-1], count) + np.arange(block.nnz)
-        if not np.array_equal(idx[pos], block.indices + lo):
-            return False
-        if sums is not None and not np.array_equal(sums[pos], block.data):
-            return False
-        nxt += count
-    # No column overran its row, and the columns hold nnz entries in all, as
-    # the rows do: so every column filled its row exactly.
-    return True
+    data = np.ones(adj.nnz, dtype=np.int8) if canonical else adj.data
+    t = sp.csr_matrix((data, adj.indices, adj.indptr), shape=adj.shape).tocsc()
+    return (np.array_equal(t.indptr, adj.indptr) and np.array_equal(t.indices, adj.indices)
+            and (canonical or np.array_equal(t.data, adj.data)))
 
 
 def row_blocks(a: sp.csr_matrix) -> list[tuple[int, int]]:
     """(lo, hi) bounds of a's rows in blocks of ROW_BLOCK rows, or of more
     when the rows are short, so that a block holds about as many entries as
-    a has columns: a block's O(columns) steps then cost O(nnz) in all."""
+    a has columns: an O(columns) step per block, such as the mask over the
+    test ids in federation._global_eval_operands, then costs O(nnz) in all."""
     m, n = a.shape
     rows = max(ROW_BLOCK, -(-m * n // max(a.nnz, 1)))
     return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
-
-
-def csr_rows(adj: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
-    """Rows [lo, hi) of a CSR matrix, entries in stored order, on views of
-    its data and indices.
-
-    The arrays are set on an empty matrix: scipy's constructor, and its
-    row slice, would copy views this much shorter than their base.
-    """
-    a, b = adj.indptr[lo], adj.indptr[hi]
-    rows = sp.csr_matrix((hi - lo, adj.shape[1]), dtype=adj.dtype)
-    rows.data, rows.indices = adj.data[a:b], adj.indices[a:b]
-    rows.indptr = adj.indptr[lo : hi + 1] - a
-    return rows
 
 
 @dataclass(frozen=True)
@@ -279,6 +247,8 @@ def load_graph(node_file, edge_file) -> GlobalGraph:
         raw_ids.append(parts[0])
         raw_labels.append(parts[-1])
 
+    if n_fields is None:
+        raise GraphFormatError(f"{node_file}: no node rows")
     if len(set(raw_ids)) != len(raw_ids):
         seen = set()
         dup = next(i for i in raw_ids if i in seen or seen.add(i))

@@ -1,5 +1,9 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,16 +432,21 @@ class TestMain:
         assert err.startswith("error: round 1, server: non-finite")
         assert "Traceback" not in err
 
-    def test_diverged_encoder_exits_one(self, tmp_path, capsys):
-        """Finite features of about 1e200 pass validation, but the encoder
-        trained on them diverges in set-up: one error line, no directory."""
+    @staticmethod
+    def huge_features_cfg(tmp_path):
+        """A 60-node path graph on files, its features about +-1e200."""
         rng = np.random.default_rng(0)
         feats = rng.choice([-1.0, 1.0], size=(60, 8)) * rng.uniform(0.5, 1.5, (60, 8)) * 1e200
         (tmp_path / "nodes.txt").write_text("".join(
             f"n{i} {' '.join(map(repr, row.tolist()))} c{i % 3}\n" for i, row in enumerate(feats)))
         (tmp_path / "edges.txt").write_text("".join(f"n{i} n{i + 1}\n" for i in range(59)))
-        cfg = write_cfg(tmp_path, SMALL + f"dataset = file\nnode_file = {tmp_path / 'nodes.txt'}\n"
-                        f"edge_file = {tmp_path / 'edges.txt'}\n")
+        return write_cfg(tmp_path, SMALL + f"dataset = file\nnode_file = {tmp_path / 'nodes.txt'}\n"
+                         f"edge_file = {tmp_path / 'edges.txt'}\n")
+
+    def test_diverged_encoder_exits_one(self, tmp_path, capsys):
+        """Finite features of about 1e200 pass validation, but the encoder
+        trained on them diverges in set-up: one error line, no directory."""
+        cfg = self.huge_features_cfg(tmp_path)
         out = tmp_path / "o"
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
@@ -445,6 +454,20 @@ class TestMain:
         assert err.startswith("error: ") and "encoder training diverged" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--algorithm", "fedavg"]])
+    def test_numeric_failure_prints_only_its_error_line(self, tmp_path, flags):
+        """Outside pytest's warning capture too, a run that overflows writes
+        exactly one stderr line, its error (encoder set-up, or a round)."""
+        cfg = self.huge_features_cfg(tmp_path)
+        src = Path(fairgfl.cli.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairgfl.cli", "run", "--config", str(cfg),
+             "--out", str(tmp_path / "o"), *flags],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
     def test_unknown_key_exits_two(self, tmp_path):
         cfg = write_cfg(tmp_path, "bogus = 1\n")

@@ -93,6 +93,33 @@ class TestGlobalGraph:
                     assert graph_mod._is_symmetric(adj) == want
         assert min(seen.values()) > 100
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("features", np.ones(3), "feature_dim matrix"),
+        ("labels", np.zeros(3), "integer vector"),
+        ("labels", np.zeros(3, dtype=bool), "integer vector"),
+        ("adjacency", sp.coo_matrix((3, 3)), "CSR"),
+        ("adjacency", sp.csc_matrix((3, 3)), "CSR"),
+        ("adjacency", np.zeros((3, 3)), "CSR"),
+    ])
+    def test_validate_rejects_wrong_kinds(self, field, value, match):
+        """1-D features, float or bool labels and a non-CSR adjacency are
+        rejected here, not deep in a run."""
+        fields = dict(num_nodes=3, features=np.eye(3), labels=np.zeros(3, dtype=np.int64),
+                      adjacency=sp.csr_matrix((3, 3)))
+        GlobalGraph(**fields)
+        fields[field] = value
+        with pytest.raises(ValidationError, match=match):
+            GlobalGraph(**fields)
+
+    def test_symmetry_check_peak_memory(self, traced_peak):
+        # One int8 copy of the structure, converted to CSC once: about 0.6x
+        # the adjacency's bytes at 7 x 300. The float64 transposed copy of
+        # (adj != adj.T) reads about 1.8x.
+        adj = generate_sbm(7, 300, 0.2, 0.02, 32, 1).adjacency
+        symmetric, peak = traced_peak(graph_mod._is_symmetric, adj)
+        assert symmetric
+        assert peak <= 0.7 * sum(a.nbytes for a in (adj.data, adj.indices, adj.indptr))
+
     def test_validate_rejects_nonfinite_features(self):
         feats = np.eye(3)
         feats[0, 0] = np.nan
@@ -137,6 +164,11 @@ class TestLoadGraph:
     def test_bad_feature_value(self, tmp_path):
         nf, ef = self.write(tmp_path, "a oops x\n", "")
         with pytest.raises(GraphFormatError, match="feature"):
+            load_graph(nf, ef)
+
+    def test_no_node_rows(self, tmp_path):
+        nf, ef = self.write(tmp_path, "\n\n", "")
+        with pytest.raises(GraphFormatError, match="no node rows"):
             load_graph(nf, ef)
 
     def test_duplicate_node_id(self, tmp_path):
