@@ -7,11 +7,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import gcn, ldp, metrics, overlap
 from .gcn import GcnModel
-from .graph import ClientSubgraph, GlobalGraph, PartitionSpec, ValidationError, partition
+from .graph import (ClientSubgraph, GlobalGraph, PartitionSpec, ValidationError, partition,
+                    row_blocks)
 
 ALGORITHMS = ("fairgfl", "fedavg", "qfedavg")
 
@@ -238,23 +238,19 @@ def _global_eval_operands(graph: GlobalGraph, test_ids: np.ndarray):
     """(a_test, ax_global): the test rows of the global A_hat, in test_ids
     order, as a CSR matrix, and A_hat * X.
 
-    A_hat is built a row block at a time (gcn.normalized_blocks): each
-    block gives its rows of A_hat * X and keeps only its test rows, so the
-    whole global A_hat never exists. Both are byte for byte
-    A_hat[test_ids] and A_hat @ X, with A_hat = normalize_adjacency(adj).
+    The degrees of A + I are adj's row sums plus 1 (sums of ones, exact in
+    any order). A_hat * X is filled a row block at a time and a_test is
+    normalized from the test rows alone, so the whole global A_hat never
+    exists. Both are byte for byte A_hat[test_ids] and A_hat @ X, with
+    A_hat = normalize_adjacency(adj): validate keeps adj canonical, so
+    every row subset takes scipy's canonical addition path.
     """
+    adj = graph.adjacency
+    d_inv_sqrt = 1.0 / np.sqrt(gcn._row_sums(adj) + 1.0)
     ax = np.empty(graph.features.shape)
-    kept, where = [], []
-    for lo, hi, a_rows in gcn.normalized_blocks(graph.adjacency):
-        ax[lo:hi] = a_rows @ graph.features
-        here = (lo <= test_ids) & (test_ids < hi)
-        kept.append(a_rows[test_ids[here] - lo])
-        where.append(np.flatnonzero(here))
-    if len(kept) == 1:  # one block: its test rows are already in test_ids order
-        return kept[0], ax
-    a_test = sp.vstack(kept, format="csr")
-    del kept
-    return a_test[np.argsort(np.concatenate(where))], ax
+    for lo, hi in row_blocks(adj):
+        ax[lo:hi] = gcn._normalize_rows(adj, np.arange(lo, hi), d_inv_sqrt) @ graph.features
+    return gcn._normalize_rows(adj, test_ids, d_inv_sqrt), ax
 
 
 def run_experiment(

@@ -33,22 +33,24 @@ def init_model(feature_dim: int, hidden_dim: int, num_classes: int, rng) -> GcnM
 
 def normalize_adjacency(adj: sp.csr_matrix) -> sp.csr_matrix:
     """A_hat = D^-1/2 (A + I) D^-1/2, the symmetric normalization with self-loops."""
-    return _normalize_rows(adj, 0, adj.shape[0])
+    return _normalize_rows(adj)
 
 
-def _normalize_rows(adj, lo: int, hi: int, d_inv_sqrt: np.ndarray | None = None) -> sp.csr_matrix:
-    """Rows [lo, hi) of A_hat = D^-1/2 (A + I) D^-1/2, a (hi - lo) x n CSR.
+def _normalize_rows(adj, rows=None, d_inv_sqrt: np.ndarray | None = None) -> sp.csr_matrix:
+    """Rows `rows` of A_hat = D^-1/2 (A + I) D^-1/2, a len(rows) x n CSR.
 
-    d_inv_sqrt is deg^-1/2 of the whole graph's A + I; without it the rows
-    must be all of adj, and their own degrees are used.
+    rows is an index array, in any order and with repeats, or None for
+    every row. d_inv_sqrt is deg^-1/2 of the whole graph's A + I; without
+    it the rows must be all of adj, and their own degrees are used.
     """
-    a_tilde = _tilde_rows(adj, lo, hi)
+    a_tilde = _tilde_rows(adj, rows)
     if d_inv_sqrt is None:
         d_inv_sqrt = 1.0 / np.sqrt(_row_sums(a_tilde))
     # D @ A_tilde @ D's two products per entry, in its order, in place on
     # A_tilde's data: d_i * a_ij, then times d_j. A row block at a time, so
     # no temporary is as long as the matrix.
-    ptr, data, d_rows = a_tilde.indptr, a_tilde.data, d_inv_sqrt[lo:hi]
+    ptr, data = a_tilde.indptr, a_tilde.data
+    d_rows = d_inv_sqrt if rows is None else d_inv_sqrt[rows]
     for r0, r1 in row_blocks(a_tilde):
         seg = data[ptr[r0] : ptr[r1]]
         seg *= np.repeat(d_rows[r0:r1], np.diff(ptr[r0 : r1 + 1]))
@@ -56,38 +58,19 @@ def _normalize_rows(adj, lo: int, hi: int, d_inv_sqrt: np.ndarray | None = None)
     return a_tilde
 
 
-def _tilde_rows(adj, lo: int, hi: int) -> sp.csr_matrix:
-    """Rows [lo, hi) of A + I: scipy's sum of those rows of adj and of I."""
+def _tilde_rows(adj, rows=None) -> sp.csr_matrix:
+    """Rows `rows` (None: all) of A + I: scipy's sum of those rows of adj
+    and of I, whose row k holds a one at column rows[k]."""
     adj = adj.tocsr()
-    n = adj.shape[0]
-    rows = adj if (lo, hi) == (0, n) else adj[lo:hi]
-    idx = adj.indices.dtype
-    eye = sp.csr_matrix((np.ones(hi - lo), np.arange(lo, hi, dtype=idx),
-                         np.arange(hi - lo + 1, dtype=idx)), shape=(hi - lo, n))
-    return (rows + eye).tocsr()
+    n, idx = adj.shape[0], adj.indices.dtype
+    cols = np.arange(n, dtype=idx) if rows is None else np.asarray(rows, dtype=idx)
+    eye = sp.csr_matrix((np.ones(len(cols)), cols, np.arange(len(cols) + 1, dtype=idx)),
+                        shape=(len(cols), n))
+    return ((adj if rows is None else adj[rows]) + eye).tocsr()
 
 
 def _row_sums(a: sp.csr_matrix) -> np.ndarray:
     return np.asarray(a.sum(axis=1)).ravel()
-
-
-def normalized_blocks(adj):
-    """Yield (lo, hi, rows [lo, hi) of A_hat) over adj's rows, a block of
-    graph.row_blocks at a time: for an adj of 0/1 entries, the rows of
-    normalize_adjacency(adj), byte for byte, with at most a block of A_hat
-    alive at a time.
-
-    A + I's degrees are adj's row sums plus 1: sums of ones, exact in any
-    order, so they equal A + I's own row sums. A block of a non-canonical
-    adj (unsorted or duplicate entries) could take scipy's other addition
-    path, which orders a row's entries differently from the whole sum, so
-    such an adj is one block.
-    """
-    adj = adj.tocsr()
-    d_inv_sqrt = 1.0 / np.sqrt(_row_sums(adj) + 1.0)
-    bounds = row_blocks(adj) if adj.has_canonical_format else [(0, adj.shape[0])]
-    for lo, hi in bounds:
-        yield lo, hi, _normalize_rows(adj, lo, hi, d_inv_sqrt)
 
 
 @dataclass(frozen=True)

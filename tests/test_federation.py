@@ -530,20 +530,25 @@ class TestRunExperiment:
 
 
 class TestGlobalEvalOperands:
-    """The global A_hat is built a row block at a time; the test rows and
-    A_hat * X equal the whole graph's, byte for byte."""
+    """A_hat * X is built a row block at a time and the test rows of A_hat
+    from those rows alone; both equal the whole graph's, byte for byte."""
 
-    @pytest.mark.parametrize("block, case", [
-        (16, "unsorted"),  # 45 rows: blocks of 16, 16 and 13
-        (64, "unsorted"),  # one block, longer than the graph
-        (16, "sorted"),
-        (16, "gap"),       # the middle block holds no test row
-        (16, "repeated"),  # a test id twice, as a row slice allows
-        (16, "empty"),
-    ])
-    def test_matches_whole_graph(self, monkeypatch, block, case):
+    CASES = [
+        (16, "unsorted", 3),  # 45 rows: blocks of 16, 16 and 13
+        (64, "unsorted", 1),  # one block, longer than the graph
+        (16, "sorted", 3),
+        (16, "gap", 3),       # the middle block holds no test row
+        (16, "repeated", 3),  # a test id twice, as a row slice allows
+        (16, "empty", 3),
+        (16, "sparse", 2),    # short rows: blocks of 29 and 16, longer than ROW_BLOCK
+    ]
+
+    @pytest.mark.parametrize("block, case, blocks", CASES,
+                             ids=[f"{block}-{case}" for block, case, _ in CASES])
+    def test_matches_whole_graph(self, monkeypatch, block, case, blocks):
         monkeypatch.setattr(graph_mod, "ROW_BLOCK", block)
-        g = generate_sbm(3, 15, 0.4, 0.05, 6, seed=4)
+        p_in, p_out = (0.1, 0.0) if case == "sparse" else (0.4, 0.05)
+        g = generate_sbm(3, 15, p_in, p_out, 6, seed=4)
         unsorted = np.random.default_rng(3).permutation(g.num_nodes)[:12]
         test_ids = {
             "unsorted": unsorted,
@@ -551,8 +556,9 @@ class TestGlobalEvalOperands:
             "gap": np.array([40, 3, 44, 0, 15, 32]),
             "repeated": np.array([20, 7, 20, 33]),
             "empty": np.array([], dtype=np.int64),
+            "sparse": unsorted,
         }[case]
-        assert len(graph_mod.row_blocks(g.adjacency)) == (3 if block == 16 else 1)
+        assert len(graph_mod.row_blocks(g.adjacency)) == blocks
         a_test, ax = _global_eval_operands(g, test_ids)
         a_hat = normalize_adjacency(g.adjacency)
         want = a_hat[test_ids]

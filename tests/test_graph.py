@@ -54,6 +54,18 @@ class TestGlobalGraph:
         with pytest.raises(ValidationError, match="0 or 1"):
             GlobalGraph(3, np.eye(3), np.zeros(3, dtype=np.int64), sp.csr_matrix(adj))
 
+    @pytest.mark.parametrize("indices, indptr", [
+        ([1, 1, 0, 0], [0, 2, 4, 4]),  # edge 0-1 stored twice each way: weight 2
+        ([2, 1, 0, 0], [0, 2, 3, 4]),  # edges 0-1 and 0-2, row 0 unsorted
+    ], ids=["duplicates", "unsorted"])
+    def test_validate_rejects_non_canonical(self, indices, indptr):
+        """Every stored entry is 1, yet the graph is not a canonical CSR: a
+        duplicate would act as a weight-2 edge in A_hat, and a subset of
+        unsorted rows may take another scipy addition path."""
+        adj = sp.csr_matrix((np.ones(4), np.array(indices), np.array(indptr)), shape=(3, 3))
+        with pytest.raises(ValidationError, match="sum_duplicates"):
+            GlobalGraph(3, np.eye(3), np.zeros(3, dtype=np.int64), adj)
+
     def test_symmetry_check_agrees_with_transpose_comparison(self, monkeypatch):
         """_is_symmetric(adj) == ((adj != adj.T).nnz == 0) on random small
         matrices of 0/1 entries, in every format validate may see: the
@@ -254,9 +266,9 @@ class TestSbm:
 
     def test_peak_memory(self, traced_peak):
         # The draw buffer is freed before the mirror, the mirror is made with
-        # int8 data, and validate holds a row block at a time: about 1.5x the
-        # graph's bytes at 7 x 300. A float64 mirror with validate's
-        # transposed copy read about 2.5x.
+        # int8 data, and validate's symmetry check takes one int8 transpose
+        # of the structure: about 1.5x the graph's bytes at 7 x 300. A
+        # float64 mirror with validate's float64 transposed copy read about 2.5x.
         g, peak = traced_peak(generate_sbm, 7, 300, 0.2, 0.02, 32, 1)
         adj = g.adjacency
         graph_bytes = sum(a.nbytes for a in (adj.data, adj.indices, adj.indptr,
@@ -311,6 +323,17 @@ class TestInducedSubgraph:
         g = tiny_graph()
         sub = induced_subgraph(g, np.array([3, 4]), client_id=2)
         assert sub.edge_set() == {(3, 4)}
+
+    def test_edge_set_skips_stored_zeros(self):
+        """A stored 0 at (0, 1) is no edge: the subgraph on {0, 1} has none,
+        and its link overlap with another edgeless client reads 0."""
+        adj = sp.csr_matrix((np.array([0.0, 1.0, 1.0]), np.array([1, 3, 2]),
+                             np.array([0, 1, 1, 2, 3])), shape=(4, 4))
+        g = GlobalGraph(4, np.eye(4), np.zeros(4, dtype=np.int64), adj)
+        parts = [induced_subgraph(g, np.array([0, 1]), i) for i in range(2)]
+        assert parts[0].edge_set() == set()
+        assert induced_subgraph(g, np.arange(4), 2).edge_set() == {(2, 3)}
+        assert true_overlap_matrices(parts)[1][1, 0] == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_adjacency_entries_match_dense(self, seed):
