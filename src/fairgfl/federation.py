@@ -139,7 +139,7 @@ def _plain_batch(sub: ClientSubgraph, batch_ids, encoder) -> ldp.SanitizedBatch:
     """LDP bypass: encoded but unperturbed upload."""
     rows = sub.local_rows(batch_ids)
     vectors = encoder.encode(sub.features[rows])
-    adj = sub.adjacency_entries(rows[:, None], rows[None, :]).astype(np.int64)
+    adj = sub.has_edges(rows[:, None], rows[None, :]).astype(np.int64)
     return ldp.SanitizedBatch(
         client_id=sub.client_id,
         batch_size=len(rows),

@@ -12,7 +12,7 @@ from .graph import ValidationError, row_blocks
 
 
 class NumericError(ArithmeticError):
-    """Raised when a non-finite value appears during a forward pass."""
+    """Raised for a non-finite forward pass, client loss, encoder or perturb_node input."""
 
 
 @dataclass(frozen=True)

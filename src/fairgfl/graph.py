@@ -68,38 +68,32 @@ class GlobalGraph:
             raise ValidationError("labels must be an integer vector of length num_nodes")
         if n and self.labels.min() < 0:
             raise ValidationError("labels must be non-negative class indices")
-        adj = self.adjacency
-        if not (sp.issparse(adj) and adj.format == "csr" and adj.shape == (n, n)):
-            raise ValidationError("adjacency must be a num_nodes x num_nodes scipy CSR matrix")
-        if not adj.has_canonical_format:
-            raise ValidationError("adjacency must be a canonical CSR; call sum_duplicates() first")
-        if np.count_nonzero(adj.diagonal()):
-            raise ValidationError("adjacency must have zero diagonal")
-        if np.any((adj.data != 0) & (adj.data != 1)):
-            raise ValidationError("adjacency entries must be 0 or 1")
-        if not _is_symmetric(adj):
-            raise ValidationError("adjacency must be symmetric")
+        check_adjacency(self.adjacency, n)
 
 
-def _is_symmetric(adj) -> bool:
-    """``(adj != adj.T).nnz == 0`` for an adj of 0/1 entries, in any sparse format.
+def check_adjacency(adj, n: int) -> None:
+    """Raise ValidationError unless adj is an n x n canonical scipy CSR (sorted
+    rows, no duplicates) of ones, with a zero diagonal and equal to its transpose."""
+    if not (sp.issparse(adj) and adj.format == "csr" and adj.shape == (n, n)):
+        raise ValidationError("adjacency must be a num_nodes x num_nodes scipy CSR matrix")
+    if not adj.has_canonical_format:
+        raise ValidationError("adjacency must be a canonical CSR; call sum_duplicates() first")
+    if np.count_nonzero(adj.diagonal()):
+        raise ValidationError("adjacency must have zero diagonal")
+    if np.any((adj.data != 0) & (adj.data != 1)):
+        raise ValidationError("adjacency entries must be 0 or 1")
+    if np.count_nonzero(adj.data) != adj.nnz:
+        raise ValidationError("adjacency must store no zeros; call eliminate_zeros() first")
+    if not _is_symmetric(adj):
+        raise ValidationError("adjacency must be symmetric")
 
-    A canonical CSR (rows sorted, no duplicates) without stored zeros holds
-    only ones, and is symmetric when the CSC arrays of its int8 copy, which
-    are the CSR arrays of its transpose, equal its own. Any other adj is
-    first copied to that form, duplicates summed and zeros dropped, as
-    ``!=`` compares the sums; the sums are then compared too.
-    """
-    canonical = (adj.format == "csr" and adj.has_canonical_format
-                 and np.count_nonzero(adj.data) == adj.nnz)
-    if not canonical:
-        adj = sp.csr_matrix(adj, copy=True)
-        adj.sum_duplicates()
-        adj.eliminate_zeros()
-    data = np.ones(adj.nnz, dtype=np.int8) if canonical else adj.data
-    t = sp.csr_matrix((data, adj.indices, adj.indptr), shape=adj.shape).tocsc()
-    return (np.array_equal(t.indptr, adj.indptr) and np.array_equal(t.indices, adj.indices)
-            and (canonical or np.array_equal(t.data, adj.data)))
+
+def _is_symmetric(adj: sp.csr_matrix) -> bool:
+    """``(adj != adj.T).nnz == 0`` for a canonical CSR of ones: the CSC arrays of
+    an int8 copy of adj are the CSR arrays of its transpose."""
+    t = sp.csr_matrix((np.ones(adj.nnz, dtype=np.int8), adj.indices, adj.indptr),
+                      shape=adj.shape).tocsc()
+    return np.array_equal(t.indptr, adj.indptr) and np.array_equal(t.indices, adj.indices)
 
 
 def row_blocks(a: sp.csr_matrix) -> list[tuple[int, int]]:
@@ -124,6 +118,9 @@ class ClientSubgraph:
     labels: np.ndarray
     adjacency: sp.csr_matrix      # induced, indexed locally
 
+    def __post_init__(self):
+        check_adjacency(self.adjacency, self.num_nodes)
+
     @property
     def num_nodes(self) -> int:
         return len(self.node_ids)
@@ -140,30 +137,20 @@ class ClientSubgraph:
             )
         return rows
 
-    def adjacency_entries(self, rows, cols) -> np.ndarray:
-        """``adjacency.toarray()[rows, cols]`` without building the dense matrix.
-
-        rows and cols are local indices and broadcast against each other.
-        """
-        keys, values = self._entry_keys
+    def has_edges(self, rows, cols) -> np.ndarray:
+        """``adjacency.toarray()[rows, cols] != 0`` without building the dense
+        matrix; rows and cols are local indices and broadcast together."""
+        keys = self._edge_keys
         want = np.asarray(rows, dtype=np.int64) * self.num_nodes + np.asarray(cols, dtype=np.int64)
-        pos = np.searchsorted(keys, want)
-        pos[keys[pos] != want] = len(keys) - 1
-        return values[pos]
+        return keys[np.searchsorted(keys, want)] == want
 
     @functools.cached_property
-    def _entry_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted row * n + col keys of the stored entries and their values.
-
-        A sentinel key n * n with value 0 ends the keys, so every lookup
-        lands on a key and a miss reads 0. The adjacency is not modified.
-        """
-        coo = self.adjacency.tocoo(copy=True)
-        coo.sum_duplicates()
-        keys = coo.row.astype(np.int64) * self.num_nodes + coo.col
-        order = np.argsort(keys)
-        return (np.append(keys[order], self.num_nodes**2),
-                np.append(coo.data[order], coo.data.dtype.type(0)))
+    def _edge_keys(self) -> np.ndarray:
+        """row * n + col of each stored entry, ascending as the CSR is
+        canonical, then a sentinel n * n, so every lookup lands on a key."""
+        adj, n = self.adjacency, self.num_nodes
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
+        return np.append(rows * n + adj.indices, n * n)
 
     def edge_set(self) -> set[tuple[int, int]]:
         """Undirected edges as sorted global-id pairs."""
@@ -171,7 +158,7 @@ class ClientSubgraph:
         gids = self.node_ids
         return {
             (min(gids[r], gids[c]), max(gids[r], gids[c]))
-            for r, c, v in zip(coo.row, coo.col, coo.data) if v
+            for r, c in zip(coo.row, coo.col)
         }
 
 
@@ -291,8 +278,6 @@ def load_graph(node_file, edge_file) -> GlobalGraph:
         (np.ones(len(rows)), (rows, cols)), shape=(n, n)
     ).tocsr()
     adj = ((adj + adj.T) > 0).astype(np.float64)
-    adj.setdiag(0)
-    adj.eliminate_zeros()
     return GlobalGraph(num_nodes=n, features=features, labels=labels, adjacency=adj)
 
 

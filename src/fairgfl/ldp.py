@@ -276,7 +276,7 @@ def sanitize_batch(
     rows, cols = triu_pairs(b)
     bits = cache.links[slots[rows], slots[cols]]
     fresh = bits < 0
-    raw = sub.adjacency_entries(local[rows[fresh]], local[cols[fresh]]) != 0
+    raw = sub.has_edges(local[rows[fresh]], local[cols[fresh]])
     bits[fresh] = perturb_links(raw, params, rng)
     cache.links[slots[rows], slots[cols]] = cache.links[slots[cols], slots[rows]] = bits
     perturbed = np.zeros((b, b), dtype=np.int64)

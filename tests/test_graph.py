@@ -66,16 +66,26 @@ class TestGlobalGraph:
         with pytest.raises(ValidationError, match="sum_duplicates"):
             GlobalGraph(3, np.eye(3), np.zeros(3, dtype=np.int64), adj)
 
-    def test_symmetry_check_agrees_with_transpose_comparison(self, monkeypatch):
-        """_is_symmetric(adj) == ((adj != adj.T).nnz == 0) on random small
-        matrices of 0/1 entries, in every format validate may see: the
+    def test_validate_rejects_stored_zeros(self):
+        """A stored 0 at (0, 1) is no edge, and would be one to a lookup of
+        stored entries: the adjacency must drop it first."""
+        adj = sp.csr_matrix((np.array([0.0, 1.0, 1.0]), np.array([1, 3, 2]),
+                             np.array([0, 1, 1, 2, 3])), shape=(4, 4))
+        with pytest.raises(ValidationError, match="eliminate_zeros"):
+            GlobalGraph(4, np.eye(4), np.zeros(4, dtype=np.int64), adj)
+
+    def test_symmetry_check_agrees_with_transpose_comparison(self):
+        """GlobalGraph accepts exactly the canonical CSRs of ones with a zero
+        diagonal and (adj != adj.T).nnz == 0, on random small matrices: the
         entries are drawn as COO triples, so they hold duplicates (some
         summing to 2 on one side only), explicit zeros, self-loops (some
-        only zeros) and, as CSR, unsorted rows; a quarter are permutations,
-        whose rows and columns all hold one entry, and half are mirrored, so
-        both answers occur. ROW_BLOCK 1, 2 and 512."""
+        only zeros) and, as CSR, unsorted rows; each draw is also given as
+        COO, CSC, a summed CSR and a clean CSR (ones, no diagonal). A
+        quarter are permutations, whose rows and columns all hold one
+        entry, and half are mirrored, so both answers occur, and the
+        symmetry check itself rejects some clean CSRs."""
         rng = np.random.default_rng(17)
-        seen = {True: 0, False: 0, "several blocks": 0}
+        seen = {True: 0, False: 0, "asymmetric": 0}
         for _ in range(400):
             n = int(rng.integers(1, 9))
             k = int(rng.integers(0, 3 * n))
@@ -93,16 +103,24 @@ class TestGlobalGraph:
             unsorted = sp.csr_matrix((data[order], cols[order].astype(np.int32), indptr),
                                      shape=(n, n))
             coo = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-            summed = coo.tocsr()  # duplicates summed; kept only while 0/1
-            for adj in (unsorted, coo, unsorted.tocsc(), summed):
-                if not np.isin(adj.data, (0.0, 1.0)).all():
-                    continue
-                want = (adj != adj.T).nnz == 0
+            keep = (data != 0) & (rows != cols)
+            clean = sp.csr_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])), shape=(n, n))
+            clean.data[:] = 1.0  # a duplicate summed to 2 is one edge
+            for adj in (unsorted, coo, unsorted.tocsc(), coo.tocsr(), clean):
+                ptr = adj.indptr if adj.format == "csr" else ()
+                want = (adj.format == "csr"
+                        and all(np.all(np.diff(adj.indices[lo:hi]) > 0)
+                                for lo, hi in zip(ptr[:-1], ptr[1:]))
+                        and np.all(adj.data == 1) and not adj.diagonal().any()
+                        and (adj != adj.T).nnz == 0)
                 seen[want] += 1
-                for block in (1, 2, 512):
-                    monkeypatch.setattr(graph_mod, "ROW_BLOCK", block)
-                    seen["several blocks"] += len(graph_mod.row_blocks(adj)) > 1
-                    assert graph_mod._is_symmetric(adj) == want
+                args = (n, np.eye(n), np.zeros(n, dtype=np.int64), adj)
+                if want:
+                    GlobalGraph(*args)
+                    continue
+                with pytest.raises(ValidationError) as err:
+                    GlobalGraph(*args)
+                seen["asymmetric"] += "symmetric" in str(err.value)
         assert min(seen.values()) > 100
 
     @pytest.mark.parametrize("field, value, match", [
@@ -324,46 +342,39 @@ class TestInducedSubgraph:
         sub = induced_subgraph(g, np.array([3, 4]), client_id=2)
         assert sub.edge_set() == {(3, 4)}
 
-    def test_edge_set_skips_stored_zeros(self):
-        """A stored 0 at (0, 1) is no edge: the subgraph on {0, 1} has none,
-        and its link overlap with another edgeless client reads 0."""
-        adj = sp.csr_matrix((np.array([0.0, 1.0, 1.0]), np.array([1, 3, 2]),
-                             np.array([0, 1, 1, 2, 3])), shape=(4, 4))
-        g = GlobalGraph(4, np.eye(4), np.zeros(4, dtype=np.int64), adj)
-        parts = [induced_subgraph(g, np.array([0, 1]), i) for i in range(2)]
-        assert parts[0].edge_set() == set()
-        assert induced_subgraph(g, np.arange(4), 2).edge_set() == {(2, 3)}
-        assert true_overlap_matrices(parts)[1][1, 0] == 0.0
-
     @pytest.mark.parametrize("seed", range(4))
     def test_adjacency_entries_match_dense(self, seed):
-        """The CSR lookup equals toarray()[rows, cols], on a graph with no edges too."""
+        """has_edges equals toarray()[rows, cols] != 0, on a graph with no edges too."""
         rng = np.random.default_rng(seed)
         g = generate_sbm(3, 10, 0.4, 0.1, 4, seed=seed)
         subs = [induced_subgraph(g, rng.choice(30, size=17, replace=False), 0),
                 induced_subgraph(tiny_graph(n=5, edges=()), np.arange(5), 1)]
         for sub in subs:
-            dense = sub.adjacency.toarray()
+            dense = sub.adjacency.toarray() != 0
             n = sub.num_nodes
             rows, cols = rng.integers(0, n, size=40), rng.integers(0, n, size=40)
-            got = sub.adjacency_entries(rows, cols)
-            assert got.dtype == dense.dtype and np.array_equal(got, dense[rows, cols])
+            got = sub.has_edges(rows, cols)
+            assert got.dtype == bool and np.array_equal(got, dense[rows, cols])
             ids = rng.permutation(n)[:7]
-            assert np.array_equal(sub.adjacency_entries(ids[:, None], ids[None, :]),
+            assert np.array_equal(sub.has_edges(ids[:, None], ids[None, :]),
                                   dense[np.ix_(ids, ids)])
 
-    def test_adjacency_entries_leave_csr_untouched(self):
-        """Unsorted indices, a duplicate and an explicit zero: read as toarray() does."""
-        indptr = np.array([0, 3, 4, 6])
-        indices = np.array([2, 1, 2, 0, 1, 0])
-        data = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
-        adj = sp.csr_matrix((data, indices, indptr), shape=(3, 3))
-        sub = graph_mod.ClientSubgraph(0, np.arange(3), np.zeros((3, 1)), np.zeros(3, int), adj)
-        saved = [a.copy() for a in (adj.indptr, adj.indices, adj.data)]
-        rows, cols = np.divmod(np.arange(9), 3)
-        assert np.array_equal(sub.adjacency_entries(rows, cols), adj.toarray().ravel())
-        for before, after in zip(saved, (adj.indptr, adj.indices, adj.data)):
-            assert np.array_equal(before, after)
+    @pytest.mark.parametrize("data, indices, indptr, match", [
+        ([1.0], [1], [0, 1, 1, 1], "symmetric"),
+        ([1.0] * 4, [1, 1, 0, 0], [0, 2, 4, 4], "sum_duplicates"),
+        ([1.0] * 4, [2, 1, 0, 0], [0, 2, 3, 4], "sum_duplicates"),
+        ([1.0, 1.0, 0.0, 0.0], [1, 0, 2, 1], [0, 1, 3, 4], "eliminate_zeros"),
+        ([1.0], [0], [0, 1, 1, 1], "zero diagonal"),
+    ], ids=["one-directional", "duplicates", "unsorted", "stored-zero", "self-loop"])
+    def test_client_rejects_malformed_adjacency(self, data, indices, indptr, match):
+        """A directly built client runs GlobalGraph's adjacency check: the
+        GCN uses its A_hat as its own transpose, and has_edges reads the
+        sorted structure."""
+        fields = (0, np.arange(3), np.zeros((3, 1)), np.zeros(3, int))
+        graph_mod.ClientSubgraph(*fields, tiny_graph(n=3, edges=((0, 1), (1, 2))).adjacency)
+        adj = sp.csr_matrix((np.array(data), np.array(indices), np.array(indptr)), shape=(3, 3))
+        with pytest.raises(ValidationError, match=match):
+            graph_mod.ClientSubgraph(*fields, adj)
 
     def test_local_rows(self):
         sub = induced_subgraph(tiny_graph(), np.array([4, 1, 2]), client_id=3)

@@ -12,9 +12,10 @@ LDP, at tau percentile 25 and with 21-node blocks (147 nodes, 29 test rows:
 a row count that is not a multiple of 4, where BLAS may take another
 kernel), ``fairgfl-m`` on node and edge files (``dataset = file``: a small
 block graph whose edges are written shuffled, some in both directions and
-some twice), ``fairgfl-m`` on uneven clients (``dirichlet_alpha_nonoverlap =
-0.05``, ``overlap_coefficient = 0.02``: clients of 38, 1, 19, 75, 50, 2, 53,
-5, 33 and 1 nodes, so two hold a single node and five fewer than the
+some twice, among a few ``u u`` self-loop rows that the loader drops),
+``fairgfl-m`` on uneven clients (``dirichlet_alpha_nonoverlap = 0.05``,
+``overlap_coefficient = 0.02``: clients of 38, 1, 19, 75, 50, 2, 53, 5, 33
+and 1 nodes, so two hold a single node and five fewer than the
 ``batch_size`` of 20), and every multi-run suite on a 3-round config with
 20-node blocks.
 Every output file (manifests included) is compared byte for byte. Each file
@@ -44,7 +45,8 @@ ROOT = Path.cwd()
 def graph_files(top: Path) -> dict:
     """Write a 140-node, 4-class block graph as node and edge files in top;
     returns their config keys. Edges come in shuffled order and random
-    direction, a quarter of them also reversed and an eighth twice."""
+    direction, a quarter of them also reversed and an eighth twice, mixed
+    with four self-loop rows."""
     rng = np.random.default_rng(11)
     n, dim = 140, 32
     labels = rng.integers(0, 4, size=n)
@@ -55,7 +57,8 @@ def graph_files(top: Path) -> dict:
     flip = rng.random(len(edges)) < 0.5
     edges[flip] = edges[flip, ::-1]
     extra = rng.random(len(edges))
-    edges = np.concatenate([edges, edges[extra < 0.25, ::-1], edges[extra > 0.875]])
+    loops = np.repeat(rng.integers(0, n, size=(4, 1)), 2, axis=1)
+    edges = np.concatenate([edges, edges[extra < 0.25, ::-1], edges[extra > 0.875], loops])
     edges = edges[rng.permutation(len(edges))]
     node_file, edge_file = top / "nodes.txt", top / "edges.txt"
     node_file.write_text("".join(
