@@ -238,15 +238,16 @@ def _global_eval_operands(graph: GlobalGraph, test_ids: np.ndarray):
     """(a_test, ax_global): the test rows of the global A_hat, in test_ids
     order, as a CSR matrix, and A_hat * X.
 
-    The degrees of A + I are adj's row sums plus 1 (sums of ones, exact in
-    any order). A_hat * X is filled a row block at a time and a_test is
-    normalized from the test rows alone, so the whole global A_hat never
-    exists. Both are byte for byte A_hat[test_ids] and A_hat @ X, with
-    A_hat = normalize_adjacency(adj): validate keeps adj canonical, so
-    every row subset takes scipy's canonical addition path.
+    The degrees of A + I are adj's row lengths plus 1: validate keeps every
+    stored entry 1, so they equal the row sums, which scipy takes through an
+    int64 copy of an int8 adj's data. A_hat * X is filled a row block at a
+    time and a_test is normalized from the test rows alone, so the whole
+    global A_hat never exists. Both are byte for byte A_hat[test_ids] and
+    A_hat @ X, with A_hat = normalize_adjacency(adj): validate keeps adj
+    canonical, so every row subset takes scipy's canonical addition path.
     """
     adj = graph.adjacency
-    d_inv_sqrt = 1.0 / np.sqrt(gcn._row_sums(adj) + 1.0)
+    d_inv_sqrt = 1.0 / np.sqrt(np.diff(adj.indptr) + 1.0)
     ax = np.empty(graph.features.shape)
     for lo, hi in row_blocks(adj):
         ax[lo:hi] = gcn._normalize_rows(adj, np.arange(lo, hi), d_inv_sqrt) @ graph.features

@@ -44,11 +44,13 @@ def _normalize_rows(adj, rows=None, d_inv_sqrt: np.ndarray | None = None) -> sp.
     it the rows must be all of adj, and their own degrees are used.
     """
     a_tilde = _tilde_rows(adj, rows)
+    # Float64 before the row sums: scipy sums int8 rows through an int64 copy.
+    a_tilde.data = a_tilde.data.astype(np.float64, copy=False)
     if d_inv_sqrt is None:
-        d_inv_sqrt = 1.0 / np.sqrt(_row_sums(a_tilde))
+        d_inv_sqrt = 1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel())
     # D @ A_tilde @ D's two products per entry, in its order, in place on
     # A_tilde's data: d_i * a_ij, then times d_j. A row block at a time, so
-    # no temporary is as long as the matrix.
+    # no other temporary is as long as the matrix.
     ptr, data = a_tilde.indptr, a_tilde.data
     d_rows = d_inv_sqrt if rows is None else d_inv_sqrt[rows]
     for r0, r1 in row_blocks(a_tilde):
@@ -60,17 +62,16 @@ def _normalize_rows(adj, rows=None, d_inv_sqrt: np.ndarray | None = None) -> sp.
 
 def _tilde_rows(adj, rows=None) -> sp.csr_matrix:
     """Rows `rows` (None: all) of A + I: scipy's sum of those rows of adj
-    and of I, whose row k holds a one at column rows[k]."""
+    and of I, whose row k holds a one at column rows[k]. I takes adj's dtype
+    (at least int8), so an int8 adj gives an int8 sum: a float64 I would make
+    scipy upcast adj through an nnz-long float64 temporary."""
     adj = adj.tocsr()
     n, idx = adj.shape[0], adj.indices.dtype
     cols = np.arange(n, dtype=idx) if rows is None else np.asarray(rows, dtype=idx)
-    eye = sp.csr_matrix((np.ones(len(cols)), cols, np.arange(len(cols) + 1, dtype=idx)),
+    ones = np.ones(len(cols), dtype=np.result_type(adj.dtype, np.int8))
+    eye = sp.csr_matrix((ones, cols, np.arange(len(cols) + 1, dtype=idx)),
                         shape=(len(cols), n))
     return ((adj if rows is None else adj[rows]) + eye).tocsr()
-
-
-def _row_sums(a: sp.csr_matrix) -> np.ndarray:
-    return np.asarray(a.sum(axis=1)).ravel()
 
 
 @dataclass(frozen=True)

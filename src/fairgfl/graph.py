@@ -22,7 +22,8 @@ SBM_DRAW_VALUES = 1 << 18
 
 # Rows of an adjacency that federation._global_eval_operands' A_hat * X, and
 # the scaling in gcn._normalize_rows, take at a time (at least; see
-# row_blocks), so their temporaries are bounded by a block, not the graph.
+# row_blocks), and public nodes that overlap.calibrate_tau perturbs at a
+# time, so their temporaries are bounded by a block, not the graph.
 ROW_BLOCK = 512
 
 
@@ -45,7 +46,7 @@ class GlobalGraph:
     num_nodes: int
     features: np.ndarray          # (num_nodes, feature_dim) float64
     labels: np.ndarray            # (num_nodes,) int64
-    adjacency: sp.csr_matrix      # (num_nodes, num_nodes) binary
+    adjacency: sp.csr_matrix      # (num_nodes, num_nodes) 0/1; int8 when built here
 
     def __post_init__(self):
         self.validate()
@@ -90,9 +91,8 @@ def check_adjacency(adj, n: int) -> None:
 
 def _is_symmetric(adj: sp.csr_matrix) -> bool:
     """``(adj != adj.T).nnz == 0`` for a canonical CSR of ones: the CSC arrays of
-    an int8 copy of adj are the CSR arrays of its transpose."""
-    t = sp.csr_matrix((np.ones(adj.nnz, dtype=np.int8), adj.indices, adj.indptr),
-                      shape=adj.shape).tocsc()
+    adj as int8 (adj itself when it is int8) are the CSR arrays of its transpose."""
+    t = adj.astype(np.int8, copy=False).tocsc()
     return np.array_equal(t.indptr, adj.indptr) and np.array_equal(t.indices, adj.indices)
 
 
@@ -116,7 +116,7 @@ class ClientSubgraph:
     node_ids: np.ndarray          # global ids, sorted
     features: np.ndarray
     labels: np.ndarray
-    adjacency: sp.csr_matrix      # induced, indexed locally
+    adjacency: sp.csr_matrix      # induced, indexed locally, the global dtype
 
     def __post_init__(self):
         check_adjacency(self.adjacency, self.num_nodes)
@@ -274,10 +274,12 @@ def load_graph(node_file, edge_file) -> GlobalGraph:
     if dropped:
         logger.warning("dropped %d edges (unknown endpoints or self-loops)", dropped)
 
+    # Duplicate edge rows are summed in float64: an int8 sum of one edge
+    # listed 128 times would wrap to -128 and fail the > 0 test.
     adj = sp.coo_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(n, n)
     ).tocsr()
-    adj = ((adj + adj.T) > 0).astype(np.float64)
+    adj = ((adj + adj.T) > 0).astype(np.int8)
     return GlobalGraph(num_nodes=n, features=features, labels=labels, adjacency=adj)
 
 
@@ -321,13 +323,10 @@ def generate_sbm(
     cols, indptr = _upper_edges(rng, n, nodes_per_block, p_in, p_out)
     upper = sp.csr_matrix((np.ones(len(cols), dtype=np.int8), cols, indptr), shape=(n, n))
     del cols, indptr
-    # Both directions of every edge, each row's columns ascending. The mirror
-    # is made with int8 data, 5 bytes an entry where float64 takes 12, and the
-    # graph then gets one float64 data array on the mirror's index arrays.
-    mirror = upper + upper.T
+    # Both directions of every edge, each row's columns ascending, with int8
+    # data: 5 bytes an entry where float64 takes 12. The mirror is the graph.
+    adj = upper + upper.T
     del upper
-    adj = sp.csr_matrix((np.ones(mirror.nnz), mirror.indices, mirror.indptr), shape=(n, n))
-    del mirror
     return GlobalGraph(num_nodes=n, features=features, labels=labels, adjacency=adj)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import graph
 from .graph import ValidationError
 from .ldp import Encoder, LdpParams, SanitizedBatch, perturb_node, triu_pairs
 
@@ -191,10 +192,15 @@ def calibrate_tau(
     responses measures the noise scale a true re-encounter must tolerate.
     """
     encoded = encoder.encode(public_nodes)
-    # Shape (n, 2, d1) draws row by row, then copy, then coordinate.
-    twice = perturb_node(np.stack([encoded, encoded], axis=1), params, rng,
-                         encoder.x_min, encoder.x_max)
-    # Norm per row: a row-wise reduction may sum in another order, and grid
-    # steps 1/p are not exact binary fractions for every p.
-    dists = [np.linalg.norm(diff) for diff in twice[:, 0] - twice[:, 1]]
+    dists = []
+    # Shape (rows, 2, d1) draws row by row, then copy, then coordinate, so
+    # blocks of graph.ROW_BLOCK rows draw the whole (n, 2, d1) stream in order
+    # while holding the (rows, 2, d1, p + 1) grid arrays of one block alone.
+    for lo in range(0, len(encoded), graph.ROW_BLOCK):
+        block = encoded[lo : lo + graph.ROW_BLOCK]
+        twice = perturb_node(np.stack([block, block], axis=1), params, rng,
+                             encoder.x_min, encoder.x_max)
+        # Norm per row: a row-wise reduction may sum in another order, and
+        # grid steps 1/p are not exact binary fractions for every p.
+        dists += [np.linalg.norm(diff) for diff in twice[:, 0] - twice[:, 1]]
     return float(np.percentile(dists, percentile))

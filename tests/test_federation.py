@@ -28,6 +28,7 @@ from fairgfl.gcn import (
     stack_graphs,
 )
 from fairgfl.graph import (
+    GlobalGraph,
     PartitionSpec,
     ValidationError,
     generate_sbm,
@@ -570,6 +571,20 @@ class TestGlobalEvalOperands:
         want_ax = a_hat @ g.features
         assert ax.dtype == want_ax.dtype
         assert ax.tobytes() == want_ax.tobytes()
+
+    def test_int8_and_float64_agree(self, monkeypatch):
+        """The operands of an int8 adjacency have the bytes of its float64 copy's."""
+        monkeypatch.setattr(graph_mod, "ROW_BLOCK", 16)
+        g = generate_sbm(3, 15, 0.4, 0.05, 6, seed=4)
+        g64 = GlobalGraph(g.num_nodes, g.features, g.labels, g.adjacency.astype(np.float64))
+        assert g.adjacency.dtype == np.int8
+        test_ids = np.random.default_rng(3).permutation(g.num_nodes)[:12]
+        (a_test, ax), (a_test64, ax64) = (_global_eval_operands(h, test_ids) for h in (g, g64))
+        for name in ("indptr", "indices", "data"):
+            got, exp = getattr(a_test, name), getattr(a_test64, name)
+            assert got.dtype == exp.dtype, name
+            assert got.tobytes() == exp.tobytes(), name
+        assert ax.tobytes() == ax64.tobytes()
 
     def test_peak_memory(self, traced_peak):
         # At 7 x 300 with 20% test rows: about 1.05x the bytes of the whole

@@ -83,6 +83,22 @@ class TestNormalizeAdjacency:
             assert a.dtype == b.dtype, name
             assert a.tobytes() == b.tobytes(), name
 
+    @pytest.mark.parametrize("case", ["sbm", "induced", "no_edges"])
+    def test_int8_and_float64_agree(self, case):
+        """A_hat of an int8 adjacency has the bytes of A_hat of its float64 copy."""
+        g = generate_sbm(3, 20, 0.3, 0.05, 4, seed=3)
+        adj = {
+            "sbm": g.adjacency,
+            "induced": induced_subgraph(g, np.arange(5, 40), 0).adjacency,
+            "no_edges": sp.csr_matrix((5, 5), dtype=np.int8),
+        }[case]
+        assert adj.dtype == np.int8
+        got, want = normalize_adjacency(adj), normalize_adjacency(adj.astype(np.float64))
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+
     def test_peak_memory(self, traced_peak):
         # Scaling A_tilde's data in place, a row block at a time, leaves no
         # temporary longer than a block: about 1.2x the bytes of A_hat at

@@ -142,13 +142,13 @@ class TestGlobalGraph:
             GlobalGraph(**fields)
 
     def test_symmetry_check_peak_memory(self, traced_peak):
-        # One int8 copy of the structure, converted to CSC once: about 0.6x
-        # the adjacency's bytes at 7 x 300. The float64 transposed copy of
-        # (adj != adj.T) reads about 1.8x.
+        # The int8 adjacency converted to CSC once: about 1.2x its own 5
+        # bytes an entry at 7 x 300 (1.16 MiB). The float64 transposed copy
+        # of (adj != adj.T) reads about 4.3x.
         adj = generate_sbm(7, 300, 0.2, 0.02, 32, 1).adjacency
         symmetric, peak = traced_peak(graph_mod._is_symmetric, adj)
         assert symmetric
-        assert peak <= 0.7 * sum(a.nbytes for a in (adj.data, adj.indices, adj.indptr))
+        assert peak <= 1.3 * sum(a.nbytes for a in (adj.data, adj.indices, adj.indptr))
 
     def test_validate_rejects_nonfinite_features(self):
         feats = np.eye(3)
@@ -218,6 +218,21 @@ class TestLoadGraph:
         g = load_graph(nf, ef)
         assert g.adjacency.diagonal().sum() == 0
 
+    def test_adjacency_is_int8(self, tmp_path):
+        nf, ef = self.write(tmp_path, "a 0.5 x\nb 0.6 y\nc 0.7 x\n", "a b\nc b\n")
+        adj = load_graph(nf, ef).adjacency
+        assert adj.dtype == np.int8
+        assert adj.toarray().tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+
+    @pytest.mark.parametrize("copies", [128, 256, 300])
+    def test_edge_listed_many_times_is_one_edge(self, tmp_path, copies):
+        # Duplicates are summed before the int8 cast: an int8 sum of 128
+        # ones wraps to -128 and of 256 to 0, which "> 0" would drop.
+        nf, ef = self.write(tmp_path, "a 0.5 x\nb 0.6 y\n", "a b\n" * copies)
+        adj = load_graph(nf, ef).adjacency
+        assert adj.dtype == np.int8
+        assert adj.nnz == 2 and adj.data.tolist() == [1, 1]
+
 
 def dense_sbm(num_blocks, nodes_per_block, p_in, p_out, feature_dim, seed):
     """The whole-matrix SBM draw, kept as the reference for generate_sbm:
@@ -232,7 +247,7 @@ def dense_sbm(num_blocks, nodes_per_block, p_in, p_out, feature_dim, seed):
     same_block = labels[:, None] == labels[None, :]
     probs = np.where(same_block, p_in, p_out)
     upper = np.triu(rng.random((n, n)) < probs, k=1)
-    adj_dense = (upper | upper.T).astype(np.float64)
+    adj_dense = (upper | upper.T).astype(np.int8)
     return features, labels, sp.csr_matrix(adj_dense)
 
 
@@ -283,15 +298,22 @@ class TestSbm:
         assert made[0].bit_generator.state == want.bit_generator.state
 
     def test_peak_memory(self, traced_peak):
-        # The draw buffer is freed before the mirror, the mirror is made with
-        # int8 data, and validate's symmetry check takes one int8 transpose
-        # of the structure: about 1.5x the graph's bytes at 7 x 300. A
-        # float64 mirror with validate's float64 transposed copy read about 2.5x.
+        # The draw buffer is freed before the mirror, the int8 mirror is the
+        # graph's adjacency, and validate's symmetry check takes one int8
+        # transpose of it: about 2.4x the graph's bytes at 7 x 300 (3.56 MiB),
+        # where a float64 adjacency read 1.4x of a graph twice as large
+        # (4.02 MiB). A float64 mirror with validate's float64 transposed copy
+        # read about 4.7x.
         g, peak = traced_peak(generate_sbm, 7, 300, 0.2, 0.02, 32, 1)
         adj = g.adjacency
         graph_bytes = sum(a.nbytes for a in (adj.data, adj.indices, adj.indptr,
                                               g.features, g.labels))
-        assert peak <= 1.8 * graph_bytes
+        assert peak <= 2.6 * graph_bytes
+
+    def test_adjacency_is_int8(self):
+        adj = generate_sbm(3, 10, 0.5, 0.05, 4, seed=0).adjacency
+        assert adj.dtype == np.int8 and adj.data.dtype == np.int8
+        assert adj.nnz and (adj.data == 1).all()
 
     def test_shapes_and_labels(self):
         g = generate_sbm(3, 10, 0.5, 0.05, 4, seed=0)

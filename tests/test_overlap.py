@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fairgfl.graph as graph_mod
 import fairgfl.overlap as overlap_mod
 from fairgfl.graph import ValidationError
 from fairgfl.ldp import Encoder, LdpParams, SanitizedBatch, perturb_node
@@ -388,3 +389,23 @@ class TestCalibrateTau:
         tau_rng = np.random.default_rng(3)
         assert calibrate_tau(enc, nodes, params, tau_rng, 40.0) == np.percentile(dists, 40.0)
         assert tau_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("block", [1, 4, 25, 512])
+    def test_blocks_match_whole_draw(self, monkeypatch, block):
+        """Public nodes perturbed ROW_BLOCK rows at a time give the tau, and
+        leave the generator in the state, of one (n, 2, d1) draw."""
+        rng = np.random.default_rng(5)
+        enc = Encoder(
+            W=rng.standard_normal((6, 4)), b=np.zeros(4), d1=4, x_min=-1.0, x_max=1.0
+        )
+        params = LdpParams(3.0, 1.0, 5)
+        nodes = rng.standard_normal((25, 6))
+        whole_rng = np.random.default_rng(6)
+        encoded = enc.encode(nodes)
+        twice = perturb_node(np.stack([encoded, encoded], axis=1), params, whole_rng,
+                             enc.x_min, enc.x_max)
+        want = np.percentile([np.linalg.norm(d) for d in twice[:, 0] - twice[:, 1]], 30.0)
+        monkeypatch.setattr(graph_mod, "ROW_BLOCK", block)
+        tau_rng = np.random.default_rng(6)
+        assert calibrate_tau(enc, nodes, params, tau_rng, 30.0) == want
+        assert tau_rng.bit_generator.state == whole_rng.bit_generator.state

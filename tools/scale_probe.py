@@ -9,14 +9,15 @@ Each size runs the ``sim run`` defaults on an SBM of N nodes in ``sbm_blocks``
 (7) blocks of B = N / 7, with ``sbm_p_in = 15 / B`` and ``sbm_p_out = 1.5 / B``,
 so the expected degree stays near 15 + 6 · 1.5 = 24 whatever N is. Every size
 runs in a fresh process with 1 BLAS thread, and reports the seconds of
-``cli.build_graph`` and of ``federation.run_experiment``, and ``ru_maxrss``
-after the build, after a set-up (``run_experiment`` at 0 rounds, run once
-before the timed experiment) and at the end. The set-up figure leaves out
-what only the rounds hold, such as the uploads' link cache. With
-``--parent`` the parent revision is extracted with ``git archive`` into
-``WORK/parent`` and every size runs on the parent first, then on the
-working tree. The results, with the config, machine
-and numpy/scipy versions, go to ``BENCH_scale_<tag>.json``, rewritten after
+``cli.build_graph`` and of ``federation.run_experiment``, the bytes of the
+global adjacency's ``data``, ``indices`` and ``indptr`` arrays, and
+``ru_maxrss`` after the build, after a set-up (``run_experiment`` at 0
+rounds, run once before the timed experiment) and at the end. The set-up
+figure leaves out what only the rounds hold, such as the uploads' link
+cache. With ``--parent`` the parent revision is extracted with ``git
+archive`` into ``WORK/parent`` and every size runs on the parent first,
+then on the working tree. The results, with the config, machine and
+numpy/scipy versions, go to ``BENCH_scale_<tag>.json``, rewritten after
 every run.
 """
 
@@ -50,6 +51,8 @@ t0 = time.perf_counter()
 graph = cli.build_graph(extras)
 build_s = time.perf_counter() - t0
 after_build = maxrss_mb()
+adj = graph.adjacency
+adjacency_bytes = sum(a.nbytes for a in (adj.data, adj.indices, adj.indptr))
 federation.run_experiment(graph, part, dataclasses.replace(fed, rounds=0), ldp)
 after_setup = maxrss_mb()
 t0 = time.perf_counter()
@@ -58,7 +61,8 @@ run_s = time.perf_counter() - t0
 print(json.dumps({
     "nodes": graph.num_nodes, "edges": graph.adjacency.nnz // 2, "rounds": rounds,
     "block_size": size, "sbm_p_in": 15 / size, "sbm_p_out": 1.5 / size,
-    "build_s": build_s, "run_s": run_s, "maxrss_after_build_mb": after_build,
+    "build_s": build_s, "run_s": run_s, "adjacency_bytes": adjacency_bytes,
+    "maxrss_after_build_mb": after_build,
     "maxrss_after_setup_mb": after_setup, "maxrss_mb": maxrss_mb(),
     "final_test_loss": result.records[-1].test_loss,
 }))
