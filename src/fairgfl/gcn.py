@@ -111,27 +111,16 @@ class Stack:
 
 
 def stack_graphs(subgraphs) -> Stack:
-    """Normalize each subgraph, take its A_hat * X, and stack the results.
-
-    Each graph's CSR arrays are concatenated with offsets, so every row of
-    the stack keeps the entries, in the entry order, of the graph alone.
-    """
+    """Stack the subgraphs block-diagonally: one A_hat, normalized once, and
+    each graph's A_hat * X. Each row has the bits of its graph alone: a
+    block-diagonal A_tilde's row sums are each graph's own degrees, block_diag's
+    CSR is canonical, so A + I takes scipy's canonical sum as a graph alone
+    does, and each row keeps its graph's entries in column order."""
     bounds = tuple(accumulate((s.num_nodes for s in subgraphs), initial=0))
+    a_hat = normalize_adjacency(sp.block_diag([s.adjacency for s in subgraphs], format="csr"))
     ax = np.empty((bounds[-1], subgraphs[0].features.shape[1]))
-    data, indices, indptr = [], [], []
-    nnz = 0
     for s, lo, hi in zip(subgraphs, bounds[:-1], bounds[1:]):
-        a_hat = normalize_adjacency(s.adjacency)
-        ax[lo:hi] = a_hat @ s.features
-        data.append(a_hat.data)
-        indices.append(a_hat.indices + lo)
-        indptr.append(a_hat.indptr[:-1] + nnz)
-        nnz += int(a_hat.indptr[-1])
-    indptr.append(np.array([nnz], dtype=indptr[-1].dtype))
-    a_hat = sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)),
-        shape=(bounds[-1], bounds[-1]),
-    )
+        ax[lo:hi] = a_hat[lo:hi, lo:hi] @ s.features
     axs = tuple(ax[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
     return Stack(a_hat, axs, np.concatenate([s.labels for s in subgraphs]), bounds)
 

@@ -129,11 +129,13 @@ class TestEvaluateGlobal:
             assert loss == float(expect_loss)
             assert acc == expect_acc
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_inf_weights_raise(self):
         model = GcnModel(np.full((6, 4), np.inf), np.zeros((4, 3)))
         with pytest.raises(NumericError):
             evaluate_global(model, self.a_hat[:5], self.ax, self.graph.labels[:5])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_hidden_row_outside_test_rows_raises(self):
         """A non-finite hidden row is caught even where no test row reads it."""
         test_ids = np.array([0])
