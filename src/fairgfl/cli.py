@@ -294,7 +294,7 @@ def main(argv=None) -> int:
         part, fed, ldp, extras = parse_config(args.config, overrides)
         with np.errstate(all="ignore"):  # every non-finite result is checked explicitly
             return run_suite(args.suite, part, fed, ldp, extras, args.out)
-    except (ConfigError, ValidationError, GraphFormatError, OSError) as exc:
+    except (ConfigError, ValidationError, GraphFormatError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

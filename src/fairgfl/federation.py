@@ -88,19 +88,17 @@ class ClientReport:
     train_loss: float
 
 
-def _client_rng(seed: int, round_index: int, client_id: int, stream: int):
-    return np.random.default_rng(
-        np.random.SeedSequence((seed, round_index, client_id, stream))
-    )
-
-
-def _sampling_rng(seed: int, round_index: int):
-    return np.random.default_rng(np.random.SeedSequence((seed, round_index, 1 << 20)))
+def _client_rng(*key: int):
+    """The generator of the random stream named by key, which starts with
+    the seed and the round: (seed, round, client, stream) for a client's
+    draws, (seed, round, 2**20) for the round's client sample and
+    (seed, 0, 0, 3|4|5) for the set-up's node split, τ and initial model."""
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def sample_clients(seed: int, round_index: int, num_clients: int, k: int) -> np.ndarray:
     """Uniform without-replacement client sample, reproducible per round."""
-    rng = _sampling_rng(seed, round_index)
+    rng = _client_rng(seed, round_index, 1 << 20)
     return np.sort(rng.choice(num_clients, size=k, replace=False))
 
 
@@ -227,7 +225,7 @@ class ExperimentResult:
 
 def split_nodes(graph: GlobalGraph, cfg: FedConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(test, public, client-pool) node id split, driven by the config seed."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 0, 3)))
+    rng = _client_rng(cfg.seed, 0, 0, 3)
     ids = rng.permutation(graph.num_nodes)
     n_test = int(round(cfg.test_fraction * graph.num_nodes))
     n_public = int(round(cfg.public_fraction * graph.num_nodes))
@@ -290,7 +288,7 @@ def run_experiment(
             seed=cfg.seed ^ 0x5EED,
         )
         if cfg.use_ldp:
-            tau_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 0, 4)))
+            tau_rng = _client_rng(cfg.seed, 0, 0, 4)
             tau = overlap.calibrate_tau(
                 encoder, public_feats, ldp_params, tau_rng, cfg.tau_percentile
             )
@@ -298,7 +296,7 @@ def run_experiment(
             tau = 1e-9
     caches: dict[int, ldp.PermanentCache] = {}
 
-    init_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0, 0, 5)))
+    init_rng = _client_rng(cfg.seed, 0, 0, 5)
     model = gcn.init_model(graph.feature_dim, cfg.hidden_dim, graph.num_classes, init_rng)
 
     state = overlap.OverlapState.initial(cfg.num_clients, cfg.alpha, cfg.beta)

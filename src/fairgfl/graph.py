@@ -152,15 +152,6 @@ class ClientSubgraph:
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
         return np.append(rows * n + adj.indices, n * n)
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        """Undirected edges as sorted global-id pairs."""
-        coo = sp.triu(self.adjacency, k=1).tocoo()
-        gids = self.node_ids
-        return {
-            (min(gids[r], gids[c]), max(gids[r], gids[c]))
-            for r, c in zip(coo.row, coo.col)
-        }
-
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -466,22 +457,26 @@ def partition(
 def true_overlap_matrices(parts: list[ClientSubgraph]) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth node and link overlap ratio matrices.
 
-    node[i, k] = |Vi ∩ Vk| / |Vi|; link[i, k] = |Ei ∩ Ek| / |Ei| with edges
-    as unordered global-id pairs. Diagonals are 1 by convention.
+    node[i, k] = |Vi ∩ Vk| / |Vi| and link[i, k] = |Ei ∩ Ek| / |Ei|, with
+    edges as unordered global-id pairs, both read off one P x (largest node
+    id + 1) membership matrix: as every client's adjacency is induced from
+    the one global graph, Ei ∩ Ek are the edges of client i whose two ends
+    client k holds. Diagonals are 1 by convention; the other ratios of a
+    client without nodes, or without edges, are 0.
     """
     P = len(parts)
-    node_sets = [set(p.node_ids.tolist()) for p in parts]
-    edge_sets = [p.edge_set() for p in parts]
-    node_m = np.eye(P)
-    link_m = np.eye(P)
-    for i in range(P):
-        for k in range(P):
-            if i == k:
-                continue
-            if node_sets[i]:
-                node_m[i, k] = len(node_sets[i] & node_sets[k]) / len(node_sets[i])
-            if edge_sets[i]:
-                link_m[i, k] = len(edge_sets[i] & edge_sets[k]) / len(edge_sets[i])
-            else:
-                link_m[i, k] = 0.0
+    size = max([0] + [int(p.node_ids[-1]) + 1 for p in parts if p.num_nodes])
+    member = np.zeros((P, size), dtype=bool)
+    for k, p in enumerate(parts):
+        member[k, p.node_ids] = True
+    node_m, link_m = np.zeros((P, P)), np.zeros((P, P))
+    for i, p in enumerate(parts):
+        edges = sp.triu(p.adjacency, k=1).tocoo()
+        if p.num_nodes:
+            node_m[i] = member[:, p.node_ids].sum(axis=1) / p.num_nodes
+        if edges.nnz:
+            both = member[:, p.node_ids[edges.row]] & member[:, p.node_ids[edges.col]]
+            link_m[i] = both.sum(axis=1) / edges.nnz
+    np.fill_diagonal(node_m, 1.0)
+    np.fill_diagonal(link_m, 1.0)
     return node_m, link_m

@@ -311,6 +311,19 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["feature_dim", "hidden_dim"])
+    def test_unallocatable_size_exits_two(self, tmp_path, capsys, key):
+        """The first array of this size (the SBM's block means, or the
+        GCN's first weight matrix) takes over 2^57 bytes, more than any
+        64-bit address space holds, so its allocation fails at once and
+        touches no memory."""
+        cfg = write_cfg(tmp_path, SMALL + f"{key} = {10**16}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", [
         "alpha = 2", "alpha = -0.1", "alpha = nan", "beta = 0", "beta = 1.5", "beta = nan",
     ])

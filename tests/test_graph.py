@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from fairgfl import graph as graph_mod
+from fairgfl.cli import _thirds_multipliers, build_graph, parse_config
+from fairgfl.federation import split_nodes
 from fairgfl.graph import (
     BLOCK_MEAN_SEPARATION,
+    ClientSubgraph,
     GlobalGraph,
     GraphFormatError,
     PartitionSpec,
@@ -360,9 +365,10 @@ class TestInducedSubgraph:
         assert sub.adjacency.nnz == 0  # edge 1-2 lost, 3-4 lost
 
     def test_edge_set_global_ids(self):
-        g = tiny_graph()
-        sub = induced_subgraph(g, np.array([3, 4]), client_id=2)
-        assert sub.edge_set() == {(3, 4)}
+        """The client's one edge, mapped through node_ids, joins global ids 3 and 4."""
+        sub = induced_subgraph(tiny_graph(), np.array([3, 4]), client_id=2)
+        edges = sp.triu(sub.adjacency, k=1).tocoo()
+        assert (sub.node_ids[edges.row].tolist(), sub.node_ids[edges.col].tolist()) == ([3], [4])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_adjacency_entries_match_dense(self, seed):
@@ -512,7 +518,77 @@ class TestPartition:
             PartitionSpec(overlap_coefficient=0.1, overlap_multipliers=(1.0, bad))
 
 
+def set_overlap_matrices(parts):
+    """true_overlap_matrices computed on Python sets of node ids and of
+    edges as sorted global-id pairs: the reference for its bytes."""
+    P = len(parts)
+    node_sets = [set(p.node_ids.tolist()) for p in parts]
+    edge_sets = []
+    for p in parts:
+        coo = sp.triu(p.adjacency, k=1).tocoo()
+        gids = p.node_ids
+        edge_sets.append({(min(gids[r], gids[c]), max(gids[r], gids[c]))
+                          for r, c in zip(coo.row, coo.col)})
+    node_m = np.eye(P)
+    link_m = np.eye(P)
+    for i in range(P):
+        for k in range(P):
+            if i == k:
+                continue
+            if node_sets[i]:
+                node_m[i, k] = len(node_sets[i] & node_sets[k]) / len(node_sets[i])
+            if edge_sets[i]:
+                link_m[i, k] = len(edge_sets[i] & edge_sets[k]) / len(edge_sets[i])
+            else:
+                link_m[i, k] = 0.0
+    return node_m, link_m
+
+
+def sim_run_parts(multipliers=False, **keys):
+    """The client subgraphs of a sim run with the given config keys."""
+    part, fed, _, extras = parse_config(None, keys)
+    if multipliers:
+        part = dataclasses.replace(part, overlap_multipliers=_thirds_multipliers(fed.num_clients))
+    graph = build_graph(extras)
+    return partition(graph, part, fed.num_clients, node_pool=split_nodes(graph, fed)[2])
+
+
+def empty_client(client_id):
+    return ClientSubgraph(client_id, np.zeros(0, dtype=np.int64), np.zeros((0, 6)),
+                          np.zeros(0, dtype=np.int64), sp.csr_matrix((0, 0), dtype=np.int8))
+
+
 class TestTrueOverlapMatrices:
+    @pytest.mark.parametrize("make, sizes", [
+        (sim_run_parts, None),
+        (lambda: sim_run_parts(dirichlet_alpha_nonoverlap=0.05, overlap_coefficient=0.02),
+         [38, 1, 19, 75, 50, 2, 53, 5, 33, 1]),
+        (lambda: sim_run_parts(multipliers=True), None),
+        (lambda: sim_run_parts(sbm_block_size=600), None),
+    ], ids=["default", "uneven", "multipliers", "4200-nodes"])
+    def test_bytes_match_set_reference(self, make, sizes):
+        parts = make()
+        if sizes is not None:
+            assert [p.num_nodes for p in parts] == sizes
+        got, want = true_overlap_matrices(parts), set_overlap_matrices(parts)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_client_without_nodes_or_edges(self):
+        """Ratios of an empty and of an edgeless client are 0; diagonals stay 1."""
+        g = tiny_graph()
+        parts = [empty_client(0), induced_subgraph(g, np.array([0, 5]), 1),
+                 induced_subgraph(g, np.array([0, 1, 2]), 2)]
+        node_m, link_m = true_overlap_matrices(parts)
+        assert np.array_equal(node_m, [[1, 0, 0], [0, 1, 0.5], [0, 1 / 3, 1]])
+        assert np.array_equal(link_m, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        for got, want in zip((node_m, link_m), set_overlap_matrices(parts)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_only_empty_clients(self):
+        node_m, link_m = true_overlap_matrices([empty_client(0), empty_client(1)])
+        assert np.array_equal(node_m, np.eye(2)) and np.array_equal(link_m, np.eye(2))
+
     def test_hand_built_three_clients(self):
         g = tiny_graph()
         parts = [
