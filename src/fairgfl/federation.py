@@ -85,7 +85,7 @@ class FedConfig:
 class ClientReport:
     client_id: int
     model: GcnModel
-    train_loss: float
+    train_loss: float | None  # None where the aggregation reads no loss
 
 
 def _client_rng(*key: int):
@@ -115,7 +115,9 @@ def train_clients(
     stack holds subs' graphs, in order, and sub i draws its mini-batches
     from train_rngs[i]. Propagation always uses the full local graph; only
     the mini-batch nodes contribute to each step's loss. The reported loss
-    is evaluated on the full local graph after training.
+    is evaluated on the full local graph after training, when the
+    aggregation reads it (qfedavg, or fairgfl with lam > 0); otherwise it
+    is None, and only the trained weights are checked to be finite.
     """
     models = [w_global] * len(subs)
     for _ in range(cfg.local_iters):
@@ -128,7 +130,13 @@ def train_clients(
                 raise gcn.NumericError(f"client {sub.client_id} diverged")
             models[i] = gcn.sgd_step(models[i], grads[i], cfg.lr)
 
-    losses = gcn.masked_loss(models, stack)
+    if cfg.algorithm == "qfedavg" or (cfg.algorithm == "fairgfl" and cfg.lam > 0):
+        losses = gcn.masked_loss(models, stack)
+    else:
+        losses = [None] * len(subs)
+        for sub, model in zip(subs, models):
+            if not (np.isfinite(model.W1).all() and np.isfinite(model.W2).all()):
+                raise gcn.NumericError(f"client {sub.client_id} diverged")
     return [ClientReport(sub.client_id, model, loss)
             for sub, model, loss in zip(subs, models, losses)]
 

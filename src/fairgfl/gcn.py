@@ -8,7 +8,7 @@ from itertools import accumulate
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import ValidationError, row_blocks
+from .graph import ValidationError, check_size, row_blocks
 
 
 class NumericError(ArithmeticError):
@@ -25,6 +25,7 @@ def init_model(feature_dim: int, hidden_dim: int, num_classes: int, rng) -> GcnM
     """Glorot-uniform initialization from the given generator."""
 
     def glorot(fan_in, fan_out):
+        check_size(fan_in, fan_out)
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
@@ -207,15 +208,26 @@ def loss_and_grad(models, stack: Stack, masks):
 
     masks[b] is an index array or boolean mask of the nodes of graph b
     that contribute to its loss; all nodes still participate in
-    propagation. The one sparse product, G = A_hat * dlogits, is
-    num_classes wide.
+    propagation. The sparse products, the logits and G = A_hat^T * dlogits,
+    are num_classes wide. When the masks select at most a quarter of the
+    rows, both run over A_hat's rows u (the sorted selected rows) alone:
+    the logits are A_hat[u] * Y, and G = A_hat[u]^T * dlogits[u], the same
+    arrays read as a CSC. The bits are those of the full products: a CSR
+    product computes each row on its own, A_hat_ij = d_i * d_j is bitwise
+    symmetric, so both G's visit row i's nonzero terms in column order,
+    and the terms G skips are +0.0, which leave a sum begun at +0.0 as is.
     """
     rows, labels, sizes = _mask_rows(stack, masks)
     if 0 in sizes:
         raise ValidationError("mask must select at least one node")
-    logits, h = forward(models, stack.a_hat, stack.axs)
+    a = a_t = stack.a_hat  # A_hat^T is A_hat: A_hat is symmetric
+    if rows is not None and 4 * len(rows) <= a.shape[0]:
+        u, rows = np.unique(rows, return_inverse=True)
+        a = a[u]
+        a_t = a.T  # a CSC on a's own arrays
+    logits, h = forward(models, a, stack.axs)
     losses, dlogits = _softmax_ce(logits, rows, labels, sizes, grad=True)
-    g = stack.a_hat @ dlogits  # A_hat^T * dlogits: A_hat is symmetric
+    g = a_t @ dlogits
     dz1 = np.empty_like(h)
     b = stack.bounds
     for model, lo, hi in zip(models, b, b[1:]):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,13 @@ class GraphFormatError(ValueError):
 
 class ValidationError(ValueError):
     """Raised when an input violates a structural precondition."""
+
+
+def check_size(*shape: int) -> None:
+    """Raise ValidationError for a float64 shape past numpy's largest byte
+    count, for which numpy raises a bare ValueError, not MemoryError."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(f"an array of shape {shape} is too large")
 
 
 @dataclass(frozen=True)
@@ -301,6 +309,7 @@ def generate_sbm(
         raise ValidationError("need 0 <= p_out <= p_in <= 1")
     if feature_dim < 1:
         raise ValidationError("feature_dim must be >= 1")
+    check_size(num_blocks * nodes_per_block, feature_dim)  # features; the rest are smaller
 
     rng = np.random.default_rng(seed)
     n = num_blocks * nodes_per_block

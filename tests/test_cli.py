@@ -324,6 +324,18 @@ class TestMain:
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["feature_dim", "hidden_dim", "sbm_block_size"])
+    def test_size_past_numpys_limit_exits_two(self, tmp_path, capsys, key):
+        """At 10^18 the SBM's features or the GCN's first weight matrix would
+        pass numpy's largest byte count, where numpy raises a bare
+        ValueError: the shape is refused before any allocation."""
+        cfg = write_cfg(tmp_path, SMALL + f"{key} = {10**18}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: an array of shape") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", [
         "alpha = 2", "alpha = -0.1", "alpha = nan", "beta = 0", "beta = 1.5", "beta = nan",
     ])

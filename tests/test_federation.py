@@ -465,6 +465,73 @@ class TestRunExperiment:
             f"round 1, client {sampled[k]}: non-finite hidden layer in forward pass")
         assert uploads == list(sampled[:k])
 
+    @pytest.mark.parametrize("algorithm, lam, per_round", [
+        ("fedavg", 0.1, 1), ("fairgfl", 0.0, 1), ("qfedavg", 0.1, 2), ("fairgfl", 0.1, 2),
+    ])
+    def test_loss_pass_only_where_aggregation_reads_it(self, monkeypatch, algorithm, lam,
+                                                       per_round):
+        """masked_loss runs once a round for the client losses of the
+        evaluation, and once more for the clients' reports only under
+        qfedavg and fairgfl with lam > 0; otherwise train_loss is None."""
+        from fairgfl import federation as federation_mod
+        from fairgfl import gcn as gcn_mod
+
+        calls, reports = [], []
+        real_loss, real_fair = gcn_mod.masked_loss, federation_mod.aggregate_fair
+
+        def loss_spy(*args, **kwargs):
+            calls.append(None)
+            return real_loss(*args, **kwargs)
+
+        def fair_spy(reps, *args):
+            reports.extend(reps)
+            return real_fair(reps, *args)
+
+        monkeypatch.setattr(gcn_mod, "masked_loss", loss_spy)
+        monkeypatch.setattr(federation_mod, "aggregate_fair", fair_spy)
+        spec = PartitionSpec(overlap_coefficient=0.2, seed=4)
+        run_experiment(small_graph(), spec, small_cfg(algorithm=algorithm, lam=lam))
+        assert len(calls) == 3 * per_round
+        if algorithm != "qfedavg":
+            assert len(reports) == 9
+            assert all((r.train_loss is None) == (per_round == 1) for r in reports)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_fedavg_nonfinite_weights_name_the_client(self, monkeypatch, k):
+        """No loss pass follows fedavg's training, so the trained weights are
+        checked: a client whose last step gives non-finite weights fails the
+        round as itself, not as the server's evaluation."""
+        from fairgfl import federation as federation_mod
+        from fairgfl import gcn as gcn_mod
+
+        cfg = small_cfg(rounds=1, algorithm="fedavg", local_iters=2)
+        sampled = sample_clients(cfg.seed, 1, cfg.num_clients, cfg.clients_per_round)
+        real_train, real_step = federation_mod.train_clients, gcn_mod.sgd_step
+        state = {}
+
+        def train_spy(subs, *args):
+            state.update(subs=subs, calls=0)
+            return real_train(subs, *args)
+
+        def step_spy(model, grads, lr):
+            # Each step steps every client of the train_clients call in order.
+            subs, n = state["subs"], state["calls"]
+            state["calls"] += 1
+            out = real_step(model, grads, lr)
+            last = n >= (cfg.local_iters - 1) * len(subs)
+            if last and subs[n % len(subs)].client_id == sampled[k]:
+                return GcnModel(out.W1, out.W2 * np.inf)
+            return out
+
+        monkeypatch.setattr(federation_mod, "train_clients", train_spy)
+        monkeypatch.setattr(gcn_mod, "sgd_step", step_spy)
+        with pytest.raises(RoundError) as err:
+            run_experiment(small_graph(), PartitionSpec(overlap_coefficient=0.2, seed=4), cfg)
+        assert (err.value.round_index, err.value.client_id) == (1, sampled[k])
+        assert isinstance(err.value.cause, NumericError)
+        assert str(err.value) == f"round 1, client {sampled[k]}: client {sampled[k]} diverged"
+
     def test_server_error_carries_round(self, monkeypatch):
         from fairgfl import overlap as overlap_mod
 

@@ -7,6 +7,8 @@ import scipy.sparse as sp
 from fairgfl.gcn import (
     GcnModel,
     NumericError,
+    _mask_rows,
+    _softmax_ce,
     forward,
     init_model,
     loss_and_grad,
@@ -119,10 +121,10 @@ class TestNormalizeAdjacency:
 
 class TestStack:
     @staticmethod
-    def graphs():
+    def graphs(p_in=0.4, p_out=0.05):
         """Subgraphs of 1, 12, 35 and 3 nodes of a 45-node graph, two of
         them overlapping."""
-        g = generate_sbm(3, 15, 0.4, 0.05, 6, seed=4)
+        g = generate_sbm(3, 15, p_in, p_out, 6, seed=4)
         sets = [np.array([7]), np.arange(0, 12), np.arange(10, 45), np.array([3, 30, 44])]
         return [induced_subgraph(g, ids, i) for i, ids in enumerate(sets)]
 
@@ -323,6 +325,92 @@ class TestLossAndGrad:
             num /= 2 * eps
             denom = np.maximum(np.abs(num), 1e-3)
             assert np.max(np.abs(g - num) / denom) <= 1e-4
+
+
+def full_loss_and_grad(models, stack, masks):
+    """loss_and_grad with both sparse products over every row of the stack,
+    kept as the reference for its batch-row path."""
+    rows, labels, sizes = _mask_rows(stack, masks)
+    logits, h = forward(models, stack.a_hat, stack.axs)
+    losses, dlogits = _softmax_ce(logits, rows, labels, sizes, grad=True)
+    g = stack.a_hat @ dlogits
+    dz1 = np.empty_like(h)
+    b = stack.bounds
+    for model, lo, hi in zip(models, b, b[1:]):
+        np.matmul(g[lo:hi], model.W2.T, out=dz1[lo:hi])
+    dz1 *= h > 0
+    grads = [GcnModel(ax.T @ dz1[lo:hi], h[lo:hi].T @ g[lo:hi])
+             for ax, lo, hi in zip(stack.axs, b, b[1:])]
+    return losses, grads
+
+
+class TestBatchRows:
+    """loss_and_grad multiplies only A_hat's batch rows when they are at most
+    a quarter of the stack's rows; on both sides of that rule its losses
+    and gradients have the bytes of the full products."""
+
+    NODES = (1, 12, 35, 3)  # TestStack.graphs' sizes: 51 rows
+
+    @staticmethod
+    def parts(kind):
+        """TestStack.graphs: "int8" as induced, "float64" with every
+        adjacency in float64, "isolated" from a sparse graph in which
+        several nodes have no edge."""
+        if kind == "isolated":
+            parts = TestStack.graphs(0.05, 0.0)
+            assert sum((np.diff(p.adjacency.indptr) == 0).sum() for p in parts[1:]) >= 5
+            return parts
+        parts = TestStack.graphs()
+        if kind == "float64":
+            parts = [replace(p, adjacency=p.adjacency.astype(np.float64)) for p in parts]
+        return parts
+
+    def masks(self, case, rng):
+        """Per-graph masks and whether they take the batch-row path."""
+        if case == "every":
+            return [np.arange(n) for n in self.NODES], False
+        if case == "single":
+            return [np.array([0]), np.array([5]), np.array([34]), np.array([2])], True
+        sizes = {"unsorted": (1, 3, 5, 2), "unsorted-large": (1, 6, 15, 2),
+                 "boolean": (1, 2, 6, 1), "boolean-large": (1, 9, 20, 3),
+                 "repeated": (1, 1, 2, 1), "repeated-large": (1, 8, 14, 3)}[case]
+        masks = [rng.permutation(n)[:k] for n, k in zip(self.NODES, sizes)]
+        if case.startswith("boolean"):
+            masks = [np.isin(np.arange(n), m) for n, m in zip(self.NODES, masks)]
+        if case.startswith("repeated"):
+            masks = [np.concatenate([m, m[:2]]) for m in masks]
+        return masks, not case.endswith("large")
+
+    @pytest.mark.parametrize("kind", ["int8", "float64", "isolated"])
+    @pytest.mark.parametrize("case", ["unsorted", "unsorted-large", "boolean",
+                                      "boolean-large", "repeated", "repeated-large",
+                                      "single", "every"])
+    def test_matches_full_products(self, kind, case):
+        stack = stack_graphs(self.parts(kind))
+        rng = np.random.default_rng(17)
+        models = [init_model(6, 5, 3, rng) for _ in range(4)]
+        masks, batch_rows = self.masks(case, rng)
+        rows = _mask_rows(stack, masks)[0]
+        assert (4 * len(rows) <= stack.a_hat.shape[0]) == batch_rows
+        losses, grads = loss_and_grad(models, stack, masks)
+        want_losses, want_grads = full_loss_and_grad(models, stack, masks)
+        assert [np.float64(x).tobytes() for x in losses] == [
+            np.float64(x).tobytes() for x in want_losses]
+        for got, want in zip(grads, want_grads):
+            assert got.W1.tobytes() == want.W1.tobytes()
+            assert got.W2.tobytes() == want.W2.tobytes()
+
+    @pytest.mark.parametrize("mask", [[4], [0, 1, 2, 3, 4, 5, 6, 7]], ids=["one", "every"])
+    def test_one_graph(self, mask, one_graph):
+        """A one-graph stack: a single batch row of 8, and every row."""
+        rng = np.random.default_rng(18)
+        model, a_hat, x, labels = random_case(rng)
+        stack = one_graph(a_hat, x, labels)
+        (loss,), (grad,) = loss_and_grad((model,), stack, (np.array(mask),))
+        (want,), (want_grad,) = full_loss_and_grad((model,), stack, (np.array(mask),))
+        assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+        assert grad.W1.tobytes() == want_grad.W1.tobytes()
+        assert grad.W2.tobytes() == want_grad.W2.tobytes()
 
 
 class TestSgdStep:

@@ -31,7 +31,13 @@ CASES = {
     "fairgfl-ldp-tau25": dict(algorithm="fairgfl", tau_percentile=25.0),
     "fedavg": dict(algorithm="fedavg"),
     "qfedavg": dict(algorithm="qfedavg"),
+    # 120-node blocks and 5-node batches: a step's batch rows are under a
+    # quarter of the stack's, so loss_and_grad multiplies those rows alone
+    "fedavg-b120": dict(algorithm="fedavg", batch_size=5),
 }
+
+# SBM block size by case, 30 when not listed
+BLOCK_SIZE = {"fedavg-b120": 120}
 
 GOLDEN = {
     "fairgfl-ldp-cache":
@@ -46,6 +52,8 @@ GOLDEN = {
         "eb87026bec420ee96ebccb8be2ba818dc4611d2a587a90567a9c7ed2bca9c0fb",
     "qfedavg":
         "005f18612f34e3dac19449d71c8dda99b27477ac82d183367785f980259411d7",
+    "fedavg-b120":
+        "a01d9890d5dbe287e545dd81efc220d68e11ce11ab6f981393272eae439a8bfd",
 }
 
 GOLDEN_OVERLAP = {
@@ -63,9 +71,9 @@ OVERLAP_NAMES = ("N_round", "T_round", "N_acc", "T_acc", "O")
 
 
 def run_case(case: str):
-    graph = generate_sbm(4, 30, 0.3, 0.03, 8, seed=3)
+    graph = generate_sbm(4, BLOCK_SIZE.get(case, 30), 0.3, 0.03, 8, seed=3)
     spec = PartitionSpec(overlap_coefficient=0.2, seed=1)
-    cfg = FedConfig(**BASE, **CASES[case])
+    cfg = FedConfig(**dict(BASE, **CASES[case]))
     return run_experiment(graph, spec, cfg, LdpParams(3.0, 1.0, 8))
 
 

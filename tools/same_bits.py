@@ -16,8 +16,11 @@ some twice, among a few ``u u`` self-loop rows that the loader drops),
 ``fairgfl-m`` on uneven clients (``dirichlet_alpha_nonoverlap = 0.05``,
 ``overlap_coefficient = 0.02``: clients of 38, 1, 19, 75, 50, 2, 53, 5, 33
 and 1 nodes, so two hold a single node and five fewer than the
-``batch_size`` of 20), and every multi-run suite on a 3-round config with
-20-node blocks.
+``batch_size`` of 20), ``fedavg-l`` (600-node blocks) under ``algorithm =
+qfedavg`` and under ``algorithm = fairgfl`` with ``lam = 0`` (a step's batch
+rows are under a quarter of the clients' rows, so local steps multiply those
+rows alone, with the clients' train-loss pass run and skipped), and every
+multi-run suite on a 3-round config with 20-node blocks.
 Every output file (manifests included) is compared byte for byte. Each file
 that differs, or exists on one side only, is printed; for a differing CSV
 whose header and row count match, so is the largest relative difference
@@ -81,6 +84,9 @@ def cases(top: Path) -> dict[str, tuple[str, dict]]:
     out["fairgfl-m-file"] = ("single", dict(base, **graph_files(top)))
     out["fairgfl-m-uneven"] = ("single", dict(base, dirichlet_alpha_nonoverlap=0.05,
                                               overlap_coefficient=0.02))
+    large = out["fedavg-l"][1]
+    out["fedavg-l-qfedavg"] = ("single", dict(large, algorithm="qfedavg"))
+    out["fedavg-l-fairgfl-lam0"] = ("single", dict(large, algorithm="fairgfl", lam=0))
     for suite in ("compare", "motivation", "privacy-sweep", "overlap-sweep"):
         out[suite] = (suite, {"rounds": 3, "sbm_block_size": 20})
     return out
