@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -15,13 +14,20 @@ from .gcn import NumericError
 from .graph import (GraphFormatError, PartitionSpec, ValidationError, generate_sbm, load_graph,
                     text_lines)
 from .ldp import LdpParams
-from .metrics import write_round_records
+from .metrics import write_csv, write_round_records
 from .overlap import HISTORY
 
-SUITES = ("single", "compare", "motivation", "privacy-sweep", "overlap-sweep")
-
-MOTIVATION_COEFFS = (0.0, 0.05, 0.10, 0.15, 0.20)
-PRIVACY_EPSILONS = (1.0, 4.0, 50.0)
+# Each suite's runs in run order: (tag, the config keys that the run sets).
+_COEFFICIENT_RUNS = tuple((f"N{c:g}", {"overlap_coefficient": c})
+                          for c in (0.0, 0.05, 0.10, 0.15, 0.20))
+SUITES = {
+    "single": (("", {}),),
+    "compare": tuple((alg, {"algorithm": alg}) for alg in ALGORITHMS),
+    "motivation": _COEFFICIENT_RUNS,
+    "privacy-sweep": tuple((f"eps{e:g}", {"epsilon_a": e}) for e in (1.0, 4.0, 50.0))
+    + (("noldp", {"use_ldp": False}),),
+    "overlap-sweep": _COEFFICIENT_RUNS,
+}
 
 
 class ConfigError(ValueError):
@@ -166,24 +172,15 @@ def write_manifest(path, part, fed, ldp, extras, suite, runs):
 
 
 def _write_overlap_history(est_dir: Path, history):
-    """One CSV per HISTORY matrix: a header, then the round and the matrix's
-    entries, repr-formatted, on each line, as csv.writer writes them."""
+    """One CSV per HISTORY matrix: per round, the round and the matrix's entries."""
     if not history:
         return
     est_dir.mkdir(exist_ok=True)
     p = history[0]["O"].shape[0]
-    header = ",".join(["round"] + [f"o_{i}_{k}" for i in range(p) for k in range(p)])
+    header = ["round"] + [f"o_{i}_{k}" for i in range(p) for k in range(p)]
     for name in HISTORY:
-        # Each distinct value is formatted once. Keyed by its float64 bits,
-        # so -0.0 and 0.0, equal as numbers, keep their own text.
-        text = {}
-        with open(est_dir / f"{name}.csv", "w", newline="") as fh:
-            fh.write(header + "\r\n")
-            for j, snap in enumerate(history, start=1):
-                m = snap[name].ravel()
-                cells = [text.get(b) or text.setdefault(b, repr(v))
-                         for b, v in zip(m.view(np.int64).tolist(), m.tolist())]
-                fh.write(f"{j},{','.join(cells)}\r\n")
+        write_csv(est_dir / f"{name}.csv", header,
+                  (((j,), snap[name]) for j, snap in enumerate(history, start=1)))
 
 
 def _run_one(graph, part, fed, ldp, out_dir: Path, tag: str):
@@ -199,25 +196,8 @@ def _run_one(graph, part, fed, ldp, out_dir: Path, tag: str):
 
 
 def _thirds_multipliers(p: int) -> tuple[float, ...]:
-    """No/low/high overlap groups: multipliers 0, 1, 2 in near-equal thirds."""
-    base = p // 3
-    sizes = [base + (1 if i < p % 3 else 0) for i in range(3)]
-    return (0.0,) * sizes[0] + (1.0,) * sizes[1] + (2.0,) * sizes[2]
-
-
-def _suite_runs(suite) -> list[tuple[str, dict]]:
-    """(tag, config keys the run sets) for each run of a suite, in run order."""
-    if suite == "single":
-        return [("", {})]
-    if suite == "compare":
-        return [(alg, {"algorithm": alg}) for alg in ALGORITHMS]
-    if suite in ("motivation", "overlap-sweep"):
-        return [(f"N{c:g}", {"overlap_coefficient": c}) for c in MOTIVATION_COEFFS]
-    if suite == "privacy-sweep":
-        return [(f"eps{e:g}", {"epsilon_a": e}) for e in PRIVACY_EPSILONS] + [
-            ("noldp", {"use_ldp": False})
-        ]
-    raise ConfigError(f"unknown suite {suite!r}; use one of {SUITES}")
+    """No/low/high overlap multipliers 0, 1, 2 in near-equal thirds, larger first."""
+    return tuple(float(3 * i // p) for i in range(p))
 
 
 def _with_keys(configs, keys: dict):
@@ -231,7 +211,9 @@ def _with_keys(configs, keys: dict):
 
 def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
     """Execute one experiment suite; returns a process exit status."""
-    runs = _suite_runs(suite)
+    if suite not in SUITES:
+        raise ConfigError(f"unknown suite {suite!r}; use one of {tuple(SUITES)}")
+    runs = SUITES[suite]
     if suite == "motivation" and fed.rounds == 0:
         raise ConfigError("suite motivation summarizes the last round; it needs rounds >= 1")
     if suite == "privacy-sweep" and not (
@@ -256,11 +238,9 @@ def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if suite == "motivation":
-        with open(out_dir / "motivation.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["overlap_coefficient", "loss_var", "loss_entropy"])
-            for coeff, last in zip(MOTIVATION_COEFFS, last_records):
-                writer.writerow([coeff, repr(last.loss_variance), repr(last.loss_entropy)])
+        write_csv(out_dir / "motivation.csv", ["overlap_coefficient", "loss_var", "loss_entropy"],
+                  (((), (keys["overlap_coefficient"], last.loss_variance, last.loss_entropy))
+                   for (_, keys), last in zip(runs, last_records)))
     write_manifest(out_dir / "manifest.txt", part, fed, ldp, extras, suite,
                    [(tag, keys) for tag, keys in runs if tag])
     return 0

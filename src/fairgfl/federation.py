@@ -201,23 +201,30 @@ def aggregate_qfedavg(
     Per client: Delta_i = (w_global - w_i) / lr, numerator weight F_i^q,
     normalizer sum of q F_i^(q-1) ||Delta_i||^2 + F_i^q / lr. Computed in
     update space with the common 1/lr factored out, so q = 0 collapses
-    exactly to the uniform update average.
+    exactly to the uniform update average. A weight or normalizer that is not
+    finite (F_i^q past float64, say) raises NumericError.
     """
     if not reports:
         raise ValidationError("reports must be non-empty")
     coeffs = []
     divisor = 0.0
-    for rep in reports:
-        f = rep.train_loss
-        c = f**q
-        coeffs.append(c)
-        divisor += c
-        if q > 0 and f > 0:
-            sq = (
-                np.sum((w_global.W1 - rep.model.W1) ** 2)
-                + np.sum((w_global.W2 - rep.model.W2) ** 2)
-            ) / lr**2
-            divisor += q * f ** (q - 1.0) * sq * lr
+    try:
+        for rep in reports:
+            f = rep.train_loss
+            c = f**q
+            coeffs.append(c)
+            divisor += c
+            if q > 0 and f > 0:
+                sq = (
+                    np.sum((w_global.W1 - rep.model.W1) ** 2)
+                    + np.sum((w_global.W2 - rep.model.W2) ** 2)
+                ) / lr**2
+                divisor += q * f ** (q - 1.0) * sq * lr
+    except OverflowError:  # a Python float power past float64
+        divisor = math.inf
+    if not (np.isfinite(coeffs).all() and math.isfinite(divisor)):
+        raise gcn.NumericError(
+            f"q-FedAvg weight F_i^q or its normalizer is not finite at q = {q!r}")
     return _combine(w_global, reports, coeffs, divisor)
 
 

@@ -181,7 +181,7 @@ def _softmax_ce(logits, rows, labels, sizes, grad=False):
     if rows is None:
         return losses, dml
     dlogits = np.zeros_like(logits)
-    dlogits[rows] = dml
+    np.add.at(dlogits, rows, dml)  # a row drawn k times adds k terms
     return losses, dlogits
 
 

@@ -35,10 +35,16 @@ class LdpParams:
     quantiles: int = 8      # grid has quantiles + 1 points {i/p}
 
     def __post_init__(self):
-        if not (0 < self.epsilon_a < math.inf and 0 < self.epsilon_b < math.inf):
-            raise ValidationError("privacy budgets must be finite and positive")
         if self.quantiles < 1:
             raise ValidationError("quantiles must be >= 1")
+        # The node weights sum to at most (p + 1)·e^epsilon_a; p_e reads e^epsilon_b.
+        with np.errstate(over="ignore"):
+            tops = (np.exp(self.epsilon_a) * (self.quantiles + 1.0), np.exp(self.epsilon_b))
+        if not (self.epsilon_a > 0 and self.epsilon_b > 0 and np.isfinite(tops).all()):
+            raise ValidationError(
+                "privacy budgets must be positive, with (quantiles + 1)·e^epsilon_a and "
+                f"e^epsilon_b finite float64: epsilon_a = {self.epsilon_a!r}, "
+                f"epsilon_b = {self.epsilon_b!r}")
         if abs(1.0 - 2.0 * self.flip_probability) < 1e-12:  # as sparsify_correct checks
             raise ValidationError("epsilon_b is too small: p_e = 1/2 leaves the raw "
                                   "link density unidentifiable")

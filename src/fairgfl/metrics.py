@@ -81,21 +81,28 @@ def evaluate_global(
 _CSV_HEADER = ["round", "algorithm", "test_loss", "test_acc", "loss_var", "loss_entropy"]
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a new CSV file at path: the header, then per (leading cells, float64 values)
+    row the str(cell)s and repr(value)s, as csv.writer writes cells that need no quoting.
+    Each distinct value is formatted once, keyed by its bits, so -0.0 keeps its sign."""
+    text = {}
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lead, values in rows:
+            m = np.asarray(values, dtype=np.float64).ravel()
+            cells = [text.get(b) or text.setdefault(b, repr(v))
+                     for b, v in zip(m.view(np.int64).tolist(), m.tolist())]
+            fh.write(",".join([*map(str, lead), *cells]) + "\r\n")
+
+
 def write_round_records(path, records: list[RoundRecord]) -> None:
     """Write records to a new CSV file at path, replacing any file there;
     per-client losses occupy the trailing columns."""
     num_clients = len(records[0].per_client_losses) if records else 0
-    header = _CSV_HEADER + [f"client_{i}_loss" for i in range(num_clients)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in records:
-            writer.writerow(
-                [rec.round_index, rec.algorithm]
-                + [repr(v) for v in (rec.test_loss, rec.test_acc,
-                                     rec.loss_variance, rec.loss_entropy)]
-                + [repr(v) for v in rec.per_client_losses]
-            )
+    write_csv(path, _CSV_HEADER + [f"client_{i}_loss" for i in range(num_clients)],
+              (((r.round_index, r.algorithm), (r.test_loss, r.test_acc, r.loss_variance,
+                                               r.loss_entropy, *r.per_client_losses))
+               for r in records))
 
 
 def read_round_records(path) -> list[RoundRecord]:

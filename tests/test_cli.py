@@ -11,6 +11,7 @@ import pytest
 import fairgfl.cli
 from fairgfl.cli import (
     CONFIG_SCHEMA,
+    SUITES,
     ConfigError,
     _thirds_multipliers,
     build_graph,
@@ -20,7 +21,7 @@ from fairgfl.cli import (
 )
 from fairgfl.federation import run_experiment
 from fairgfl.gcn import NumericError
-from fairgfl.metrics import read_round_records
+from fairgfl.metrics import RoundRecord, read_round_records, write_csv, write_round_records
 from fairgfl.overlap import HISTORY
 
 SMALL = """
@@ -182,6 +183,30 @@ class TestRunSuite:
             assert got == ref.read_bytes()
             assert b",-0.0" in got and b",0.0" in got
 
+        # rounds.csv and motivation.csv rows through the same writer
+        values = rng.choice(special + list(rng.random(3)), size=(6, 7)).tolist()
+        records = [RoundRecord(j, "fairgfl", *values[j][:4], tuple(values[j][4:]))
+                   for j in range(6)]
+        write_round_records(tmp_path / "rounds.csv", records)
+        coeffs = [0.0, -0.0, 0.05, np.nan, np.inf, -np.inf]
+        write_csv(tmp_path / "motivation.csv", ["overlap_coefficient", "loss_var", "loss_entropy"],
+                  (((), (c, v[0], v[1])) for c, v in zip(coeffs, values)))
+        with open(tmp_path / "ref_rounds.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["round", "algorithm", "test_loss", "test_acc", "loss_var",
+                             "loss_entropy", "client_0_loss", "client_1_loss", "client_2_loss"])
+            for j, v in enumerate(values):
+                writer.writerow([j, "fairgfl", *map(repr, v)])
+        with open(tmp_path / "ref_motivation.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["overlap_coefficient", "loss_var", "loss_entropy"])
+            for c, v in zip(coeffs, values):
+                writer.writerow([c, repr(v[0]), repr(v[1])])
+        for name in ("rounds", "motivation"):
+            got = (tmp_path / f"{name}.csv").read_bytes()
+            assert got == (tmp_path / f"ref_{name}.csv").read_bytes()
+            assert b"-0.0" in got and b"nan" in got and b"inf" in got
+
     def test_manifest_roundtrip(self, tmp_path):
         configs = parse_config(write_cfg(tmp_path, SMALL + "use_ldp = off\nlam = 0.3\n"))
         out = tmp_path / "out"
@@ -262,6 +287,36 @@ class TestRunSuite:
         resolved = write_cfg(tmp_path, "\n".join(manifest[1:]) + "\n", name="resolved.txt")
         assert parse_config(resolved) == configs
 
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_every_suite_writes_the_files_of_its_runs(self, tmp_path, suite):
+        """One rounds file per run of the table, overlap estimates for each
+        run that uploads (fairgfl's), and one manifest line per tagged run."""
+        part, fed, ldp, extras = parse_config(write_cfg(tmp_path, SMALL + "J = 1\n"))
+        out = tmp_path / "out"
+        assert run_suite(suite, part, fed, ldp, extras, out) == 0
+        runs = SUITES[suite]
+        suffixes = [f"_{tag}" if tag else "" for tag, _ in runs]
+        algorithm = "fedavg" if suite == "motivation" else fed.algorithm
+        uploads = [keys.get("algorithm", algorithm) == "fairgfl" for _, keys in runs]
+        assert {p.name for p in out.iterdir()} == (
+            {f"rounds{s}.csv" for s in suffixes}
+            | {f"overlap_estimates{s}" for s, up in zip(suffixes, uploads) if up}
+            | {"manifest.txt"} | ({"motivation.csv"} if suite == "motivation" else set()))
+        for s in suffixes:
+            assert [r.round_index for r in read_round_records(out / f"rounds{s}.csv")] == [1]
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert manifest[0] == f"suite={suite}"
+        assert [x for x in manifest if x.startswith("# run ")] == [
+            f"# run {tag}: " + ", ".join(f"{k}={v}" for k, v in keys.items())
+            for tag, keys in runs if tag]
+
+    def test_thirds_multipliers_match_the_sizes_rule(self):
+        """Thirds of sizes p // 3, the first p % 3 of them one larger."""
+        for p in range(1, 301):
+            sizes = [p // 3 + (1 if i < p % 3 else 0) for i in range(3)]
+            want = (0.0,) * sizes[0] + (1.0,) * sizes[1] + (2.0,) * sizes[2]
+            assert _thirds_multipliers(p) == want
+
     def test_unknown_suite(self, tmp_path):
         part, fed, ldp, extras = parse_config(write_cfg(tmp_path))
         with pytest.raises(ConfigError, match="unknown suite"):
@@ -285,6 +340,8 @@ class TestMain:
         "epsilon_a = inf",
         "epsilon_b = nan",
         "epsilon_b = 1e-300",
+        "epsilon_a = 1000",  # e^1000 overflows float64
+        "epsilon_b = 1000",
         "hidden_dim = 0",
         "encoder_dim = 0",
         "batch_size = 0",
@@ -308,7 +365,18 @@ class TestMain:
         cfg = write_cfg(tmp_path, SMALL + line + "\n")
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_qfedavg_weight_past_float64_exits_one(self, tmp_path, capsys):
+        """Over 7 classes a client's loss is near ln 7, and its 2000th power
+        overflows float64: one error line that names the q-FedAvg weight."""
+        cfg = write_cfg(tmp_path, SMALL + "sbm_blocks = 7\nalgorithm = qfedavg\nq = 2000\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: round 1, server: q-FedAvg weight") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["feature_dim", "hidden_dim"])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -285,6 +286,18 @@ class TestAggregateQfedavg:
         reports = [report(0, rand_model(rng), 0.0), report(1, rand_model(rng), 1.0)]
         out = aggregate_qfedavg(reports, w_g, q=2.0, lr=0.05)
         assert np.isfinite(out.W1).all()
+
+    @pytest.mark.parametrize("loss, q, lr", [
+        (2.0, 2000.0, 0.05), (math.inf, 1.0, 0.05), (1.0, 1.0, 1e-160),
+    ], ids=["power-past-float64", "infinite-loss", "normalizer-past-float64"])
+    def test_nonfinite_weight_raises(self, loss, q, lr):
+        """F_i^q past float64 (a Python OverflowError), an infinite F_i, or
+        an infinite normalizer: each is a NumericError naming the weight."""
+        rng = np.random.default_rng(14)
+        w_g = rand_model(rng)
+        reports = [report(0, rand_model(rng), loss), report(1, rand_model(rng), 1.0)]
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="q-FedAvg weight"):
+            aggregate_qfedavg(reports, w_g, q=q, lr=lr)
 
     def test_larger_q_favors_max_loss_client(self):
         rng = np.random.default_rng(13)

@@ -309,22 +309,35 @@ class TestLossAndGrad:
         stack = one_graph(a_hat, x, labels)
         mask = np.sort(rng.choice(8, size=5, replace=False))
         _, (grads,) = loss_and_grad((model,), stack, (mask,))
-        eps = 1e-6
-        for name, w, g in (("W1", model.W1, grads.W1), ("W2", model.W2, grads.W2)):
-            num = np.zeros_like(w)
-            it = np.nditer(w, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                for sign in (1.0, -1.0):
-                    w_p = w.copy()
-                    w_p[idx] += sign * eps
-                    m = GcnModel(w_p if name == "W1" else model.W1,
-                                 w_p if name == "W2" else model.W2)
-                    num[idx] += sign * masked_loss((m,), stack, (mask,))[0]
-                it.iternext()
-            num /= 2 * eps
+        for g, num in zip((grads.W1, grads.W2), central_differences(model, stack, mask)):
             denom = np.maximum(np.abs(num), 1e-3)
             assert np.max(np.abs(g - num) / denom) <= 1e-4
+
+    @pytest.mark.parametrize("mask", [[1, 1, 4], [1, 1]], ids=["full-products", "batch-rows"])
+    def test_finite_difference_repeated_rows(self, mask, one_graph):
+        """A row drawn twice counts twice in the loss and in its gradient, on
+        both paths: 3 of 8 rows take the full products, 2 of 8 the batch rows."""
+        model, a_hat, x, labels = random_case(np.random.default_rng(7))
+        stack = one_graph(a_hat, x, labels)
+        _, (grads,) = loss_and_grad((model,), stack, (np.array(mask),))
+        for g, num in zip((grads.W1, grads.W2), central_differences(model, stack, np.array(mask))):
+            assert np.max(np.abs(g - num)) <= 1e-9
+
+
+def central_differences(model, stack, mask, eps=1e-6):
+    """(dL/dW1, dL/dW2) of the one graph's masked loss, by central differences."""
+    out = []
+    for name, w in (("W1", model.W1), ("W2", model.W2)):
+        num = np.zeros_like(w)
+        for idx in np.ndindex(w.shape):
+            for sign in (1.0, -1.0):
+                w_p = w.copy()
+                w_p[idx] += sign * eps
+                m = GcnModel(w_p if name == "W1" else model.W1,
+                             w_p if name == "W2" else model.W2)
+                num[idx] += sign * masked_loss((m,), stack, (mask,))[0]
+        out.append(num / (2 * eps))
+    return out
 
 
 def full_loss_and_grad(models, stack, masks):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,39 @@ class TestLdpParams:
             LdpParams(epsilon_a=0.0, epsilon_b=1.0, quantiles=8)
         with pytest.raises(ValidationError):
             LdpParams(epsilon_a=1.0, epsilon_b=1.0, quantiles=0)
+
+    @staticmethod
+    def largest_accepted(make, lo, hi):
+        """The largest float in [lo, hi) that make accepts; lo passes, hi fails."""
+        while np.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2
+            try:
+                make(mid)
+                lo = mid
+            except ValidationError:
+                hi = mid
+        return lo
+
+    def test_largest_accepted_budgets_stay_finite(self):
+        """epsilon_a up to ln(float64 max) - ln(p + 1), about 707.59 at p = 8,
+        and epsilon_b up to ln(float64 max), about 709.78; at each limit the
+        mechanism's probabilities are finite, on a dense x grid whose points
+        include every grid point and every midpoint between two."""
+        eps_a = self.largest_accepted(lambda e: LdpParams(epsilon_a=e, quantiles=8), 1.0, 1e4)
+        assert 707.58 < eps_a < 707.59
+        past = float(np.nextafter(eps_a, np.inf))
+        with pytest.raises(ValidationError, match=re.escape(f"epsilon_a = {past!r}")):
+            LdpParams(epsilon_a=past, quantiles=8)
+        probs = node_grid_probs(np.linspace(0.0, 1.0, 8 * 64 + 1), eps_a, 8)
+        assert np.isfinite(probs).all()
+        assert np.allclose(probs.sum(axis=-1), 1.0)
+
+        eps_b = self.largest_accepted(lambda e: LdpParams(epsilon_b=e), 1.0, 1e4)
+        assert 709.78 < eps_b < 709.79
+        past = float(np.nextafter(eps_b, np.inf))
+        with pytest.raises(ValidationError, match=re.escape(f"epsilon_b = {past!r}")):
+            LdpParams(epsilon_b=past)
+        assert 0.0 < LdpParams(epsilon_b=eps_b).flip_probability < 1e-300
 
 
 class TestNodeGridProbs:

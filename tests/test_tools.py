@@ -1,13 +1,17 @@
 """The helpers behind tools/same_bits.py and tools/bench_pairs.py reports."""
 
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
 
+import same_bits  # noqa: E402
 from bench_pairs import quartiles, summarize  # noqa: E402
+from fairgfl.cli import SUITES  # noqa: E402
 from same_bits import column_drift  # noqa: E402
 
 
@@ -38,6 +42,14 @@ class TestColumnDrift:
     ], ids=["header-names", "header-order", "row-count", "both-empty", "one-empty"])
     def test_mismatch_gives_empty(self, tmp_path, a, b):
         assert column_drift(*csv_pair(tmp_path, a, b)) == {}
+
+
+def test_same_bits_has_a_case_for_every_suite(tmp_path, monkeypatch):
+    """A suite added to cli.SUITES cannot land without a byte comparison."""
+    monkeypatch.setattr(same_bits, "ROOT", ROOT)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(os, "environ", dict(os.environ))  # bench/run.py sets BLAS threads
+    assert {suite for suite, _ in same_bits.cases(tmp_path).values()} == set(SUITES)
 
 
 def pair(metrics_parent, metrics_change):
