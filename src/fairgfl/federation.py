@@ -201,8 +201,9 @@ def aggregate_qfedavg(
     Per client: Delta_i = (w_global - w_i) / lr, numerator weight F_i^q,
     normalizer sum of q F_i^(q-1) ||Delta_i||^2 + F_i^q / lr. Computed in
     update space with the common 1/lr factored out, so q = 0 collapses
-    exactly to the uniform update average. A weight or normalizer that is not
-    finite (F_i^q past float64, say) raises NumericError.
+    exactly to the uniform update average. A weight that is not finite
+    (F_i^q past float64, say), or a normalizer that is not finite and
+    positive (0 when every loss and update is 0), raises NumericError.
     """
     if not reports:
         raise ValidationError("reports must be non-empty")
@@ -221,10 +222,12 @@ def aggregate_qfedavg(
                 ) / lr**2
                 divisor += q * f ** (q - 1.0) * sq * lr
     except OverflowError:  # a Python float power past float64
-        divisor = math.inf
-    if not (np.isfinite(coeffs).all() and math.isfinite(divisor)):
-        raise gcn.NumericError(
-            f"q-FedAvg weight F_i^q or its normalizer is not finite at q = {q!r}")
+        coeffs.append(math.inf)
+    if not np.isfinite(coeffs).all():
+        raise gcn.NumericError(f"q-FedAvg weight F_i^q is not finite at q = {q!r}")
+    if not 0.0 < divisor < math.inf:
+        raise gcn.NumericError(f"q-FedAvg weight normalizer is {float(divisor)!r} at "
+                               f"q = {q!r}; it must be finite and positive")
     return _combine(w_global, reports, coeffs, divisor)
 
 
@@ -290,12 +293,14 @@ def run_experiment(
     test_ids, public_ids, pool_ids = split_nodes(graph, cfg)
     if cfg.rounds and len(test_ids) == 0:
         raise ValidationError("the test split is empty; raise test_fraction")
+    uploading = cfg.algorithm == "fairgfl" and cfg.estimate_overlap
+    if uploading and len(public_ids) == 0:
+        raise ValidationError("the public split is empty; raise public_fraction")
     parts = partition(graph, part_spec, cfg.num_clients, node_pool=pool_ids)
     a_test, ax_global = _global_eval_operands(graph, test_ids)
     stack = gcn.stack_graphs(parts)
     test_labels = graph.labels[test_ids]
 
-    uploading = cfg.algorithm == "fairgfl" and cfg.estimate_overlap
     if uploading:
         public_feats = graph.features[public_ids]
         encoder = ldp.train_encoder(

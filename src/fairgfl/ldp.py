@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import ClientSubgraph, ValidationError
+from .graph import ClientSubgraph, ValidationError, check_size
 from .gcn import NumericError
 
 # Nudge before flooring so grid points themselves do not flip buckets
@@ -37,6 +37,7 @@ class LdpParams:
     def __post_init__(self):
         if self.quantiles < 1:
             raise ValidationError("quantiles must be >= 1")
+        check_size(self.quantiles + 1)  # the grid's points, before any float arithmetic
         # The node weights sum to at most (p + 1)·e^epsilon_a; p_e reads e^epsilon_b.
         with np.errstate(over="ignore"):
             tops = (np.exp(self.epsilon_a) * (self.quantiles + 1.0), np.exp(self.epsilon_b))

@@ -11,9 +11,8 @@ import contextlib
 import numpy as np
 import pytest
 
-import fairgfl as fg
 from fairgfl import ldp, overlap
-from fairgfl.federation import run_experiment
+from fairgfl.federation import FedConfig, run_experiment
 from fairgfl.gcn import (
     GcnModel,
     init_model,
@@ -204,7 +203,7 @@ def test_criterion_06_overlap_inflates_variance():
                 overlap_pool_fraction=0.5, dirichlet_alpha_nonoverlap=5.0,
                 overlap_multipliers=mult,
             )
-            cfg = fg.FedConfig(
+            cfg = FedConfig(
                 num_clients=10, clients_per_round=10, rounds=100,
                 algorithm="fedavg", seed=seed, lam=0.0, encoder_dim=4,
             )
@@ -230,7 +229,7 @@ def test_criterion_07_fairness_improvement():
                 overlap_pool_fraction=0.5, dirichlet_alpha_nonoverlap=5.0,
                 overlap_multipliers=mult,
             )
-            cfg = fg.FedConfig(
+            cfg = FedConfig(
                 num_clients=6, clients_per_round=3, rounds=1200,
                 algorithm=alg, seed=seed, lam=lam, tau_percentile=25.0,
                 encoder_dim=4,
@@ -262,7 +261,7 @@ def test_criterion_08_reduction_identities():
             ("fedavg", {}),
             ("qfedavg", dict(q=0.0)),
         ):
-            cfg = fg.FedConfig(
+            cfg = FedConfig(
                 num_clients=4, clients_per_round=3, rounds=5, batch_size=10,
                 encoder_dim=4, encoder_epochs=3, seed=0, algorithm=alg, **kw,
             )
@@ -320,7 +319,7 @@ def test_criterion_11_training_loss_monotone():
     with report(11):
         g = generate_sbm(7, 60, 0.2, 0.02, 32, seed=7)
         spec = PartitionSpec(overlap_coefficient=0.1, seed=1)
-        cfg = fg.FedConfig(rounds=100, seed=0)
+        cfg = FedConfig(rounds=100, seed=0)
         records = run_experiment(g, spec, cfg).records
         train = np.array([np.mean(r.per_client_losses) for r in records])
         smooth = np.convolve(train, np.ones(10) / 10, mode="valid")

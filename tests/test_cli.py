@@ -379,6 +379,32 @@ class TestMain:
         assert err.startswith("error: round 1, server: q-FedAvg weight") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_qfedavg_zero_normalizer_exits_one(self, tmp_path, capsys):
+        """On one class every loss and update is 0, and so is the normalizer:
+        one error line that names it, not the NaN model's forward pass."""
+        cfg = write_cfg(tmp_path, SMALL + "sbm_blocks = 1\nalgorithm = qfedavg\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: round 1, server: q-FedAvg weight normalizer is ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm, status", [
+        ("fairgfl", 2), ("fedavg", 0), ("qfedavg", 0), ("fairgfl\nestimate_overlap = off", 0),
+    ])
+    def test_empty_public_split_exits_two_where_the_run_uploads(self, tmp_path, capsys,
+                                                               algorithm, status):
+        cfg = write_cfg(tmp_path, SMALL + f"public_fraction = 0\nalgorithm = {algorithm}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == status
+        err = capsys.readouterr().err
+        if status == 2:
+            assert err == "error: the public split is empty; raise public_fraction\n"
+            assert not out.exists()
+        else:
+            assert err == "" and (out / "rounds.csv").exists()
+
     @pytest.mark.parametrize("key", ["feature_dim", "hidden_dim"])
     def test_unallocatable_size_exits_two(self, tmp_path, capsys, key):
         """The first array of this size (the SBM's block means, or the
@@ -402,6 +428,17 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: an array of shape") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("quantiles", [10**20, 10**400], ids=["1e20", "400-digit"])
+    def test_quantiles_past_numpys_limit_exits_two(self, tmp_path, capsys, quantiles):
+        """The grid's quantiles + 1 points are refused before any
+        allocation or float arithmetic."""
+        cfg = write_cfg(tmp_path, SMALL + f"quantiles = {quantiles}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: an array of shape ({quantiles + 1},) is too large\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("line", [

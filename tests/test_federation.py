@@ -299,6 +299,16 @@ class TestAggregateQfedavg:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="q-FedAvg weight"):
             aggregate_qfedavg(reports, w_g, q=q, lr=lr)
 
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_zero_normalizer_raises(self, q):
+        """On a one-class graph every loss is -0.0 and every update zero, so
+        the normalizer is 0: a NumericError naming it, not a NaN model."""
+        rng = np.random.default_rng(15)
+        w_g = rand_model(rng)
+        reports = [report(i, w_g, -0.0) for i in range(3)]
+        with pytest.raises(NumericError, match=r"normalizer is -?0\.0 at q = "):
+            aggregate_qfedavg(reports, w_g, q=q, lr=0.05)
+
     def test_larger_q_favors_max_loss_client(self):
         rng = np.random.default_rng(13)
         w_g = rand_model(rng)
@@ -545,6 +555,42 @@ class TestRunExperiment:
         assert isinstance(err.value.cause, NumericError)
         assert str(err.value) == f"round 1, client {sampled[k]}: client {sampled[k]} diverged"
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_step_loss_failure_names_the_client_after_earlier_uploads(self, monkeypatch, k):
+        """Only the k-th sampled client's step loss is non-finite: the
+        per-step check names it, and the clients before it have uploaded."""
+        from fairgfl import federation as federation_mod
+        from fairgfl import gcn as gcn_mod
+        from fairgfl import ldp as ldp_mod
+
+        cfg = small_cfg(rounds=1)
+        sampled = sample_clients(cfg.seed, 1, cfg.num_clients, cfg.clients_per_round)
+        real_train, real_grad, sanitize = (federation_mod.train_clients, gcn_mod.loss_and_grad,
+                                           ldp_mod.sanitize_batch)
+        subs, uploads = [], []
+
+        def train_spy(clients, *args):
+            subs[:] = clients
+            return real_train(clients, *args)
+
+        def grad_spy(*args):
+            losses, grads = real_grad(*args)
+            return [math.nan if sub.client_id == sampled[k] else loss
+                    for sub, loss in zip(subs, losses)], grads
+
+        def upload_spy(sub, *args):
+            uploads.append(sub.client_id)
+            return sanitize(sub, *args)
+
+        monkeypatch.setattr(federation_mod, "train_clients", train_spy)
+        monkeypatch.setattr(gcn_mod, "loss_and_grad", grad_spy)
+        monkeypatch.setattr(ldp_mod, "sanitize_batch", upload_spy)
+        with pytest.raises(RoundError) as err:
+            run_experiment(small_graph(), PartitionSpec(overlap_coefficient=0.2, seed=4), cfg)
+        assert (err.value.round_index, err.value.client_id) == (1, sampled[k])
+        assert str(err.value) == f"round 1, client {sampled[k]}: client {sampled[k]} diverged"
+        assert uploads == list(sampled[:k])
+
     def test_server_error_carries_round(self, monkeypatch):
         from fairgfl import overlap as overlap_mod
 
@@ -566,6 +612,20 @@ class TestRunExperiment:
         with pytest.raises(ValidationError, match="test split"):
             run_experiment(g, spec, small_cfg(test_fraction=0.0))
         assert run_experiment(g, spec, small_cfg(test_fraction=0.0, rounds=0)).records == []
+
+    @pytest.mark.parametrize("rounds", [0, 3])
+    def test_empty_public_split_rejected_where_the_run_uploads(self, rounds):
+        """fairgfl's encoder trains on the public split; the runs that
+        upload nothing need no public nodes."""
+        g = small_graph()
+        spec = PartitionSpec(overlap_coefficient=0.1, seed=1)
+        with pytest.raises(ValidationError, match="^the public split is empty; raise "
+                                                  "public_fraction$"):
+            run_experiment(g, spec, small_cfg(public_fraction=0.0, rounds=rounds))
+        for kw in (dict(algorithm="fedavg"), dict(algorithm="qfedavg"),
+                   dict(estimate_overlap=False)):
+            res = run_experiment(g, spec, small_cfg(public_fraction=0.0, rounds=rounds, **kw))
+            assert len(res.records) == rounds
 
     @pytest.mark.parametrize("algorithm", ["fedavg", "fairgfl"])
     def test_one_server_step_for_fedavg_and_fairgfl(self, monkeypatch, algorithm):

@@ -237,6 +237,18 @@ class TestForward:
         with pytest.raises(NumericError):
             forward((bad,), a_hat, (a_hat @ x,))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_logits_past_float64_raise(self):
+        """A finite hidden layer times a W2 of 1e308 entries overflows: the
+        logits, not the hidden layer, are named."""
+        rng = np.random.default_rng(2)
+        model, a_hat, x, _ = random_case(rng)
+        huge = GcnModel(model.W1, np.full_like(model.W2, 1e308))
+        _, h = forward((model,), a_hat, (a_hat @ x,))
+        assert np.isfinite(h).all() and np.isinf(h @ huge.W2).any()
+        with pytest.raises(NumericError, match="non-finite logits in forward pass"):
+            forward((huge,), a_hat, (a_hat @ x,))
+
 
 def dense_reference(model, a_hat, x, labels, mask):
     """Logits, dW1 and dW2 in dense numpy, propagating the hidden layer

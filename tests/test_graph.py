@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,18 @@ from fairgfl.graph import (
     true_overlap_matrices,
     _split_counts,
 )
+
+
+def test_each_name_has_one_import_path():
+    """In a fresh interpreter the package root binds no public name, so
+    every name is reached through its defining module, and importing
+    fairgfl.graph loads no other fairgfl module."""
+    code = ("import sys, fairgfl; print([n for n in vars(fairgfl) if not n.startswith('_')]); "
+            "import fairgfl.graph; print(sorted(m for m in sys.modules if 'fairgfl' in m))")
+    src = Path(graph_mod.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.splitlines() == ["[]", "['fairgfl', 'fairgfl.graph']"]
 
 
 def tiny_graph(n=6, edges=((0, 1), (1, 2), (3, 4))):

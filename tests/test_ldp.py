@@ -57,6 +57,15 @@ class TestLdpParams:
         with pytest.raises(ValidationError):
             LdpParams(epsilon_a=1.0, epsilon_b=1.0, quantiles=0)
 
+    @pytest.mark.parametrize("quantiles", [10**20, 10**400], ids=["1e20", "400-digit"])
+    def test_quantiles_past_numpys_limit_rejected(self, quantiles):
+        """A grid of quantiles + 1 points past numpy's largest byte count is
+        refused before any float arithmetic: quantiles + 1.0 overflows a
+        float past about 1.8e308, and numpy refuses the 1e20 grid with a bare
+        ValueError."""
+        with pytest.raises(ValidationError, match=re.escape(f"shape ({quantiles + 1},)")):
+            LdpParams(quantiles=quantiles)
+
     @staticmethod
     def largest_accepted(make, lo, hi):
         """The largest float in [lo, hi) that make accepts; lo passes, hi fails."""

@@ -1,5 +1,6 @@
 """The helpers behind tools/same_bits.py and tools/bench_pairs.py reports."""
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -10,8 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 import same_bits  # noqa: E402
-from bench_pairs import quartiles, summarize  # noqa: E402
-from fairgfl.cli import SUITES  # noqa: E402
+from bench_pairs import quartiles, run_config, summarize  # noqa: E402
+from fairgfl.cli import CONFIG_SCHEMA, SUITES  # noqa: E402
 from same_bits import column_drift  # noqa: E402
 
 
@@ -50,6 +51,15 @@ def test_same_bits_has_a_case_for_every_suite(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(os, "environ", dict(os.environ))  # bench/run.py sets BLAS threads
     assert {suite for suite, _ in same_bits.cases(tmp_path).values()} == set(SUITES)
+
+
+def test_bench_config_records_every_schema_default():
+    """BENCH_<tag>.json records each config key's default as the schema
+    holds it, through a JSON round trip, so no hand copy goes stale."""
+    config = json.loads(json.dumps(run_config({"fedavg-l": {"rounds": 40}}, 30.0)))
+    assert config["other_keys"] == {key: default
+                                    for key, (_, _, default) in CONFIG_SCHEMA.items()}
+    assert config["bench_workloads"] == {"fedavg-l": {"rounds": 40}}
 
 
 def pair(metrics_parent, metrics_change):

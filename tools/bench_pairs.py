@@ -85,6 +85,21 @@ def versions() -> dict:
             "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
+def run_config(workloads: dict, seconds: float) -> dict:
+    """The runs' config: each workload's keys, and every config key's
+    default in the working tree's schema, which a workload's keys and the
+    sbm_seed that bench/run.py takes from --seed override."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fairgfl.cli import CONFIG_SCHEMA
+
+    return {
+        "bench_workloads": workloads,
+        "other_keys": {key: default for key, (_, _, default) in CONFIG_SCHEMA.items()},
+        "run_seconds": seconds,
+        "blas_threads": 1,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent")
@@ -118,13 +133,7 @@ def main(argv=None) -> int:
         "protocol": "one process at a time; each pair runs parent and change on the same "
                     "seed, alternating which side runs first; quartiles are inclusive; "
                     + ", ".join(f"{n} pairs on {w}" for w, n in counts.items()),
-        "config": {
-            "bench_workloads": {w: bench_run.WORKLOADS[w] for w in counts},
-            "other_keys": "sim run defaults: 7 SBM blocks, P=10, K=5, E=2, b=20, eps_a=3, "
-                          "eps_b=1, p=8, tau_percentile 95, seed 0, partition_seed 0",
-            "run_seconds": args.seconds,
-            "blas_threads": 1,
-        },
+        "config": run_config({w: bench_run.WORKLOADS[w] for w in counts}, args.seconds),
         "machine": machine(),
         "versions": versions(),
         "workloads": {},
