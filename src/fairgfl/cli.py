@@ -91,23 +91,18 @@ def parse_config(path=None, overrides: dict | None = None):
     holds dataset selection keys. Unknown keys and malformed values raise
     ConfigError.
     """
-    values = {k: default for k, (_, _, default) in CONFIG_SCHEMA.items()}
+    values = {}
 
     def assign(key, raw):
         key = _ALIASES.get(key, key)
         if key not in CONFIG_SCHEMA:
             valid = ", ".join(sorted(list(CONFIG_SCHEMA) + list(_ALIASES)))
             raise ConfigError(f"unknown config key {key!r}; valid keys: {valid}")
-        if isinstance(raw, str):
-            typ = type(CONFIG_SCHEMA[key][2])
-            try:
-                values[key] = _bool(raw) if typ is bool else typ(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"config key {key!r} expects {typ.__name__}, got {raw!r}"
-                ) from None
-        else:
-            values[key] = raw
+        typ, text = type(CONFIG_SCHEMA[key][2]), str(raw)
+        try:
+            values[key] = _bool(text) if typ is bool else typ(text)
+        except ValueError:
+            raise ConfigError(f"config key {key!r} expects {typ.__name__}, got {text!r}") from None
 
     if path is not None:
         for lineno, line in text_lines(path, ConfigError):
@@ -121,13 +116,8 @@ def parse_config(path=None, overrides: dict | None = None):
     for key, raw in (overrides or {}).items():
         assign(key, raw)
 
-    sections = {"fed": {}, "part": {}, "ldp": {}, "extras": {}}
-    for key, (section, name, _) in CONFIG_SCHEMA.items():
-        sections[section][name] = values[key]
-    fed = FedConfig(**sections["fed"])
-    part = PartitionSpec(**sections["part"])
-    ldp = LdpParams(**sections["ldp"])
-    return part, fed, ldp, sections["extras"]
+    extras = {key: values.pop(key, default) for key, default in DATASET_DEFAULTS.items()}
+    return (*_with_keys((PartitionSpec(), FedConfig(), LdpParams()), values), extras)
 
 
 def build_graph(extras: dict):
@@ -201,11 +191,15 @@ def _thirds_multipliers(p: int) -> tuple[float, ...]:
 
 
 def _with_keys(configs, keys: dict):
-    """(part, fed, ldp) with the given config keys replaced."""
+    """(part, fed, ldp) with the given config keys replaced: each section
+    once, in _SECTIONS order, so FedConfig's checks run first."""
     sections = dict(zip(("part", "fed", "ldp"), configs))
+    changes = {section: {} for section in sections}
     for key, value in keys.items():
         section, name, _ = CONFIG_SCHEMA[key]
-        sections[section] = dataclasses.replace(sections[section], **{name: value})
+        changes[section][name] = value
+    for section, _ in _SECTIONS:
+        sections[section] = dataclasses.replace(sections[section], **changes[section])
     return sections["part"], sections["fed"], sections["ldp"]
 
 
@@ -253,23 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="flat key=value config file")
     run.add_argument("--suite", default="single", choices=SUITES)
     run.add_argument("--out", required=True, help="output directory")
+    # Each flag's dest is the config key that it sets.
     run.add_argument("--seed", type=int)
     run.add_argument("--algorithm", choices=ALGORITHMS)
-    run.add_argument("--no-ldp", action="store_true",
+    run.add_argument("--no-ldp", dest="use_ldp", action="store_const", const=False,
                      help="upload encoded but unperturbed batches")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.algorithm:
-        overrides["algorithm"] = args.algorithm
-    if args.no_ldp:
-        overrides["use_ldp"] = False
-
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in CONFIG_SCHEMA and value is not None}
     try:
         part, fed, ldp, extras = parse_config(args.config, overrides)
         with np.errstate(all="ignore"):  # every non-finite result is checked explicitly

@@ -141,21 +141,6 @@ def train_clients(
             for sub, model, loss in zip(subs, models, losses)]
 
 
-def _plain_batch(sub: ClientSubgraph, batch_ids, encoder) -> ldp.SanitizedBatch:
-    """LDP bypass: encoded but unperturbed upload."""
-    rows = sub.local_rows(batch_ids)
-    vectors = encoder.encode(sub.features[rows])
-    adj = sub.has_edges(rows[:, None], rows[None, :]).astype(np.int64)
-    return ldp.SanitizedBatch(
-        client_id=sub.client_id,
-        batch_size=len(rows),
-        sanitized_nodes=vectors,
-        sanitized_adjacency=adj,
-        reported_n=sub.num_nodes,
-        node_ids=np.asarray(batch_ids),
-    )
-
-
 def _combine(w_global: GcnModel, reports, coeffs, divisor) -> GcnModel:
     """w_global + sum(c_i * (w_i - w_global)) / divisor, per tensor."""
     acc1 = np.zeros_like(w_global.W1)
@@ -349,14 +334,11 @@ def run_experiment(
                     batch_ids = batch_rng.choice(
                         sub.node_ids, size=min(cfg.batch_size, sub.num_nodes), replace=False
                     )
-                    if cfg.use_ldp:
-                        cache = (caches.setdefault(int(cid), ldp.PermanentCache())
-                                 if cfg.permanent_cache else None)
-                        batches.append(ldp.sanitize_batch(
-                            sub, batch_ids, encoder, ldp_params, cache, batch_rng
-                        ))
-                    else:
-                        batches.append(_plain_batch(sub, batch_ids, encoder))
+                    cache = (caches.setdefault(int(cid), ldp.PermanentCache())
+                             if cfg.use_ldp and cfg.permanent_cache else None)
+                    batches.append(ldp.sanitize_batch(
+                        sub, batch_ids, encoder, ldp_params if cfg.use_ldp else None, cache,
+                        batch_rng))
             except Exception as exc:  # noqa: BLE001 - annotate and rethrow
                 raise RoundError(j, int(cid), exc) from exc
 

@@ -249,7 +249,7 @@ def sanitize_batch(
     sub: ClientSubgraph,
     batch: np.ndarray,
     encoder: Encoder,
-    params: LdpParams,
+    params: LdpParams | None,
     cache: PermanentCache | None,
     rng,
 ) -> SanitizedBatch:
@@ -257,45 +257,51 @@ def sanitize_batch(
 
     With a cache, each node vector and link bit is perturbed at most once
     ever; later batches reuse the stored responses. A cache serves only
-    the client it was first used for.
+    the client it was first used for. With params None (use_ldp = off)
+    the encoded vectors and raw link bits are uploaded as they are: no
+    perturbation, no correction, no cache and no draw from rng.
     """
     batch = np.asarray(batch, dtype=np.int64)
     local = sub.local_rows(batch)
     b, ids = len(batch), batch.tolist()
     if len(set(ids)) != b:
         raise ValidationError("batch node ids must be distinct")
-    if cache is None:  # a throwaway cache over the batch's own rows
-        cache, slots = PermanentCache()._bind(batch, encoder.d1), np.arange(b)
-    else:
-        cache, slots = cache._bind(sub.node_ids, encoder.d1), local
-
-    # Rows not yet cached are encoded and perturbed afresh, in batch order.
-    vectors = cache.vectors[slots]
-    fresh_rows = np.array([gid not in cache.nodes for gid in ids], dtype=bool)
-    if fresh_rows.any():
-        vectors[fresh_rows] = perturb_node(encoder.encode(sub.features[local[fresh_rows]]),
-                                           params, rng, encoder.x_min, encoder.x_max)
-        cache.vectors[slots] = vectors
-        cache.nodes.update(itertools.compress(ids, fresh_rows))
-
-    # Upper-triangle link bits in row-major order; those not yet cached are
-    # flipped afresh, in that order.
+    # Upper-triangle link bits in row-major order.
     rows, cols = triu_pairs(b)
-    bits = cache.links[slots[rows], slots[cols]]
-    fresh = bits < 0
-    raw = sub.has_edges(local[rows[fresh]], local[cols[fresh]])
-    bits[fresh] = perturb_links(raw, params, rng)
-    cache.links[slots[rows], slots[cols]] = cache.links[slots[cols], slots[rows]] = bits
-    perturbed = np.zeros((b, b), dtype=np.int64)
-    perturbed[rows, cols] = bits
-    perturbed += perturbed.T
+    if params is None:
+        vectors = encoder.encode(sub.features[local])
+        bits = sub.has_edges(local[rows], local[cols])
+    else:
+        if cache is None:  # a throwaway cache over the batch's own rows
+            cache, slots = PermanentCache()._bind(batch, encoder.d1), np.arange(b)
+        else:
+            cache, slots = cache._bind(sub.node_ids, encoder.d1), local
 
-    corrected = sparsify_correct(perturbed, vectors, params.flip_probability)
+        # Rows not yet cached are encoded and perturbed afresh, in batch order.
+        vectors = cache.vectors[slots]
+        fresh_rows = np.array([gid not in cache.nodes for gid in ids], dtype=bool)
+        if fresh_rows.any():
+            vectors[fresh_rows] = perturb_node(encoder.encode(sub.features[local[fresh_rows]]),
+                                               params, rng, encoder.x_min, encoder.x_max)
+            cache.vectors[slots] = vectors
+            cache.nodes.update(itertools.compress(ids, fresh_rows))
+
+        # Link bits not yet cached are flipped afresh, in that order.
+        bits = cache.links[slots[rows], slots[cols]]
+        fresh = bits < 0
+        raw = sub.has_edges(local[rows[fresh]], local[cols[fresh]])
+        bits[fresh] = perturb_links(raw, params, rng)
+        cache.links[slots[rows], slots[cols]] = cache.links[slots[cols], slots[rows]] = bits
+    adjacency = np.zeros((b, b), dtype=np.int64)
+    adjacency[rows, cols] = bits
+    adjacency += adjacency.T
+    if params is not None:
+        adjacency = sparsify_correct(adjacency, vectors, params.flip_probability)
     return SanitizedBatch(
         client_id=sub.client_id,
         batch_size=b,
         sanitized_nodes=vectors,
-        sanitized_adjacency=corrected,
+        sanitized_adjacency=adjacency,
         reported_n=sub.num_nodes,
         node_ids=batch,
     )

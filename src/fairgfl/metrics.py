@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,8 +10,6 @@ import scipy.sparse as sp
 
 from .gcn import GcnModel, _softmax_ce, forward
 from .graph import ValidationError
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -38,8 +35,7 @@ def loss_variance(losses) -> float:
 def loss_entropy(losses) -> float:
     """Entropy (natural log) of losses normalized by their L1 mass.
 
-    All-zero losses are the perfectly fair degenerate case; ln(P) is
-    returned with a warning.
+    All-zero losses are the perfectly fair degenerate case: ln(P).
     """
     losses = np.asarray(losses, dtype=np.float64)
     if losses.size == 0:
@@ -48,7 +44,6 @@ def loss_entropy(losses) -> float:
         raise ValidationError("losses must be non-negative")
     total = losses.sum()
     if total == 0:
-        logger.warning("all-zero losses: entropy undefined, returning ln(P)")
         return float(np.log(len(losses)))
     shares = losses / total
     nz = shares[shares > 0]

@@ -109,6 +109,19 @@ class TestParseConfig:
         _, fed, _, _ = parse_config(path, {"seed": 9})
         assert fed.seed == 9
 
+    @pytest.mark.parametrize("overrides", [{"rounds": 2.5}, {"num_clients": True}])
+    def test_typed_override_parsed_as_text(self, overrides):
+        """An override's value is parsed from its text, as a file line is:
+        2.5 and True are no int."""
+        with pytest.raises(ConfigError, match="expects int"):
+            parse_config(None, overrides)
+
+    def test_typed_overrides_parse_like_text(self):
+        configs = parse_config(None, {"lr": 0.1, "use_ldp": False, "seed": 9})
+        fed = configs[1]
+        assert (fed.lr, fed.use_ldp, fed.seed) == (0.1, False, 9)
+        assert configs == parse_config(None, {"lr": "0.1", "use_ldp": "off", "seed": "9"})
+
     def test_alpha_roundtrip(self, tmp_path):
         path = write_cfg(tmp_path, "alpha = 0.8\nbeta = 0.4\n")
         _, fed, _, _ = parse_config(path)
@@ -598,6 +611,21 @@ class TestMain:
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    def test_one_class_graph_runs_without_stderr(self, tmp_path):
+        """Every client loss of a one-class graph is 0 in every round; the
+        run exits 0 and writes nothing to stderr, outside pytest's log
+        capture too."""
+        cfg = write_cfg(tmp_path, "sbm_blocks = 1\nalgorithm = fedavg\nP = 4\nK = 2\nJ = 5\n")
+        src = Path(fairgfl.cli.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairgfl.cli", "run", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        records = read_round_records(tmp_path / "o" / "rounds.csv")
+        assert len(records) == 5
+        assert all(max(r.per_client_losses) == 0.0 for r in records)
 
     def test_unknown_key_exits_two(self, tmp_path):
         cfg = write_cfg(tmp_path, "bogus = 1\n")

@@ -256,6 +256,10 @@ class TestAggregateFedavg:
 
 
 class TestAggregateQfedavg:
+    def test_empty_reports_rejected(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            aggregate_qfedavg([], rand_model(np.random.default_rng(0)), q=1.0, lr=0.05)
+
     def test_q_zero_equals_fedavg(self):
         rng = np.random.default_rng(10)
         w_g = rand_model(rng)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fairgfl.cli import build_graph, parse_config
+from fairgfl.federation import split_nodes
 from fairgfl.gcn import (
     GcnModel,
     NumericError,
@@ -312,6 +314,24 @@ class TestLossAndGrad:
         assert l1 == l2
         assert np.array_equal(g1.W1, g2.W1)
         assert np.array_equal(g1.W2, g2.W2)
+
+    def test_no_masks_equals_every_row_index_mask(self):
+        """masks None gives the bytes of an index mask of every row, on the
+        first three clients of the sim run default partition."""
+        part, fed, _, extras = parse_config(None)
+        graph = build_graph(extras)
+        parts = partition(graph, part, fed.num_clients, node_pool=split_nodes(graph, fed)[2])[:3]
+        stack = stack_graphs(parts)
+        rng = np.random.default_rng(19)
+        models = [init_model(graph.feature_dim, fed.hidden_dim, graph.num_classes, rng)
+                  for _ in parts]
+        losses, grads = loss_and_grad(models, stack, None)
+        want_losses, want_grads = loss_and_grad(models, stack,
+                                                [np.arange(p.num_nodes) for p in parts])
+        assert np.array(losses).tobytes() == np.array(want_losses).tobytes()
+        for got, want in zip(grads, want_grads):
+            assert got.W1.tobytes() == want.W1.tobytes()
+            assert got.W2.tobytes() == want.W2.tobytes()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_finite_difference_oracle(self, seed, one_graph):

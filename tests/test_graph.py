@@ -171,6 +171,10 @@ class TestGlobalGraph:
         assert symmetric
         assert peak <= 1.3 * sum(a.nbytes for a in (adj.data, adj.indices, adj.indptr))
 
+    def test_validate_rejects_negative_labels(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            GlobalGraph(3, np.eye(3), np.array([0, -1, 1]), sp.csr_matrix((3, 3)))
+
     def test_validate_rejects_nonfinite_features(self):
         feats = np.eye(3)
         feats[0, 0] = np.nan
@@ -210,6 +214,21 @@ class TestLoadGraph:
     def test_bad_field_count(self, tmp_path):
         nf, ef = self.write(tmp_path, "a 0.5 x\nb 0.5\n", "")
         with pytest.raises(GraphFormatError, match="2"):
+            load_graph(nf, ef)
+
+    def test_first_node_row_too_short(self, tmp_path):
+        nf, ef = self.write(tmp_path, "a x\nb 0.5 y\n", "")
+        with pytest.raises(GraphFormatError, match="nodes.txt:1: node rows need"):
+            load_graph(nf, ef)
+
+    def test_blank_edge_lines_skipped(self, tmp_path):
+        nf, ef = self.write(tmp_path, "a 0.5 x\nb 0.6 y\nc 0.7 x\n", "a b\n\n  ,\nb c\n")
+        assert load_graph(nf, ef).adjacency.nnz == 4
+
+    @pytest.mark.parametrize("row", ["a", "a b c"])
+    def test_edge_row_field_count(self, tmp_path, row):
+        nf, ef = self.write(tmp_path, "a 0.5 x\nb 0.6 y\n", f"a b\n{row}\n")
+        with pytest.raises(GraphFormatError, match="edges.txt:2: expected 2 fields"):
             load_graph(nf, ef)
 
     def test_bad_feature_value(self, tmp_path):
@@ -503,6 +522,11 @@ class TestPartition:
         row = node_m.sum(axis=1) - 1.0
         assert row[:2].mean() < row[4:].mean()
         assert row[:2].max() == 0.0
+
+    def test_empty_graph_rejected(self):
+        g = GlobalGraph(0, np.zeros((0, 2)), np.zeros(0, dtype=np.int64), sp.csr_matrix((0, 0)))
+        with pytest.raises(ValidationError, match="graph is empty"):
+            partition(g, PartitionSpec(), 1)
 
     def test_more_clients_than_nodes(self):
         g = tiny_graph()

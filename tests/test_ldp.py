@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from fairgfl.ldp import (
     Encoder,
     LdpParams,
     PermanentCache,
+    SanitizedBatch,
     expected_density,
     node_grid_probs,
     perturb_links,
@@ -140,6 +142,12 @@ class TestPerturbNode:
         with pytest.raises(NumericError):
             perturb_node(np.array([np.nan]), params, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("x_max", [0.5, 0.25], ids=["empty", "reversed"])
+    def test_empty_range_rejected(self, x_max):
+        with pytest.raises(ValidationError, match="x_max must exceed x_min"):
+            perturb_node(np.array([0.4]), LdpParams(3.0, 1.0, 4), np.random.default_rng(0),
+                         x_min=0.5, x_max=x_max)
+
     def test_distribution_matches_probs(self):
         # Monte Carlo frequency of each grid point vs analytic distribution
         params = LdpParams(2.0, 1.0, 4)
@@ -266,6 +274,25 @@ class TestTrainEncoder:
         with pytest.raises(ValidationError):
             train_encoder(np.zeros((10, 4)), d1=4, epochs=1, seed=0)
 
+    def test_no_public_rows_rejected(self):
+        with pytest.raises(ValidationError, match="non-empty matrix"):
+            train_encoder(np.zeros((0, 4)), d1=2, epochs=1, seed=0)
+
+
+def plain_batch(sub, batch_ids, encoder):
+    """The use_ldp = off upload as a builder of its own assembled it, kept as
+    the reference for sanitize_batch without params: the encoded rows and
+    the batch's whole raw adjacency, unperturbed."""
+    rows = sub.local_rows(batch_ids)
+    return SanitizedBatch(
+        client_id=sub.client_id,
+        batch_size=len(rows),
+        sanitized_nodes=encoder.encode(sub.features[rows]),
+        sanitized_adjacency=sub.has_edges(rows[:, None], rows[None, :]).astype(np.int64),
+        reported_n=sub.num_nodes,
+        node_ids=np.asarray(batch_ids),
+    )
+
 
 class TestSanitizeBatch:
     def setup_method(self):
@@ -283,6 +310,24 @@ class TestSanitizeBatch:
         assert np.all((out.sanitized_nodes * 8) % 1 == 0)
         assert np.array_equal(out.sanitized_adjacency, out.sanitized_adjacency.T)
         assert out.reported_n == 30
+
+    @pytest.mark.parametrize("b", [1, 12, 30], ids=["one", "mid", "every-node"])
+    def test_without_params_equals_plain_batch(self, b):
+        """params None uploads the encoded vectors and raw link bits, field
+        by field the bytes of the reference, and draws nothing from rng."""
+        batch = np.random.default_rng(b).permutation(self.sub.node_ids)[:b]
+        rng = np.random.default_rng(15)
+        state = rng.bit_generator.state
+        got = sanitize_batch(self.sub, batch, self.encoder, None, None, rng)
+        assert rng.bit_generator.state == state
+        want = plain_batch(self.sub, batch, self.encoder)
+        assert want.sanitized_adjacency.any() or b == 1
+        for f in dataclasses.fields(SanitizedBatch):
+            a, w = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(w, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (w.dtype, w.shape, w.tobytes()), f.name
+            else:
+                assert a == w, f.name
 
     def test_foreign_node_rejected(self):
         rng = np.random.default_rng(11)

@@ -55,10 +55,16 @@ class TestLossEntropy:
         assert loss_entropy([1.0, 0.0]) == 0.0
 
     def test_all_zero_degenerate(self, caplog):
-        with caplog.at_level("WARNING"):
+        """All-zero losses give ln(P) and log nothing: a one-class graph
+        has them every round."""
+        with caplog.at_level("DEBUG"):
             out = loss_entropy([0.0, 0.0, 0.0])
         assert out == pytest.approx(np.log(3))
-        assert "all-zero" in caplog.text
+        assert caplog.records == []
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            loss_entropy([])
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):

@@ -201,6 +201,11 @@ class TestEstimateNodeRatio:
     def test_clamped_to_unit(self):
         assert estimate_node_ratio(1.0, 100, 100, 10, 10) == 1.0
 
+    @pytest.mark.parametrize("b_i, b_k", [(0, 5), (5, 0), (-1, 5)])
+    def test_nonpositive_batch_size_rejected(self, b_i, b_k):
+        with pytest.raises(ValidationError, match="positive"):
+            estimate_node_ratio(0.1, 10, 10, b_i, b_k)
+
     def test_batch_larger_than_population_rejected(self):
         with pytest.raises(ValidationError):
             estimate_node_ratio(0.1, 10, 10, 20, 5)
@@ -303,6 +308,21 @@ class TestEstimateRound:
         batches = self.uploads(2)[:k]
         estimate_round(batches, 0.5)
         assert sorted(counted) == sorted(b.client_id for b in batches)
+
+    def test_two_uploads_of_one_client_are_not_matched(self, monkeypatch):
+        """A second upload of client 3 is matched with client 0 alone, and
+        its estimates overwrite the equal ones of the first."""
+        calls = []
+
+        def counted(a, b, tau):
+            calls.append((a.client_id, b.client_id))
+            return match_nodes(a, b, tau)
+
+        first, second = self.uploads(3)[:2]
+        want = estimate_round([first, second], 0.5)
+        monkeypatch.setattr(overlap_mod, "match_nodes", counted)
+        assert estimate_round([first, second, first], 0.5) == want
+        assert calls == [(3, 0), (0, 3)]
 
     def test_single_upload_gives_no_estimates(self):
         assert estimate_round(self.uploads(0)[:1], 0.5) == {}

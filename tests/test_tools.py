@@ -12,6 +12,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import same_bits  # noqa: E402
 from bench_pairs import quartiles, run_config, summarize  # noqa: E402
+from scale_probe import probe_config  # noqa: E402
 from fairgfl.cli import CONFIG_SCHEMA, SUITES  # noqa: E402
 from same_bits import column_drift  # noqa: E402
 
@@ -60,6 +61,18 @@ def test_bench_config_records_every_schema_default():
     assert config["other_keys"] == {key: default
                                     for key, (_, _, default) in CONFIG_SCHEMA.items()}
     assert config["bench_workloads"] == {"fedavg-l": {"rounds": 40}}
+
+
+def test_scale_config_records_every_schema_default():
+    """BENCH_scale_<tag>.json records each config key's default as the
+    schema holds it, and each size's own keys, through a JSON round trip."""
+    config = json.loads(json.dumps(probe_config([21000, 700], 5)))
+    assert config["other_keys"] == {key: default
+                                    for key, (_, _, default) in CONFIG_SCHEMA.items()}
+    assert config["probe_keys"] == {
+        str(n): {"sbm_block_size": n // 7, "sbm_p_in": 15 / (n // 7),
+                 "sbm_p_out": 1.5 / (n // 7), "rounds": 5}
+        for n in (21000, 700)}
 
 
 def pair(metrics_parent, metrics_change):

@@ -16,9 +16,9 @@ rounds, run once before the timed experiment) and at the end. The set-up
 figure leaves out what only the rounds hold, such as the uploads' link
 cache. With ``--parent`` the parent revision is extracted with ``git
 archive`` into ``WORK/parent`` and every size runs on the parent first,
-then on the working tree. The results, with the config, machine and
-numpy/scipy versions, go to ``BENCH_scale_<tag>.json``, rewritten after
-every run.
+then on the working tree. The results, with the config (each size's own
+keys and every other key's default), machine and numpy/scipy versions, go
+to ``BENCH_scale_<tag>.json``, rewritten after every run.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ CHILD = """
 import dataclasses, json, resource, sys, time
 from fairgfl import cli, federation
 
-nodes, rounds = int(sys.argv[1]), int(sys.argv[2])
-blocks = cli.DATASET_DEFAULTS["sbm_blocks"]
-size = nodes // blocks
-part, fed, ldp, extras = cli.parse_config(None, {
-    "sbm_block_size": size, "sbm_p_in": 15 / size, "sbm_p_out": 1.5 / size,
-    "rounds": rounds})
+part, fed, ldp, extras = cli.parse_config(None, json.loads(sys.argv[1]))
 maxrss_mb = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 t0 = time.perf_counter()
 graph = cli.build_graph(extras)
@@ -59,8 +54,7 @@ t0 = time.perf_counter()
 result = federation.run_experiment(graph, part, fed, ldp)
 run_s = time.perf_counter() - t0
 print(json.dumps({
-    "nodes": graph.num_nodes, "edges": graph.adjacency.nnz // 2, "rounds": rounds,
-    "block_size": size, "sbm_p_in": 15 / size, "sbm_p_out": 1.5 / size,
+    "nodes": graph.num_nodes, "edges": graph.adjacency.nnz // 2,
     "build_s": build_s, "run_s": run_s, "adjacency_bytes": adjacency_bytes,
     "maxrss_after_build_mb": after_build,
     "maxrss_after_setup_mb": after_setup, "maxrss_mb": maxrss_mb(),
@@ -69,10 +63,36 @@ print(json.dumps({
 """
 
 
-def probe(tree: Path, nodes: int, rounds: int) -> dict:
+def probe_keys(nodes: int, rounds: int, blocks: int) -> dict:
+    """The config keys that a probe of `nodes` nodes sets over the sim run
+    defaults: blocks of B = nodes / blocks, sbm_p_in 15 / B, sbm_p_out 1.5 / B."""
+    size = nodes // blocks
+    return {"sbm_block_size": size, "sbm_p_in": 15 / size, "sbm_p_out": 1.5 / size,
+            "rounds": rounds}
+
+
+def probe_config(nodes: list[int], rounds: int) -> dict:
+    """The runs' config: each size's own keys, and every config key's
+    default in the working tree's schema, which those keys override."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fairgfl.cli import CONFIG_SCHEMA, DATASET_DEFAULTS
+
+    blocks = DATASET_DEFAULTS["sbm_blocks"]
+    return {
+        "probe_keys": {str(n): probe_keys(n, rounds, blocks) for n in nodes},
+        "other_keys": {key: default for key, (_, _, default) in CONFIG_SCHEMA.items()},
+        "blas_threads": 1,
+        "timed": "build_s: cli.build_graph; run_s: federation.run_experiment "
+                 "(partition, normalization, encoder, tau calibration and rounds)",
+        "maxrss_after_setup_mb": "ru_maxrss after run_experiment at 0 rounds, "
+                                 "run between the build and the timed run",
+    }
+
+
+def probe(tree: Path, keys: dict) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(nodes), str(rounds)],
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(keys)],
                           cwd=tree, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -105,18 +125,9 @@ def main(argv=None) -> int:
     if args.parent:
         trees = {"parent": args.work.resolve() / "parent", **trees}
         doc["parent_commit"] = revision.extract(ROOT, args.parent, trees["parent"])
+    config = probe_config(args.nodes, args.rounds)
     doc.update({
-        "config": {
-            "keys": "sim run defaults (fairgfl, P=10, K=5, E=2, b=20, eps_a=3, permanent "
-                    f"cache on, seed 0, sbm_seed 7) with sbm_blocks {blocks}, "
-                    "sbm_block_size N / blocks, sbm_p_in 15 / B, sbm_p_out 1.5 / B",
-            "rounds": args.rounds,
-            "blas_threads": 1,
-            "timed": "build_s: cli.build_graph; run_s: federation.run_experiment "
-                     "(partition, normalization, encoder, tau calibration and rounds)",
-            "maxrss_after_setup_mb": "ru_maxrss after run_experiment at 0 rounds, "
-                                     "run between the build and the timed run",
-        },
+        "config": config,
         "machine": machine(),
         "versions": versions(),
         "runs": [],
@@ -124,7 +135,7 @@ def main(argv=None) -> int:
     out_path = args.out or ROOT / f"BENCH_scale_{args.tag}.json"
     for n in args.nodes:
         for side, tree in trees.items():
-            run = {"side": side, **probe(tree, n, args.rounds)}
+            run = {"side": side, **probe(tree, config["probe_keys"][str(n)])}
             doc["runs"].append(run)
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"{side} {n} nodes: build {run['build_s']:.2f} s "
