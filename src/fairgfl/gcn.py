@@ -164,7 +164,9 @@ def _softmax_ce(logits, rows, labels, sizes, grad=False):
     a run has the bits of a pass over its rows alone.
     """
     ml = logits if rows is None else logits[rows]
-    shifted = ml - ml.max(axis=1, keepdims=True)
+    # Row maxima over a Fortran copy, a class column at a time: on finite
+    # logits this moves at most a zero's sign, and no output bit (README).
+    shifted = ml - np.asfortranarray(ml).max(axis=1)[:, None]
     exp = np.exp(shifted)
     total = exp.sum(axis=1, keepdims=True)
     idx = np.arange(len(ml))
@@ -188,8 +190,8 @@ def _softmax_ce(logits, rows, labels, sizes, grad=False):
 def _mask_rows(stack: Stack, masks):
     """(rows, labels, sizes): the stack rows that per-graph masks select, in
     order, their labels, and how many each graph gives. masks[b] is an index
-    array or boolean mask of graph b's nodes; masks None selects every row,
-    and rows is then None."""
+    array or boolean mask of graph b's nodes that selects at least one;
+    masks None selects every row, and rows is then None."""
     b = stack.bounds
     if masks is None:
         return None, stack.labels, [hi - lo for lo, hi in zip(b, b[1:])]
@@ -198,6 +200,8 @@ def _mask_rows(stack: Stack, masks):
         mask = np.asarray(mask)
         rows.append(lo + (np.flatnonzero(mask) if mask.dtype == bool else mask))
     sizes = [len(r) for r in rows]
+    if 0 in sizes:
+        raise ValidationError("mask must select at least one node")
     rows = np.concatenate(rows)
     return rows, stack.labels[rows], sizes
 
@@ -218,8 +222,6 @@ def loss_and_grad(models, stack: Stack, masks):
     and the terms G skips are +0.0, which leave a sum begun at +0.0 as is.
     """
     rows, labels, sizes = _mask_rows(stack, masks)
-    if 0 in sizes:
-        raise ValidationError("mask must select at least one node")
     a = a_t = stack.a_hat  # A_hat^T is A_hat: A_hat is symmetric
     if rows is not None and 4 * len(rows) <= a.shape[0]:
         u, rows = np.unique(rows, return_inverse=True)

@@ -181,6 +181,16 @@ class TestStack:
         with pytest.raises(ValidationError):
             loss_and_grad([model] * 4, stack_graphs(parts), masks)
 
+    @pytest.mark.parametrize("kind", ["index", "boolean"])
+    def test_empty_mask_of_one_graph_rejected_by_masked_loss(self, kind):
+        parts = self.graphs()
+        model = init_model(6, 5, 3, np.random.default_rng(9))
+        masks = [np.array([0]), np.array([], dtype=int), np.array([1]), np.array([2])]
+        if kind == "boolean":
+            masks = [np.isin(np.arange(p.num_nodes), m) for p, m in zip(parts, masks)]
+        with pytest.raises(ValidationError, match="at least one node"):
+            masked_loss([model] * 4, stack_graphs(parts), masks)
+
     def test_mixed_adjacency_dtypes(self):
         """Clients alternating int8 and float64 adjacencies (block_diag
         upcasts the stack to float64) give the bytes of the all-int8 stack."""
@@ -287,6 +297,79 @@ class TestDenseReference:
         _, (grads,) = loss_and_grad((model,), stack, (mask,))
         np.testing.assert_allclose(grads.W1, dW1, rtol=1e-12)
         np.testing.assert_allclose(grads.W2, dW2, rtol=1e-12)
+
+
+def reference_softmax_ce(logits, rows, labels, sizes, grad=False):
+    """_softmax_ce with the row maxima reduced over C-order rows, kept as
+    the reference for its Fortran-order row maxima."""
+    ml = logits if rows is None else logits[rows]
+    shifted = ml - ml.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    idx = np.arange(len(ml))
+    terms = shifted[idx, labels] - np.log(total[:, 0])
+    losses, end = [], 0
+    for n in sizes:
+        losses.append(-(np.add.reduce(terms[end : end + n]) / n))
+        end += n
+    if not grad:
+        return losses, None
+    dml = exp / total
+    dml[idx, labels] -= 1.0
+    dml /= np.repeat(sizes, sizes)[:, None]
+    if rows is None:
+        return losses, dml
+    dlogits = np.zeros_like(logits)
+    np.add.at(dlogits, rows, dml)
+    return losses, dlogits
+
+
+class TestSoftmaxCe:
+    ROWS = 37
+
+    @classmethod
+    def logits(cls, kind, classes, rng):
+        shape = (cls.ROWS, classes)
+        if kind == "ties":  # few distinct values: most rows tie at their maximum
+            return rng.integers(-2, 3, size=shape).astype(float)
+        if kind != "signed-zeros":
+            return rng.standard_normal(shape) * {"small": 1e-3, "large": 50.0}[kind]
+        # rows of +0.0 and -0.0 among negatives, each row's maximum a zero
+        # of either sign: the two row maxima may differ in the sign of zero
+        out = -np.abs(rng.standard_normal(shape))
+        zero = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+        pick = rng.random(shape) < 0.5
+        pick[np.arange(cls.ROWS), rng.integers(0, classes, size=cls.ROWS)] = True
+        out[pick] = zero[pick]
+        return out
+
+    @classmethod
+    def selections(cls, rng):
+        """(rows, sizes): every row, unsorted rows, and repeated rows."""
+        order = rng.permutation(cls.ROWS)
+        yield None, [20, 9, 8]
+        yield order[:15], [4, 6, 5]
+        yield np.concatenate([order[:10], order[:5], order[3:8]]), [7, 8, 5]
+
+    @pytest.mark.parametrize("classes", range(1, 21))
+    def test_matches_c_order_row_maxima(self, classes):
+        """Losses and dlogits have the reference's bytes, with the gradient
+        on and off."""
+        rng = np.random.default_rng(classes)
+        for kind in ("small", "large", "signed-zeros", "ties"):
+            logits = self.logits(kind, classes, rng)
+            labels = rng.integers(0, classes, size=self.ROWS)
+            for rows, sizes in self.selections(rng):
+                lab = labels if rows is None else labels[rows]
+                for grad in (False, True):
+                    got = _softmax_ce(logits, rows, lab, sizes, grad=grad)
+                    want = reference_softmax_ce(logits, rows, lab, sizes, grad=grad)
+                    case = (kind, rows is None, grad)
+                    assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes(), case
+                    if grad:
+                        assert got[1].tobytes() == want[1].tobytes(), case
+                    else:
+                        assert got[1] is None and want[1] is None
 
 
 class TestLossAndGrad:

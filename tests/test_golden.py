@@ -34,10 +34,14 @@ CASES = {
     # 120-node blocks and 5-node batches: a step's batch rows are under a
     # quarter of the stack's, so loss_and_grad multiplies those rows alone
     "fedavg-b120": dict(algorithm="fedavg", batch_size=5),
+    # 9 classes: numpy sums a row of 8 or more terms in pairwise lanes, so
+    # a change to the softmax row reductions can hold at 4 classes alone
+    "fedavg-c9": dict(algorithm="fedavg"),
 }
 
-# SBM block size by case, 30 when not listed
+# SBM block size and block (class) count by case, 30 and 4 when not listed
 BLOCK_SIZE = {"fedavg-b120": 120}
+BLOCKS = {"fedavg-c9": 9}
 
 GOLDEN = {
     "fairgfl-ldp-cache":
@@ -54,6 +58,8 @@ GOLDEN = {
         "005f18612f34e3dac19449d71c8dda99b27477ac82d183367785f980259411d7",
     "fedavg-b120":
         "a01d9890d5dbe287e545dd81efc220d68e11ce11ab6f981393272eae439a8bfd",
+    "fedavg-c9":
+        "6d095e4ad747f67f407ee642ef5fe085704b445c0497de09c11ca1744c62b130",
 }
 
 GOLDEN_OVERLAP = {
@@ -71,7 +77,7 @@ OVERLAP_NAMES = ("N_round", "T_round", "N_acc", "T_acc", "O")
 
 
 def run_case(case: str):
-    graph = generate_sbm(4, BLOCK_SIZE.get(case, 30), 0.3, 0.03, 8, seed=3)
+    graph = generate_sbm(BLOCKS.get(case, 4), BLOCK_SIZE.get(case, 30), 0.3, 0.03, 8, seed=3)
     spec = PartitionSpec(overlap_coefficient=0.2, seed=1)
     cfg = FedConfig(**dict(BASE, **CASES[case]))
     return run_experiment(graph, spec, cfg, LdpParams(3.0, 1.0, 8))

@@ -10,7 +10,9 @@ from its own ``src`` on the same fixed cases, one process at a time: the
 ``bench/run.py`` workloads at the default graph draw, ``fairgfl-m`` without
 LDP, at tau percentile 25 and with 21-node blocks (147 nodes, 29 test rows:
 a row count that is not a multiple of 4, where BLAS may take another
-kernel), ``fairgfl-m`` on node and edge files (``dataset = file``: a small
+kernel) and with 9 blocks (9 classes: numpy sums a row of 8 or more terms in
+pairwise lanes, so a softmax row reduction may hold its bits below 8 classes
+alone), ``fairgfl-m`` on node and edge files (``dataset = file``: a small
 block graph whose edges are written shuffled, some in both directions and
 some twice, among a few ``u u`` self-loop rows that the loader drops),
 ``fairgfl-m`` on uneven clients (``dirichlet_alpha_nonoverlap = 0.05``,
@@ -81,6 +83,7 @@ def cases(top: Path) -> dict[str, tuple[str, dict]]:
     out["fairgfl-m-noldp"] = ("single", dict(base, use_ldp="off"))
     out["fairgfl-m-tau25"] = ("single", dict(base, tau_percentile=25))
     out["fairgfl-m-b21"] = ("single", dict(base, sbm_block_size=21))
+    out["fairgfl-m-c9"] = ("single", dict(base, sbm_blocks=9))
     out["fairgfl-m-file"] = ("single", dict(base, **graph_files(top)))
     out["fairgfl-m-uneven"] = ("single", dict(base, dirichlet_alpha_nonoverlap=0.05,
                                               overlap_coefficient=0.02))
