@@ -114,10 +114,10 @@ def train_clients(
 
     stack holds subs' graphs, in order, and sub i draws its mini-batches
     from train_rngs[i]. Propagation always uses the full local graph; only
-    the mini-batch nodes contribute to each step's loss. The reported loss
-    is evaluated on the full local graph after training, when the
-    aggregation reads it (qfedavg, or fairgfl with lam > 0); otherwise it
-    is None, and only the trained weights are checked to be finite.
+    the mini-batch nodes contribute to each step's loss. The trained
+    weights are checked to be finite, whatever the algorithm; then the
+    reported loss is evaluated on the full local graph where the
+    aggregation reads it (qfedavg, or fairgfl with lam > 0), else it is None.
     """
     models = [w_global] * len(subs)
     for _ in range(cfg.local_iters):
@@ -130,13 +130,11 @@ def train_clients(
                 raise gcn.NumericError(f"client {sub.client_id} diverged")
             models[i] = gcn.sgd_step(models[i], grads[i], cfg.lr)
 
-    if cfg.algorithm == "qfedavg" or (cfg.algorithm == "fairgfl" and cfg.lam > 0):
-        losses = gcn.masked_loss(models, stack)
-    else:
-        losses = [None] * len(subs)
-        for sub, model in zip(subs, models):
-            if not (np.isfinite(model.W1).all() and np.isfinite(model.W2).all()):
-                raise gcn.NumericError(f"client {sub.client_id} diverged")
+    for sub, model in zip(subs, models):
+        if not (np.isfinite(model.W1).all() and np.isfinite(model.W2).all()):
+            raise gcn.NumericError(f"client {sub.client_id} diverged")
+    reads_loss = cfg.algorithm == "qfedavg" or (cfg.algorithm == "fairgfl" and cfg.lam > 0)
+    losses = gcn.masked_loss(models, stack) if reads_loss else [None] * len(subs)
     return [ClientReport(sub.client_id, model, loss)
             for sub, model, loss in zip(subs, models, losses)]
 
@@ -297,7 +295,7 @@ def run_experiment(
             tau = overlap.calibrate_tau(
                 encoder, public_feats, ldp_params, tau_rng, cfg.tau_percentile
             )
-        else:
+        else:  # not 0: a 1-row encode's last bits can differ from that row's in a larger batch
             tau = 1e-9
     caches: dict[int, ldp.PermanentCache] = {}
 
@@ -335,7 +333,7 @@ def run_experiment(
                         sub.node_ids, size=min(cfg.batch_size, sub.num_nodes), replace=False
                     )
                     cache = (caches.setdefault(int(cid), ldp.PermanentCache())
-                             if cfg.use_ldp and cfg.permanent_cache else None)
+                             if cfg.permanent_cache else None)
                     batches.append(ldp.sanitize_batch(
                         sub, batch_ids, encoder, ldp_params if cfg.use_ldp else None, cache,
                         batch_rng))

@@ -8,7 +8,6 @@ and the permanent-response cache that neutralizes repeated queries.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -259,39 +258,36 @@ def sanitize_batch(
     ever; later batches reuse the stored responses. A cache serves only
     the client it was first used for. With params None (use_ldp = off)
     the encoded vectors and raw link bits are uploaded as they are: no
-    perturbation, no correction, no cache and no draw from rng.
+    perturbation, no correction, no draw from rng, and a cache passed in
+    is left untouched: the upload runs on a throwaway cache, as without one.
     """
     batch = np.asarray(batch, dtype=np.int64)
     local = sub.local_rows(batch)
     b, ids = len(batch), batch.tolist()
     if len(set(ids)) != b:
         raise ValidationError("batch node ids must be distinct")
-    # Upper-triangle link bits in row-major order.
-    rows, cols = triu_pairs(b)
-    if params is None:
-        vectors = encoder.encode(sub.features[local])
-        bits = sub.has_edges(local[rows], local[cols])
+    if params is None or cache is None:  # a throwaway cache over the batch's own rows
+        cache, slots = PermanentCache()._bind(batch, encoder.d1), np.arange(b)
     else:
-        if cache is None:  # a throwaway cache over the batch's own rows
-            cache, slots = PermanentCache()._bind(batch, encoder.d1), np.arange(b)
-        else:
-            cache, slots = cache._bind(sub.node_ids, encoder.d1), local
+        cache, slots = cache._bind(sub.node_ids, encoder.d1), local
 
-        # Rows not yet cached are encoded and perturbed afresh, in batch order.
-        vectors = cache.vectors[slots]
-        fresh_rows = np.array([gid not in cache.nodes for gid in ids], dtype=bool)
-        if fresh_rows.any():
-            vectors[fresh_rows] = perturb_node(encoder.encode(sub.features[local[fresh_rows]]),
-                                               params, rng, encoder.x_min, encoder.x_max)
-            cache.vectors[slots] = vectors
-            cache.nodes.update(itertools.compress(ids, fresh_rows))
+    # Rows not yet cached are encoded (and perturbed) afresh, in batch order.
+    vectors = cache.vectors[slots]
+    fresh_rows = np.array([gid not in cache.nodes for gid in ids], dtype=bool)
+    if fresh_rows.any():
+        encoded = encoder.encode(sub.features[local[fresh_rows]])
+        vectors[fresh_rows] = encoded if params is None else perturb_node(
+            encoded, params, rng, encoder.x_min, encoder.x_max)
+        cache.vectors[slots[fresh_rows]] = vectors[fresh_rows]
+        cache.nodes.update(batch[fresh_rows].tolist())
 
-        # Link bits not yet cached are flipped afresh, in that order.
-        bits = cache.links[slots[rows], slots[cols]]
-        fresh = bits < 0
-        raw = sub.has_edges(local[rows[fresh]], local[cols[fresh]])
-        bits[fresh] = perturb_links(raw, params, rng)
-        cache.links[slots[rows], slots[cols]] = cache.links[slots[cols], slots[rows]] = bits
+    # Upper-triangle link bits in row-major order; uncached ones are read (and flipped) afresh.
+    rows, cols = triu_pairs(b)
+    bits = cache.links[slots[rows], slots[cols]]
+    fresh = bits < 0
+    raw = sub.has_edges(local[rows[fresh]], local[cols[fresh]])
+    bits[fresh] = raw if params is None else perturb_links(raw, params, rng)
+    cache.links[slots[rows], slots[cols]] = cache.links[slots[cols], slots[rows]] = bits
     adjacency = np.zeros((b, b), dtype=np.int64)
     adjacency[rows, cols] = bits
     adjacency += adjacency.T

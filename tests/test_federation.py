@@ -36,7 +36,8 @@ from fairgfl.graph import (
     induced_subgraph,
     true_overlap_matrices,
 )
-from fairgfl.overlap import OverlapState, client_weights, update_state
+from fairgfl.ldp import sanitize_batch, train_encoder
+from fairgfl.overlap import OverlapState, client_weights, match_nodes, update_state
 
 
 def small_graph():
@@ -524,15 +525,18 @@ class TestRunExperiment:
             assert all((r.train_loss is None) == (per_round == 1) for r in reports)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algorithm, lam", [
+        ("fedavg", 0.1), ("qfedavg", 0.1), ("fairgfl", 0.1), ("fairgfl", 0.0)])
     @pytest.mark.parametrize("k", [0, 2])
-    def test_fedavg_nonfinite_weights_name_the_client(self, monkeypatch, k):
-        """No loss pass follows fedavg's training, so the trained weights are
-        checked: a client whose last step gives non-finite weights fails the
-        round as itself, not as the server's evaluation."""
+    def test_fedavg_nonfinite_weights_name_the_client(self, monkeypatch, k, algorithm, lam):
+        """The trained weights are checked under every algorithm, before any
+        loss pass: a client whose last step gives non-finite weights fails
+        the round as itself, as diverged, not through the loss pass's
+        forward nor as the server's evaluation."""
         from fairgfl import federation as federation_mod
         from fairgfl import gcn as gcn_mod
 
-        cfg = small_cfg(rounds=1, algorithm="fedavg", local_iters=2)
+        cfg = small_cfg(rounds=1, algorithm=algorithm, lam=lam, local_iters=2)
         sampled = sample_clients(cfg.seed, 1, cfg.num_clients, cfg.clients_per_round)
         real_train, real_step = federation_mod.train_clients, gcn_mod.sgd_step
         state = {}
@@ -662,6 +666,46 @@ class TestRunExperiment:
         res = run_experiment(g, spec, small_cfg(rounds=2, algorithm="fairgfl"))
         assert len(res.overlap_history) == 2
         assert res.overlap_history[0]["O"].shape == (4, 4)
+
+    def test_without_ldp_the_cache_changes_nothing(self):
+        """An upload without a mechanism caches nothing, so a use_ldp = off
+        run gives the same records, model bytes and overlap history with the
+        permanent cache on and off."""
+        g = small_graph()
+        spec = PartitionSpec(overlap_coefficient=0.3, seed=3)
+        on, off = (run_experiment(g, spec, small_cfg(use_ldp=False, permanent_cache=cached))
+                   for cached in (True, False))
+        assert on.state.O.any()
+        assert [dataclasses.replace(r, wall_time_ms=0.0) for r in on.records] == [
+            dataclasses.replace(r, wall_time_ms=0.0) for r in off.records]
+        assert (on.model.W1.tobytes(), on.model.W2.tobytes()) == (
+            off.model.W1.tobytes(), off.model.W2.tobytes())
+        assert len(on.overlap_history) == len(off.overlap_history) == 3
+        for a, b in zip(on.overlap_history, off.overlap_history):
+            assert {k: v.tobytes() for k, v in a.items()} == {k: v.tobytes() for k, v in b.items()}
+
+    def test_without_ldp_a_lone_upload_matches_its_node_in_a_larger_batch(self, monkeypatch):
+        """A node that one client uploads alone and another inside a 20-node
+        batch is matched at the tau of a use_ldp = off run, and its two
+        vectors agree within 1e-12. Encoder.encode may give a one-row batch
+        other last bits than the same row in a larger one, so that tau is a
+        tolerance: tau = 0 matches only bitwise-equal vectors."""
+        from fairgfl import overlap as overlap_mod
+
+        taus, estimate = [], overlap_mod.estimate_round
+        monkeypatch.setattr(overlap_mod, "estimate_round",
+                            lambda batches, tau: taus.append(tau) or estimate(batches, tau))
+        g = small_graph()
+        run_experiment(g, PartitionSpec(overlap_coefficient=0.3, seed=3),
+                       small_cfg(rounds=1, use_ldp=False))
+        encoder = train_encoder(g.features[:40], d1=4, epochs=3, seed=2)
+        rng, batch = np.random.default_rng(0), np.arange(20, 60, 2)  # node 24 is on both
+        alone = sanitize_batch(induced_subgraph(g, np.arange(30), 0), batch[2:3], encoder,
+                               None, None, rng)
+        within = sanitize_batch(induced_subgraph(g, np.arange(20, 60), 1), batch, encoder,
+                                None, None, rng)
+        assert match_nodes(alone, within, taus[0]).pairs == ((0, 2),)
+        assert np.abs(alone.sanitized_nodes - within.sanitized_nodes[2]).max() <= 1e-12
 
     def test_one_upload_per_round_keeps_overlap_zero(self):
         """K = 1 leaves no pair to match: history every round, O stays zero."""

@@ -3,10 +3,12 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.stats import beta
 
 from fairgfl import ldp as ldp_mod
 from fairgfl.gcn import NumericError
-from fairgfl.graph import ValidationError, generate_sbm, induced_subgraph
+from fairgfl.graph import ClientSubgraph, ValidationError, generate_sbm, induced_subgraph
 from fairgfl.ldp import (
     Encoder,
     LdpParams,
@@ -311,15 +313,21 @@ class TestSanitizeBatch:
         assert np.array_equal(out.sanitized_adjacency, out.sanitized_adjacency.T)
         assert out.reported_n == 30
 
-    @pytest.mark.parametrize("b", [1, 12, 30], ids=["one", "mid", "every-node"])
-    def test_without_params_equals_plain_batch(self, b):
+    @pytest.mark.parametrize("b, cached", [
+        pytest.param(b, cached, id=name + "-cache" * cached)
+        for cached in (False, True) for b, name in ((1, "one"), (12, "mid"), (30, "every-node"))])
+    def test_without_params_equals_plain_batch(self, b, cached):
         """params None uploads the encoded vectors and raw link bits, field
-        by field the bytes of the reference, and draws nothing from rng."""
+        by field the bytes of the reference, and draws nothing from rng; a
+        cache passed in stays unbound."""
         batch = np.random.default_rng(b).permutation(self.sub.node_ids)[:b]
         rng = np.random.default_rng(15)
         state = rng.bit_generator.state
-        got = sanitize_batch(self.sub, batch, self.encoder, None, None, rng)
+        cache = PermanentCache() if cached else None
+        got = sanitize_batch(self.sub, batch, self.encoder, None, cache, rng)
         assert rng.bit_generator.state == state
+        if cached:
+            assert cache.node_ids is None and cache.nodes == set()
         want = plain_batch(self.sub, batch, self.encoder)
         assert want.sanitized_adjacency.any() or b == 1
         for f in dataclasses.fields(SanitizedBatch):
@@ -487,3 +495,38 @@ class TestSanitizeBatch:
                 assert np.array_equal(got.sanitized_nodes, nodes)
                 assert np.array_equal(got.sanitized_adjacency, adj)
             assert rng_a.random() == rng_b.random()
+
+    def test_upload_audit_bounds_epsilon_a(self):
+        """An end-to-end audit of encode, clamp and perturb_node as uploads
+        run them, after Jagielski et al. (2020), "Auditing Differentially
+        Private Machine Learning".
+
+        Half the client's rows hold x and half -x, with x along column 0 of
+        the encoder's W, so coordinate 0 encodes to opposite clamp ends. For
+        every coordinate and grid value, the one-sided Clopper-Pearson lower
+        bound of one input's frequency over the upper bound of the other's
+        must stay within e^epsilon_a. The audit resolves most of the budget:
+        uploads that spend 1.5 epsilon_a fail it.
+        """
+        eps, p, n_rows, calls = 3.0, 8, 100, 100
+        w = self.encoder.W[:, 0]
+        x = 50.0 * w / np.linalg.norm(w)
+        n = 2 * n_rows
+        sub = ClientSubgraph(0, np.arange(n), np.vstack([np.tile(x, (n_rows, 1)),
+                                                         np.tile(-x, (n_rows, 1))]),
+                             np.zeros(n, dtype=np.int64), sp.csr_matrix((n, n), dtype=np.int8))
+        rng = np.random.default_rng(23)
+        grid = np.rint(p * np.stack([
+            sanitize_batch(sub, sub.node_ids, self.encoder, LdpParams(eps, 1.0, p), None,
+                           rng).sanitized_nodes for _ in range(calls)])).astype(np.int64)
+        # counts[input, coordinate, grid value] over calls * n_rows uploads of each input
+        counts = np.stack([(half[..., None] == np.arange(p + 1)).sum(axis=(0, 1))
+                           for half in (grid[:, :n_rows], grid[:, n_rows:])])
+        trials, alpha = calls * n_rows, 1e-6
+        lower = np.where(counts > 0, beta.ppf(alpha, np.maximum(counts, 1),
+                                              trials - counts + 1), 0.0)
+        upper = np.where(counts < trials, beta.ppf(1 - alpha, counts + 1,
+                                                   np.maximum(trials - counts, 1)), 1.0)
+        with np.errstate(divide="ignore"):
+            audited = np.log(lower / upper[::-1]).max()
+        assert eps - 1.0 < audited <= eps

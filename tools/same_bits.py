@@ -5,24 +5,26 @@ Run from the repository root:
     python3 tools/same_bits.py --parent HEAD~1 --work /tmp/bits
 
 The parent revision is extracted with ``git archive`` into ``WORK/parent``;
-the change side is the current working tree. Each tree runs ``sim run``
-from its own ``src`` on the same fixed cases, one process at a time: the
+the change side is the current working tree. Each tree runs ``sim run`` from
+its own ``src`` on the same fixed cases, one process at a time: the
 ``bench/run.py`` workloads at the default graph draw, ``fairgfl-m`` without
-LDP, at tau percentile 25 and with 21-node blocks (147 nodes, 29 test rows:
-a row count that is not a multiple of 4, where BLAS may take another
-kernel) and with 9 blocks (9 classes: numpy sums a row of 8 or more terms in
-pairwise lanes, so a softmax row reduction may hold its bits below 8 classes
-alone), ``fairgfl-m`` on node and edge files (``dataset = file``: a small
-block graph whose edges are written shuffled, some in both directions and
-some twice, among a few ``u u`` self-loop rows that the loader drops),
-``fairgfl-m`` on uneven clients (``dirichlet_alpha_nonoverlap = 0.05``,
-``overlap_coefficient = 0.02``: clients of 38, 1, 19, 75, 50, 2, 53, 5, 33
-and 1 nodes, so two hold a single node and five fewer than the
-``batch_size`` of 20), ``fedavg-l`` (600-node blocks) under ``algorithm =
-qfedavg`` and under ``algorithm = fairgfl`` with ``lam = 0`` (a step's batch
-rows are under a quarter of the clients' rows, so local steps multiply those
-rows alone, with the clients' train-loss pass run and skipped), and every
-multi-run suite on a 3-round config with 20-node blocks.
+LDP with the cache on and off (``fairgfl-m-noldp-nocache``: an upload
+without a mechanism caches nothing either way), at tau percentile 25 and
+with 21-node blocks (147 nodes, 29 test rows: a row count that is not a
+multiple of 4, where BLAS may take another kernel) and with 9 blocks (9
+classes: numpy sums a row of 8 or more terms in pairwise lanes, so a softmax
+row reduction may hold its bits below 8 classes alone), ``fairgfl-m`` on
+node and edge files (``dataset = file``: a small block graph whose edges are
+written shuffled, some in both directions and some twice, among a few
+``u u`` self-loop rows that the loader drops), ``fairgfl-m`` on uneven clients
+(``dirichlet_alpha_nonoverlap = 0.05``, ``overlap_coefficient = 0.02``:
+clients of 38, 1, 19, 75, 50, 2, 53, 5, 33 and 1 nodes, so two hold a single
+node and five fewer than the ``batch_size`` of 20), ``fedavg-l`` (600-node
+blocks) under ``algorithm = qfedavg`` and under ``algorithm = fairgfl`` with
+``lam = 0`` (a step's batch rows are under a quarter of the clients' rows,
+so local steps multiply those rows alone, with the clients' train-loss pass
+run and skipped), and every multi-run suite on a 3-round config with 20-node
+blocks.
 Every output file (manifests included) is compared byte for byte. Each file
 that differs, or exists on one side only, is printed; for a differing CSV
 whose header and row count match, so is the largest relative difference
@@ -81,6 +83,7 @@ def cases(top: Path) -> dict[str, tuple[str, dict]]:
     out = {w: ("single", dict(keys, sbm_seed=DEFAULT_SBM_SEED)) for w, keys in WORKLOADS.items()}
     base = out["fairgfl-m"][1]
     out["fairgfl-m-noldp"] = ("single", dict(base, use_ldp="off"))
+    out["fairgfl-m-noldp-nocache"] = ("single", dict(base, use_ldp="off", permanent_cache="off"))
     out["fairgfl-m-tau25"] = ("single", dict(base, tau_percentile=25))
     out["fairgfl-m-b21"] = ("single", dict(base, sbm_block_size=21))
     out["fairgfl-m-c9"] = ("single", dict(base, sbm_blocks=9))
