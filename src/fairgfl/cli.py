@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -43,24 +44,33 @@ def _bool(text: str) -> bool:
     raise ValueError(text)
 
 
-# Dataset selection keys and their defaults; build_graph reads them.
-DATASET_DEFAULTS = {
-    "dataset": "sbm",
-    "sbm_blocks": 7,
-    "sbm_block_size": 60,
-    "sbm_p_in": 0.2,
-    "sbm_p_out": 0.02,
-    "feature_dim": 32,
-    "sbm_seed": 7,
-    "node_file": "",
-    "edge_file": "",
-}
+@dataclasses.dataclass(frozen=True)
+class DatasetConfig:
+    """The graph that build_graph makes: an SBM draw, or node and edge files."""
+
+    dataset: str = "sbm"
+    sbm_blocks: int = 7
+    sbm_block_size: int = 60
+    sbm_p_in: float = 0.2
+    sbm_p_out: float = 0.02
+    feature_dim: int = 32
+    sbm_seed: int = 7
+    node_file: str = ""
+    edge_file: str = ""
+
+    def __post_init__(self):
+        if self.dataset not in ("sbm", "file"):
+            raise ConfigError(f"unknown dataset {self.dataset!r}; use sbm or file")
+        if self.dataset == "file" and not (self.node_file and self.edge_file):
+            raise ConfigError("dataset=file requires node_file and edge_file")
+
 
 # Config key -> (section, field, default), derived from the config
 # dataclasses: each key's type is the type of its default. partition takes
 # num_clients from FedConfig, PartitionSpec's seed is the partition_seed key,
 # and its overlap_multipliers are set by the motivation suite only.
-_SECTIONS = (("fed", FedConfig), ("part", PartitionSpec), ("ldp", LdpParams))
+_SECTIONS = (("fed", FedConfig), ("part", PartitionSpec), ("ldp", LdpParams),
+             ("dataset", DatasetConfig))
 _RENAMED = {("part", "seed"): "partition_seed"}
 CONFIG_SCHEMA = {
     _RENAMED.get((section, f.name), f.name): (section, f.name, f.default)
@@ -68,7 +78,6 @@ CONFIG_SCHEMA = {
     for f in dataclasses.fields(cls)
     if f.default is not dataclasses.MISSING and f.default is not None
 }
-CONFIG_SCHEMA.update((k, ("extras", k, v)) for k, v in DATASET_DEFAULTS.items())
 
 _ALIASES = {
     "P": "num_clients",
@@ -87,8 +96,8 @@ _ALIASES = {
 def parse_config(path=None, overrides: dict | None = None):
     """Resolve a flat key=value config file into the typed config objects.
 
-    Returns (PartitionSpec, FedConfig, LdpParams, extras) where extras
-    holds dataset selection keys. Unknown keys and malformed values raise
+    Returns (PartitionSpec, FedConfig, LdpParams, DatasetConfig). Unknown
+    keys, malformed values and an unknown or incomplete dataset raise
     ConfigError.
     """
     values = {}
@@ -116,38 +125,27 @@ def parse_config(path=None, overrides: dict | None = None):
     for key, raw in (overrides or {}).items():
         assign(key, raw)
 
-    extras = {key: values.pop(key, default) for key, default in DATASET_DEFAULTS.items()}
-    return (*_with_keys((PartitionSpec(), FedConfig(), LdpParams()), values), extras)
+    return _with_keys((PartitionSpec(), FedConfig(), LdpParams(), DatasetConfig()), values)
 
 
-def build_graph(extras: dict):
-    if extras["dataset"] == "sbm":
-        return generate_sbm(
-            extras["sbm_blocks"],
-            extras["sbm_block_size"],
-            extras["sbm_p_in"],
-            extras["sbm_p_out"],
-            extras["feature_dim"],
-            extras["sbm_seed"],
-        )
-    if extras["dataset"] == "file":
-        if not extras["node_file"] or not extras["edge_file"]:
-            raise ConfigError("dataset=file requires node_file and edge_file")
-        return load_graph(extras["node_file"], extras["edge_file"])
-    raise ConfigError(f"unknown dataset {extras['dataset']!r}; use sbm or file")
+def build_graph(dataset: DatasetConfig):
+    if dataset.dataset == "file":
+        return load_graph(dataset.node_file, dataset.edge_file)
+    return generate_sbm(dataset.sbm_blocks, dataset.sbm_block_size, dataset.sbm_p_in,
+                        dataset.sbm_p_out, dataset.feature_dim, dataset.sbm_seed)
 
 
-def write_manifest(path, part, fed, ldp, extras, suite, runs):
+def write_manifest(path, part, fed, ldp, dataset, suite, runs):
     """Write suite= and every config key as parse_config reads them back.
 
     overlap_multipliers, which only the motivation suite sets, is not a
     config key; it is recorded as a comment so the file still parses, as
     is one "# run TAG: key=value, ..." line per (tag, keys) in runs.
     """
-    sections = {"fed": vars(fed), "part": vars(part), "ldp": vars(ldp), "extras": extras}
+    sections = dict(part=part, fed=fed, ldp=ldp, dataset=dataset)
     lines = [f"suite={suite}"]
     lines.extend(
-        f"{key}={sections[section][name]}"
+        f"{key}={getattr(sections[section], name)}"
         for key, (section, name, _) in CONFIG_SCHEMA.items()
     )
     if part.overlap_multipliers is not None:
@@ -191,19 +189,19 @@ def _thirds_multipliers(p: int) -> tuple[float, ...]:
 
 
 def _with_keys(configs, keys: dict):
-    """(part, fed, ldp) with the given config keys replaced: each section
-    once, in _SECTIONS order, so FedConfig's checks run first."""
-    sections = dict(zip(("part", "fed", "ldp"), configs))
+    """(part, fed, ldp, dataset) with the given config keys replaced: each
+    section once, in _SECTIONS order, so FedConfig's checks run first."""
+    sections = dict(zip(("part", "fed", "ldp", "dataset"), configs))
     changes = {section: {} for section in sections}
     for key, value in keys.items():
         section, name, _ = CONFIG_SCHEMA[key]
         changes[section][name] = value
     for section, _ in _SECTIONS:
         sections[section] = dataclasses.replace(sections[section], **changes[section])
-    return sections["part"], sections["fed"], sections["ldp"]
+    return tuple(sections.values())
 
 
-def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
+def run_suite(suite, part, fed, ldp, dataset, out_dir) -> int:
     """Execute one experiment suite; returns a process exit status."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; use one of {tuple(SUITES)}")
@@ -221,13 +219,13 @@ def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
         # Set on the suite-level configs, so the manifest records them too.
         part = dataclasses.replace(part, overlap_multipliers=_thirds_multipliers(fed.num_clients))
         fed = dataclasses.replace(fed, algorithm="fedavg")
-    graph = build_graph(extras)
+    graph_of = functools.cache(build_graph)  # one graph per distinct DatasetConfig
     out_dir = Path(out_dir)
     try:
-        last_records = [
-            _run_one(graph, *_with_keys((part, fed, ldp), keys), out_dir, tag)
-            for tag, keys in runs
-        ]
+        last_records = []
+        for tag, keys in runs:
+            *configs, run_dataset = _with_keys((part, fed, ldp, dataset), keys)
+            last_records.append(_run_one(graph_of(run_dataset), *configs, out_dir, tag))
     except (RoundError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -235,7 +233,7 @@ def run_suite(suite, part, fed, ldp, extras, out_dir) -> int:
         write_csv(out_dir / "motivation.csv", ["overlap_coefficient", "loss_var", "loss_entropy"],
                   (((), (keys["overlap_coefficient"], last.loss_variance, last.loss_entropy))
                    for (_, keys), last in zip(runs, last_records)))
-    write_manifest(out_dir / "manifest.txt", part, fed, ldp, extras, suite,
+    write_manifest(out_dir / "manifest.txt", part, fed, ldp, dataset, suite,
                    [(tag, keys) for tag, keys in runs if tag])
     return 0
 
@@ -260,9 +258,9 @@ def main(argv=None) -> int:
     overrides = {key: value for key, value in vars(args).items()
                  if key in CONFIG_SCHEMA and value is not None}
     try:
-        part, fed, ldp, extras = parse_config(args.config, overrides)
+        configs = parse_config(args.config, overrides)
         with np.errstate(all="ignore"):  # every non-finite result is checked explicitly
-            return run_suite(args.suite, part, fed, ldp, extras, args.out)
+            return run_suite(args.suite, *configs, args.out)
     except (ConfigError, ValidationError, GraphFormatError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -76,12 +76,12 @@ def match_nodes(a: SanitizedBatch, b: SanitizedBatch, tau: float) -> MatchResult
     match_a, match_b, limit = [], [], min(a.batch_size, b.batch_size)
     in_a, in_b = np.divmod(order, b.batch_size)
     for ia, ib in zip(in_a.tolist(), in_b.tolist()):
-        if len(match_a) == limit:
-            break
         if free_a[ia] and free_b[ib]:
             free_a[ia] = free_b[ib] = False
             match_a.append(ia)
             match_b.append(ib)
+            if len(match_a) == limit:
+                break
 
     # Links between matched pairs m < m' that both batches report.
     rows, cols = triu_pairs(len(match_a))

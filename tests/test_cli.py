@@ -13,14 +13,19 @@ from fairgfl.cli import (
     CONFIG_SCHEMA,
     SUITES,
     ConfigError,
+    DatasetConfig,
     _thirds_multipliers,
+    _with_keys,
     build_graph,
     main,
     parse_config,
     run_suite,
+    write_manifest,
 )
-from fairgfl.federation import run_experiment
+from fairgfl.federation import FedConfig, run_experiment
 from fairgfl.gcn import NumericError
+from fairgfl.graph import PartitionSpec
+from fairgfl.ldp import LdpParams
 from fairgfl.metrics import RoundRecord, read_round_records, write_csv, write_round_records
 from fairgfl.overlap import HISTORY
 
@@ -58,12 +63,12 @@ def write_cfg(tmp_path, text=SMALL, name="cfg.txt"):
 
 class TestParseConfig:
     def test_empty_gives_defaults(self):
-        part, fed, ldp, extras = parse_config(None)
+        part, fed, ldp, dataset = parse_config(None)
         assert fed.num_clients == 10
         assert fed.lam == 0.1
         assert part.overlap_coefficient == 0.1
         assert ldp.epsilon_a == 3.0
-        assert extras["dataset"] == "sbm"
+        assert dataset.dataset == "sbm"
 
     def test_aliases_resolve(self, tmp_path):
         path = write_cfg(tmp_path, "P = 6\nK = 3\nlambda = 0.2\nN = 0.15\n")
@@ -131,23 +136,84 @@ class TestParseConfig:
 
 class TestBuildGraph:
     def test_sbm_dimensions(self):
-        _, _, _, extras = parse_config(None)
-        extras.update(sbm_blocks=3, sbm_block_size=10, feature_dim=6)
-        g = build_graph(extras)
+        _, _, _, dataset = parse_config(None)
+        dataset = replace(dataset, sbm_blocks=3, sbm_block_size=10, feature_dim=6)
+        g = build_graph(dataset)
         assert g.num_nodes == 30
         assert g.feature_dim == 6
 
     def test_file_requires_paths(self):
-        _, _, _, extras = parse_config(None)
-        extras["dataset"] = "file"
+        _, _, _, dataset = parse_config(None)
         with pytest.raises(ConfigError, match="node_file"):
-            build_graph(extras)
+            build_graph(replace(dataset, dataset="file"))
 
     def test_unknown_dataset(self):
-        _, _, _, extras = parse_config(None)
-        extras["dataset"] = "citeseer"
+        _, _, _, dataset = parse_config(None)
         with pytest.raises(ConfigError, match="unknown dataset"):
-            build_graph(extras)
+            build_graph(replace(dataset, dataset="citeseer"))
+
+
+# parse_config's return order, by CONFIG_SCHEMA section name.
+RETURN_ORDER = ("part", "fed", "ldp", "dataset")
+DEFAULT_CONFIGS = (PartitionSpec(), FedConfig(), LdpParams(), DatasetConfig())
+# The dataset key's one other value needs both files.
+FILES = {"node_file": "nodes.txt", "edge_file": "edges.txt"}
+
+
+def off_default(key):
+    """A valid value of key other than its default."""
+    default = CONFIG_SCHEMA[key][2]
+    if type(default) is bool:
+        return not default
+    if type(default) is int:
+        return default + 1
+    if type(default) is float:
+        return default / 2
+    return {"algorithm": "qfedavg", "dataset": "file", **FILES}[key]
+
+
+class TestConfigSections:
+    """Every config key, the dataset keys included, lands in its own section
+    by each path that sets keys, and a manifest reads back as its configs."""
+
+    @staticmethod
+    def expected(key):
+        """(keys, configs): key off its default (dataset = file with both
+        files), and the default configs with only key's section changed."""
+        section, name, default = CONFIG_SCHEMA[key]
+        keys = {key: off_default(key), **(FILES if key == "dataset" else {})}
+        configs = list(DEFAULT_CONFIGS)
+        i = RETURN_ORDER.index(section)
+        configs[i] = replace(configs[i], **{CONFIG_SCHEMA[k][1]: v for k, v in keys.items()})
+        assert getattr(configs[i], name) != default
+        return keys, tuple(configs)
+
+    @pytest.mark.parametrize("key", list(CONFIG_SCHEMA))
+    def test_parse_config_sets_each_key_in_its_section(self, key):
+        keys, configs = self.expected(key)
+        assert parse_config(None, {k: str(v) for k, v in keys.items()}) == configs
+
+    @pytest.mark.parametrize("key", list(CONFIG_SCHEMA))
+    def test_with_keys_sets_each_key_in_its_section(self, key):
+        keys, configs = self.expected(key)
+        assert _with_keys(DEFAULT_CONFIGS, keys) == configs
+
+    def test_dataset_errors_come_from_parse_config(self):
+        with pytest.raises(ConfigError, match="unknown dataset 'citeseer'; use sbm or file"):
+            parse_config(None, {"dataset": "citeseer"})
+        with pytest.raises(ConfigError, match="dataset=file requires node_file and edge_file"):
+            parse_config(None, {"dataset": "file", "node_file": "nodes.txt"})
+
+    def test_manifest_round_trips_all_four_sections(self, tmp_path):
+        configs = (PartitionSpec(overlap_coefficient=0.15), FedConfig(lr=0.1),
+                   LdpParams(epsilon_b=2.0), DatasetConfig(sbm_blocks=5, sbm_p_out=0.03))
+        path = tmp_path / "manifest.txt"
+        write_manifest(path, *configs, "single", [])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "suite=single"
+        assert "sbm_blocks=5" in lines and "sbm_p_out=0.03" in lines
+        resolved = write_cfg(tmp_path, "\n".join(lines[1:]) + "\n", name="resolved.txt")
+        assert parse_config(resolved) == configs
 
 
 class TestRunSuite:
@@ -322,6 +388,24 @@ class TestRunSuite:
         assert [x for x in manifest if x.startswith("# run ")] == [
             f"# run {tag}: " + ", ".join(f"{k}={v}" for k, v in keys.items())
             for tag, keys in runs if tag]
+
+    def test_a_run_that_sets_a_dataset_key_runs_on_its_own_graph(self, tmp_path, monkeypatch):
+        """Runs with equal dataset keys share one graph build; a run that
+        changes a dataset key gets the graph of its keys."""
+        builds = []
+
+        def counted(dataset):
+            builds.append(dataset)
+            return build_graph(dataset)
+
+        monkeypatch.setattr(fairgfl.cli, "build_graph", counted)
+        monkeypatch.setitem(SUITES, "single", (("a", {}), ("b", {"sbm_seed": 3}), ("c", {})))
+        configs = parse_config(write_cfg(tmp_path, SMALL + "J = 1\n"))
+        out = tmp_path / "out"
+        assert run_suite("single", *configs, out) == 0
+        assert builds == [configs[3], replace(configs[3], sbm_seed=3)]
+        rounds = {tag: (out / f"rounds_{tag}.csv").read_bytes() for tag in "abc"}
+        assert rounds["a"] == rounds["c"] != rounds["b"]
 
     def test_thirds_multipliers_match_the_sizes_rule(self):
         """Thirds of sizes p // 3, the first p % 3 of them one larger."""

@@ -13,7 +13,10 @@ without a mechanism caches nothing either way), at tau percentile 25 and
 with 21-node blocks (147 nodes, 29 test rows: a row count that is not a
 multiple of 4, where BLAS may take another kernel) and with 9 blocks (9
 classes: numpy sums a row of 8 or more terms in pairwise lanes, so a softmax
-row reduction may hold its bits below 8 classes alone), ``fairgfl-m`` on
+row reduction may hold its bits below 8 classes alone), with every SBM key
+off its default (``fairgfl-m-dataset``: 5 blocks of 40 nodes, p_in 0.25,
+p_out 0.03, 24 features, SBM seed 3, so the manifests' dataset lines are
+compared with values of their own), ``fairgfl-m`` on
 node and edge files (``dataset = file``: a small block graph whose edges are
 written shuffled, some in both directions and some twice, among a few
 ``u u`` self-loop rows that the loader drops), ``fairgfl-m`` on uneven clients
@@ -87,6 +90,9 @@ def cases(top: Path) -> dict[str, tuple[str, dict]]:
     out["fairgfl-m-tau25"] = ("single", dict(base, tau_percentile=25))
     out["fairgfl-m-b21"] = ("single", dict(base, sbm_block_size=21))
     out["fairgfl-m-c9"] = ("single", dict(base, sbm_blocks=9))
+    out["fairgfl-m-dataset"] = ("single", dict(base, sbm_blocks=5, sbm_block_size=40,
+                                                sbm_p_in=0.25, sbm_p_out=0.03,
+                                                feature_dim=24, sbm_seed=3))
     out["fairgfl-m-file"] = ("single", dict(base, **graph_files(top)))
     out["fairgfl-m-uneven"] = ("single", dict(base, dirichlet_alpha_nonoverlap=0.05,
                                               overlap_coefficient=0.02))

@@ -40,10 +40,10 @@ CHILD = """
 import dataclasses, json, resource, sys, time
 from fairgfl import cli, federation
 
-part, fed, ldp, extras = cli.parse_config(None, json.loads(sys.argv[1]))
+part, fed, ldp, dataset = cli.parse_config(None, json.loads(sys.argv[1]))
 maxrss_mb = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 t0 = time.perf_counter()
-graph = cli.build_graph(extras)
+graph = cli.build_graph(dataset)
 build_s = time.perf_counter() - t0
 after_build = maxrss_mb()
 adj = graph.adjacency
@@ -75,9 +75,9 @@ def probe_config(nodes: list[int], rounds: int) -> dict:
     """The runs' config: each size's own keys, and every config key's
     default in the working tree's schema, which those keys override."""
     sys.path.insert(0, str(ROOT / "src"))
-    from fairgfl.cli import CONFIG_SCHEMA, DATASET_DEFAULTS
+    from fairgfl.cli import CONFIG_SCHEMA, DatasetConfig
 
-    blocks = DATASET_DEFAULTS["sbm_blocks"]
+    blocks = DatasetConfig().sbm_blocks
     return {
         "probe_keys": {str(n): probe_keys(n, rounds, blocks) for n in nodes},
         "other_keys": {key: default for key, (_, _, default) in CONFIG_SCHEMA.items()},
@@ -113,9 +113,9 @@ def main(argv=None) -> int:
         ap.error("--rounds must be >= 1")
 
     sys.path.insert(0, str(ROOT / "src"))
-    from fairgfl.cli import DATASET_DEFAULTS
+    from fairgfl.cli import DatasetConfig
 
-    blocks = DATASET_DEFAULTS["sbm_blocks"]
+    blocks = DatasetConfig().sbm_blocks
     for n in args.nodes:
         if n < 2 * blocks or n % blocks:
             ap.error(f"--nodes {n} is not a multiple of {blocks} blocks of >= 2 nodes")
