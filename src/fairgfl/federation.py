@@ -336,7 +336,7 @@ def run_experiment(
                              if cfg.permanent_cache else None)
                     batches.append(ldp.sanitize_batch(
                         sub, batch_ids, encoder, ldp_params if cfg.use_ldp else None, cache,
-                        batch_rng))
+                        batch_rng, links=cfg.alpha < 1))
             except Exception as exc:  # noqa: BLE001 - annotate and rethrow
                 raise RoundError(j, int(cid), exc) from exc
 

@@ -295,11 +295,11 @@ def generate_sbm(
     Block feature means sit at pairwise distance >= 4 standard deviations,
     so feature distance between nodes is strongly anti-correlated with the
     presence of a link. Pair (i, j), i < j, is an edge when the (i, j)
-    entry of an n x n uniform draw falls below its block probability. Of a
-    block's rows only the columns from the block's first one on are drawn,
-    as many rows at a time as fit in SBM_DRAW_VALUES values (at least one);
-    the rest of each row is skipped in the stream, so the graph and the
-    generator's state match the whole draw.
+    entry of an n x n uniform draw falls below its block probability. Of row
+    i only the columns right of the diagonal, i + 1 on, are drawn, as many
+    rows at a time as fit in SBM_DRAW_VALUES values (at least one); the rest
+    of each row is skipped in the stream, so the graph and the generator's
+    state match the whole draw.
     """
     if num_blocks < 1 or nodes_per_block < 2:
         raise ValidationError("need num_blocks >= 1 and nodes_per_block >= 2")
@@ -336,26 +336,27 @@ def _upper_edges(rng, n: int, block: int, p_in: float, p_out: float):
     The columns are int32, the index dtype of the CSR they go into, and the
     draw buffer is freed on return, before the graph is mirrored.
     """
-    # Row i of the n x n draw is stream values i * n .. i * n + n - 1. In the
-    # rows of block [s, e) every column left of s lies below the diagonal, so
-    # those s values are skipped with advance(s) instead of drawn.
+    # Row i of the n x n draw is stream values i * n .. i * n + n - 1; its columns
+    # up to the diagonal are skipped with advance(i + 1), the rest are drawn into
+    # the row's buffer, which in block [s, e) holds columns s on.
     skip = rng.bit_generator.advance
     starts = range(0, n, block)
     # Rows drawn at a time in each block: SBM_DRAW_VALUES of its n - s wide rows.
     steps = [min(block, max(1, SBM_DRAW_VALUES // (n - s))) for s in starts]
-    buf = np.empty(max(step * (n - s) for s, step in zip(starts, steps)))
+    buf = np.ones(max(step * (n - s) for s, step in zip(starts, steps)))  # undrawn: finite
     counts, hit_cols = np.zeros(n + 1, dtype=np.int64), []
     for s, step in zip(starts, steps):
         e = s + block
+        # Row s + k + a has in-block column j right of its diagonal where upper[a, block - k + j].
+        upper = np.arange(2 * block) > np.arange(step)[:, None] + block
         for r0 in range(s, e, step):
-            r1 = min(r0 + step, e)
+            r1, k = min(r0 + step, e), r0 - s
             u = buf[: (r1 - r0) * (n - s)].reshape(r1 - r0, n - s)
-            for row in u:
-                skip(s)
-                rng.random(out=row)
+            for i, row in enumerate(u, r0):
+                skip(i + 1)
+                rng.random(out=row[i + 1 - s :])
             hit = u < p_out
-            # In-block columns, cleared on and below the diagonal.
-            hit[:, : e - s] = np.triu(u[:, : e - s] < p_in, r0 - s + 1)
+            hit[:, : e - s] = (u[:, : e - s] < p_in) & upper[: r1 - r0, block - k : 2 * block - k]
             r, c = np.divmod(np.flatnonzero(hit), n - s)
             counts[r0 + 1 : r1 + 1] = np.bincount(r, minlength=r1 - r0)
             hit_cols.append((c + s).astype(np.int32))

@@ -74,7 +74,8 @@ class PermanentCache:
     """First-response cache: each node vector and link bit is perturbed once.
 
     The arrays cover one client's local rows; the first sanitize_batch
-    call allocates them and binds the cache to its client.
+    call binds the cache to its client and allocates the vectors, and the
+    first upload that draws link bits allocates the links.
     """
 
     nodes: set[int] = field(default_factory=set)  # global ids of the drawn vectors
@@ -83,11 +84,9 @@ class PermanentCache:
     links: np.ndarray | None = None      # (n_i, n_i) int8 bits, -1 undrawn, symmetric
 
     def _bind(self, node_ids: np.ndarray, d1: int) -> PermanentCache:
-        """Allocate the arrays for node_ids on first use; refuse other ids later."""
+        """Allocate the vectors for node_ids on first use; refuse other ids later."""
         if self.node_ids is None:
-            n = len(node_ids)
-            self.node_ids, self.vectors = node_ids, np.empty((n, d1))
-            self.links = np.full((n, n), -1, dtype=np.int8)
+            self.node_ids, self.vectors = node_ids, np.empty((len(node_ids), d1))
         elif not np.array_equal(self.node_ids, node_ids):
             raise ValidationError("a permanent cache serves only the client it was first used for")
         return self
@@ -209,10 +208,12 @@ def expected_density(x: float, p_e: float) -> float:
     return x + p_e - 2.0 * x * p_e
 
 
-def sparsify_correct(noised_adj: np.ndarray, sanitized_nodes: np.ndarray,
+def sparsify_correct(bits: np.ndarray, sanitized_nodes: np.ndarray,
                      p_e: float) -> np.ndarray:
     """Drop flipped-in links, removing the 1s with the largest feature distance.
 
+    bits are the pair bits of a batch of len(sanitized_nodes) nodes, in
+    triu_pairs order; a corrected int64 copy is returned in the same order.
     The raw density is estimated by inverting the randomized-response
     expectation; the surplus 1s are zeroed in order of descending
     Euclidean distance between their endpoints' sanitized vectors
@@ -221,27 +222,25 @@ def sparsify_correct(noised_adj: np.ndarray, sanitized_nodes: np.ndarray,
     """
     if abs(1.0 - 2.0 * p_e) < 1e-12:
         raise ValidationError("p_e = 1/2 leaves the raw density unidentifiable")
-    adj = np.array(noised_adj, dtype=np.int64)  # a copy, returned to the caller
-    b = adj.shape[0]
-    n_pairs = b * (b - 1) // 2
+    bits = np.array(bits, dtype=np.int64)  # a copy, returned to the caller
+    n_pairs = len(bits)
     if n_pairs == 0:
-        return adj
-    rows, cols = triu_pairs(b)
-    ones = adj[rows, cols] == 1
+        return bits
+    rows, cols = triu_pairs(len(sanitized_nodes))
+    ones = bits == 1
     p0 = ones.sum() / n_pairs
     x_hat = min(max((p0 - p_e) / (1.0 - 2.0 * p_e), 0.0), p0)
     n_remove = int(round((p0 - x_hat) * n_pairs))
     if n_remove <= 0:
-        return adj
+        return bits
 
     one_idx = np.flatnonzero(ones)
     diffs = sanitized_nodes[rows[one_idx]] - sanitized_nodes[cols[one_idx]]
     dists = np.linalg.norm(diffs, axis=1)
     # descending distance, ties broken by ascending pair index
     order = np.lexsort((one_idx, -dists))
-    drop = one_idx[order[:n_remove]]
-    adj[rows[drop], cols[drop]] = adj[cols[drop], rows[drop]] = 0
-    return adj
+    bits[one_idx[order[:n_remove]]] = 0
+    return bits
 
 
 def sanitize_batch(
@@ -251,6 +250,7 @@ def sanitize_batch(
     params: LdpParams | None,
     cache: PermanentCache | None,
     rng,
+    links: bool,
 ) -> SanitizedBatch:
     """Sanitize one mini-batch: encode, clamp, perturb nodes, flip links, correct.
 
@@ -260,6 +260,9 @@ def sanitize_batch(
     the encoded vectors and raw link bits are uploaded as they are: no
     perturbation, no correction, no draw from rng, and a cache passed in
     is left untouched: the upload runs on a throwaway cache, as without one.
+    With links False (a server that reads no link, at alpha = 1) the link
+    half is skipped: no link bit is read, drawn, cached or corrected, and
+    the upload's adjacency is all zeros.
     """
     batch = np.asarray(batch, dtype=np.int64)
     local = sub.local_rows(batch)
@@ -281,18 +284,20 @@ def sanitize_batch(
         cache.vectors[slots[fresh_rows]] = vectors[fresh_rows]
         cache.nodes.update(batch[fresh_rows].tolist())
 
-    # Upper-triangle link bits in row-major order; uncached ones are read (and flipped) afresh.
-    rows, cols = triu_pairs(b)
-    bits = cache.links[slots[rows], slots[cols]]
-    fresh = bits < 0
-    raw = sub.has_edges(local[rows[fresh]], local[cols[fresh]])
-    bits[fresh] = raw if params is None else perturb_links(raw, params, rng)
-    cache.links[slots[rows], slots[cols]] = cache.links[slots[cols], slots[rows]] = bits
     adjacency = np.zeros((b, b), dtype=np.int64)
-    adjacency[rows, cols] = bits
-    adjacency += adjacency.T
-    if params is not None:
-        adjacency = sparsify_correct(adjacency, vectors, params.flip_probability)
+    if links:
+        # Upper-triangle pair bits in row-major order; uncached ones are read (and flipped) afresh.
+        if cache.links is None:
+            cache.links = np.full((len(cache.node_ids),) * 2, -1, dtype=np.int8)
+        rows, cols = triu_pairs(b)
+        bits = cache.links[slots[rows], slots[cols]]
+        fresh = bits < 0
+        raw = sub.has_edges(local[rows[fresh]], local[cols[fresh]])
+        bits[fresh] = raw if params is None else perturb_links(raw, params, rng)
+        cache.links[slots[rows], slots[cols]] = cache.links[slots[cols], slots[rows]] = bits
+        if params is not None:
+            bits = sparsify_correct(bits, vectors, params.flip_probability)
+        adjacency[rows, cols] = adjacency[cols, rows] = bits
     return SanitizedBatch(
         client_id=sub.client_id,
         batch_size=b,

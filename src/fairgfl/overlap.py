@@ -68,10 +68,10 @@ def match_nodes(a: SanitizedBatch, b: SanitizedBatch, tau: float) -> MatchResult
     diff = a.sanitized_nodes[:, None, :] - b.sanitized_nodes[None, :, :]
     # The reduction np.linalg.norm(diff, axis=2) performs, bit for bit.
     dists = np.sqrt(np.add.reduce(diff * diff, axis=2))
-    cand = np.flatnonzero(dists < tau if tau > 0 else dists == 0.0)
-    # Flat order is (index in a, index in b), so a stable sort on distance
-    # visits candidates by (distance, index in a, index in b).
-    order = cand[np.argsort(dists.ravel()[cand], kind="stable")]
+    # The candidates lead the stable ascending order of every distance, and flat
+    # order is (index in a, index in b): they come by (distance, index in a, in b).
+    count = np.count_nonzero(dists < tau if tau > 0 else dists == 0.0)
+    order = np.argsort(dists, axis=None, kind="stable")[:count]
     free_a, free_b = [True] * a.batch_size, [True] * b.batch_size
     match_a, match_b, limit = [], [], min(a.batch_size, b.batch_size)
     in_a, in_b = np.divmod(order, b.batch_size)

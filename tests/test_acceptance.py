@@ -130,7 +130,7 @@ def test_criterion_04_noisy_separation():
             batches = [
                 sanitize_batch(
                     p_, rng.choice(p_.node_ids, 20, replace=False),
-                    enc, params, None, rng,
+                    enc, params, None, rng, links=True,
                 )
                 for p_ in parts
             ]
@@ -308,7 +308,7 @@ def test_criterion_10_permanent_responses():
         rng = np.random.default_rng(12)
         seen = set()
         for _ in range(100):
-            out = sanitize_batch(sub, np.array([3]), enc, params, cache, rng)
+            out = sanitize_batch(sub, np.array([3]), enc, params, cache, rng, links=True)
             seen.add(tuple(out.sanitized_nodes[0]))
         assert len(seen) == 1
 

@@ -586,9 +586,9 @@ class TestRunExperiment:
             return [math.nan if sub.client_id == sampled[k] else loss
                     for sub, loss in zip(subs, losses)], grads
 
-        def upload_spy(sub, *args):
+        def upload_spy(sub, *args, **kwargs):
             uploads.append(sub.client_id)
-            return sanitize(sub, *args)
+            return sanitize(sub, *args, **kwargs)
 
         monkeypatch.setattr(federation_mod, "train_clients", train_spy)
         monkeypatch.setattr(gcn_mod, "loss_and_grad", grad_spy)
@@ -701,11 +701,40 @@ class TestRunExperiment:
         encoder = train_encoder(g.features[:40], d1=4, epochs=3, seed=2)
         rng, batch = np.random.default_rng(0), np.arange(20, 60, 2)  # node 24 is on both
         alone = sanitize_batch(induced_subgraph(g, np.arange(30), 0), batch[2:3], encoder,
-                               None, None, rng)
+                               None, None, rng, links=True)
         within = sanitize_batch(induced_subgraph(g, np.arange(20, 60), 1), batch, encoder,
-                                None, None, rng)
+                                None, None, rng, links=True)
         assert match_nodes(alone, within, taus[0]).pairs == ((0, 2),)
         assert np.abs(alone.sanitized_nodes - within.sanitized_nodes[2]).max() <= 1e-12
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+    def test_alpha_one_uploads_no_links(self, monkeypatch, cached):
+        """At alpha = 1 the server reads no link, so uploads carry none: every
+        T_round and T_acc is zero and O is N_acc bit for bit, and the records,
+        model bytes and N and O histories are those of the same run with every
+        upload's link half forced on."""
+        from fairgfl import ldp as ldp_mod
+
+        g = small_graph()
+        spec = PartitionSpec(overlap_coefficient=0.3, seed=3)
+        cfg = small_cfg(alpha=1.0, permanent_cache=cached)
+        got = run_experiment(g, spec, cfg)
+        sanitize = ldp_mod.sanitize_batch
+        monkeypatch.setattr(ldp_mod, "sanitize_batch",
+                            lambda *args, links: sanitize(*args, links=True))
+        want = run_experiment(g, spec, cfg)
+        assert got.state.N_acc.any() and any(s["T_acc"].any() for s in want.overlap_history)
+        for snap in got.overlap_history:
+            assert not (snap["T_round"].any() or snap["T_acc"].any())
+            assert snap["O"].tobytes() == snap["N_acc"].tobytes()
+        assert [dataclasses.replace(r, wall_time_ms=0.0) for r in got.records] == [
+            dataclasses.replace(r, wall_time_ms=0.0) for r in want.records]
+        assert (got.model.W1.tobytes(), got.model.W2.tobytes()) == (
+            want.model.W1.tobytes(), want.model.W2.tobytes())
+        assert len(got.overlap_history) == len(want.overlap_history) == 3
+        for a, b in zip(got.overlap_history, want.overlap_history):
+            for name in ("N_round", "N_acc", "O"):
+                assert a[name].tobytes() == b[name].tobytes(), name
 
     def test_one_upload_per_round_keeps_overlap_zero(self):
         """K = 1 leaves no pair to match: history every round, O stays zero."""

@@ -217,6 +217,14 @@ class TestPerturbLinks:
         assert abs(density - target) < 3 * sigma
 
 
+def mirror(bits, b):
+    """The symmetric b x b int64 adjacency of pair bits in triu_indices(b, k=1) order."""
+    adj = np.zeros((b, b), dtype=np.int64)
+    rows, cols = np.triu_indices(b, k=1)
+    adj[rows, cols] = adj[cols, rows] = bits
+    return adj
+
+
 class TestSparsifyCorrect:
     def test_removes_surplus_ones(self):
         rng = np.random.default_rng(6)
@@ -225,8 +233,10 @@ class TestSparsifyCorrect:
         upper = np.triu(rng.random((b, b)) < 0.3, k=1)
         adj = (upper | upper.T).astype(np.int64)
         nodes = rng.random((b, 3))
-        out = sparsify_correct(adj, nodes, p_e)
         rows, cols = np.triu_indices(b, k=1)
+        bits = sparsify_correct(adj[rows, cols], nodes, p_e)
+        assert (bits.dtype, bits.shape) == (np.int64, rows.shape)
+        out = mirror(bits, b)
         p0 = adj[rows, cols].mean()
         x_hat = (p0 - p_e) / (1 - 2 * p_e)
         expect_removed = int(round((p0 - x_hat) * len(rows)))
@@ -240,18 +250,17 @@ class TestSparsifyCorrect:
         adj = np.zeros((4, 4), dtype=np.int64)
         adj[0, 1] = adj[1, 0] = 1
         adj[0, 3] = adj[3, 0] = 1
-        out = sparsify_correct(adj, nodes, p_e=0.25)
+        out = mirror(sparsify_correct(adj[np.triu_indices(4, k=1)], nodes, p_e=0.25), 4)
         assert out[0, 3] == 0  # distance 1.0, the largest
         assert out[0, 1] == 1
 
     def test_no_ones_noop(self):
-        adj = np.zeros((5, 5), dtype=np.int64)
-        out = sparsify_correct(adj, np.zeros((5, 2)), 0.2)
+        out = sparsify_correct(np.zeros(10, dtype=np.int64), np.zeros((5, 2)), 0.2)
         assert out.sum() == 0
 
     def test_half_flip_rejected(self):
         with pytest.raises(ValidationError):
-            sparsify_correct(np.zeros((3, 3), dtype=np.int64), np.zeros((3, 1)), 0.5)
+            sparsify_correct(np.zeros(3, dtype=np.int64), np.zeros((3, 1)), 0.5)
 
 
 class TestTrainEncoder:
@@ -306,7 +315,7 @@ class TestSanitizeBatch:
     def test_shapes_and_grid(self):
         rng = np.random.default_rng(10)
         batch = np.arange(10)
-        out = sanitize_batch(self.sub, batch, self.encoder, self.params, None, rng)
+        out = sanitize_batch(self.sub, batch, self.encoder, self.params, None, rng, links=True)
         assert out.batch_size == 10
         assert out.sanitized_nodes.shape == (10, 4)
         assert np.all((out.sanitized_nodes * 8) % 1 == 0)
@@ -324,7 +333,7 @@ class TestSanitizeBatch:
         rng = np.random.default_rng(15)
         state = rng.bit_generator.state
         cache = PermanentCache() if cached else None
-        got = sanitize_batch(self.sub, batch, self.encoder, None, cache, rng)
+        got = sanitize_batch(self.sub, batch, self.encoder, None, cache, rng, links=True)
         assert rng.bit_generator.state == state
         if cached:
             assert cache.node_ids is None and cache.nodes == set()
@@ -340,13 +349,14 @@ class TestSanitizeBatch:
     def test_foreign_node_rejected(self):
         rng = np.random.default_rng(11)
         with pytest.raises(ValidationError, match="not on client"):
-            sanitize_batch(self.sub, np.array([55]), self.encoder, self.params, None, rng)
+            sanitize_batch(self.sub, np.array([55]), self.encoder, self.params, None,
+                           rng, links=True)
 
     def test_repeated_node_rejected(self):
         rng = np.random.default_rng(11)
         with pytest.raises(ValidationError, match="distinct"):
             sanitize_batch(self.sub, np.array([3, 5, 3]), self.encoder, self.params,
-                           PermanentCache(), rng)
+                           PermanentCache(), rng, links=True)
 
     def test_permanent_cache_freezes_responses(self):
         """Repeated sanitizations reuse the first perturbed values."""
@@ -354,7 +364,7 @@ class TestSanitizeBatch:
         cache = PermanentCache()
         batch = np.arange(8)
         outs = [
-            sanitize_batch(self.sub, batch, self.encoder, self.params, cache, rng)
+            sanitize_batch(self.sub, batch, self.encoder, self.params, cache, rng, links=True)
             for _ in range(5)
         ]
         for out in outs[1:]:
@@ -363,8 +373,8 @@ class TestSanitizeBatch:
     def test_without_cache_responses_vary(self):
         rng = np.random.default_rng(13)
         batch = np.arange(8)
-        a = sanitize_batch(self.sub, batch, self.encoder, self.params, None, rng)
-        b = sanitize_batch(self.sub, batch, self.encoder, self.params, None, rng)
+        a = sanitize_batch(self.sub, batch, self.encoder, self.params, None, rng, links=True)
+        b = sanitize_batch(self.sub, batch, self.encoder, self.params, None, rng, links=True)
         assert not np.array_equal(a.sanitized_nodes, b.sanitized_nodes)
 
     def test_cached_link_bits_shared_across_batches(self):
@@ -374,9 +384,9 @@ class TestSanitizeBatch:
         def drawn_bits():
             return np.count_nonzero(np.triu(cache.links >= 0, k=1))
 
-        sanitize_batch(self.sub, np.arange(6), self.encoder, self.params, cache, rng)
+        sanitize_batch(self.sub, np.arange(6), self.encoder, self.params, cache, rng, links=True)
         n_links = drawn_bits()
-        sanitize_batch(self.sub, np.arange(6), self.encoder, self.params, cache, rng)
+        sanitize_batch(self.sub, np.arange(6), self.encoder, self.params, cache, rng, links=True)
         assert drawn_bits() == n_links == 15
         assert np.array_equal(cache.links, cache.links.T)
 
@@ -386,7 +396,8 @@ class TestSanitizeBatch:
         cache = PermanentCache()
         assert 10 not in cache.nodes
         batch = np.array([33, 12, 20])
-        sanitize_batch(sub, batch, self.encoder, self.params, cache, np.random.default_rng(1))
+        sanitize_batch(sub, batch, self.encoder, self.params, cache,
+                       np.random.default_rng(1), links=True)
         assert all(g in cache.nodes for g in batch.tolist())
         assert not any(g in cache.nodes for g in (10, 13, 39, 5, 55))
         assert cache.nodes == {12, 20, 33}
@@ -396,23 +407,55 @@ class TestSanitizeBatch:
         rng = np.random.default_rng(17)
         cache = PermanentCache()
         batch = np.array([4, 9, 2, 17])
-        first = sanitize_batch(self.sub, batch, self.encoder, self.params, cache, rng)
+        first = sanitize_batch(self.sub, batch, self.encoder, self.params, cache, rng, links=True)
         calls = []
         monkeypatch.setattr(ldp_mod, "perturb_node",
                             lambda *args, **kw: calls.append(args) or perturb_node(*args, **kw))
         before = rng.bit_generator.state
-        again = sanitize_batch(self.sub, batch[::-1], self.encoder, self.params, cache, rng)
+        again = sanitize_batch(self.sub, batch[::-1], self.encoder, self.params, cache,
+                               rng, links=True)
         assert calls == []
         assert rng.bit_generator.state == before
         assert np.array_equal(again.sanitized_nodes, first.sanitized_nodes[::-1])
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_without_links_uploads_the_node_half_alone(self, cached):
+        """links=False uploads the vectors of a links=True upload from the same
+        seed and an all-zero int64 b x b adjacency, allocates no link cache,
+        and leaves rng where perturb_node on the same encoded rows leaves it.
+        Each upload has a stream of its own, as in a run."""
+        caches = {links: PermanentCache() if cached else None for links in (False, True)}
+        seen = set()
+        for seed, batch in enumerate((np.array([4, 9, 2, 17, 11, 0]), np.array([9, 5, 17, 3]))):
+            rngs = {links: np.random.default_rng(seed) for links in (False, True)}
+            got, want = (sanitize_batch(self.sub, batch, self.encoder, self.params,
+                                        caches[links], rngs[links], links=links)
+                         for links in (False, True))
+            assert got.sanitized_nodes.tobytes() == want.sanitized_nodes.tobytes()
+            adj = got.sanitized_adjacency
+            assert (adj.dtype, adj.shape, adj.any()) == (np.int64, (len(batch),) * 2, False)
+            assert rngs[True].bit_generator.state != rngs[False].bit_generator.state
+            fresh = np.array([not (cached and gid in seen) for gid in batch.tolist()])
+            seen.update(batch.tolist())
+            nodes_only = np.random.default_rng(seed)
+            perturb_node(self.encoder.encode(self.sub.features[self.sub.local_rows(batch[fresh])]),
+                         self.params, nodes_only, self.encoder.x_min, self.encoder.x_max)
+            assert rngs[False].bit_generator.state == nodes_only.bit_generator.state
+        if cached:
+            assert caches[False].links is None and caches[True].links.shape == (30, 30)
+            # The first upload that draws link bits allocates the link cache.
+            sanitize_batch(self.sub, np.arange(3), self.encoder, self.params, caches[False],
+                           rngs[False], links=True)
+            assert caches[False].links.shape == (30, 30)
+
     def test_cache_of_another_client_rejected(self):
         cache = PermanentCache()
         rng = np.random.default_rng(18)
-        sanitize_batch(self.sub, np.arange(5), self.encoder, self.params, cache, rng)
+        sanitize_batch(self.sub, np.arange(5), self.encoder, self.params, cache, rng, links=True)
         other = induced_subgraph(self.graph, np.arange(5, 35), 1)
         with pytest.raises(ValidationError, match="client"):
-            sanitize_batch(other, np.arange(5, 10), self.encoder, self.params, cache, rng)
+            sanitize_batch(other, np.arange(5, 10), self.encoder, self.params, cache,
+                           rng, links=True)
 
     def test_flips_only_fresh_pairs_through_perturb_links(self, monkeypatch):
         """Uploads flip links only through perturb_links, and pass it exactly
@@ -423,12 +466,12 @@ class TestSanitizeBatch:
         adj = self.sub.adjacency.toarray() != 0
         cache, rng = PermanentCache(), np.random.default_rng(20)
         for batch in (np.arange(6), np.arange(4, 10), np.array([5, 0, 3])):
-            sanitize_batch(self.sub, batch, self.encoder, self.params, cache, rng)
+            sanitize_batch(self.sub, batch, self.encoder, self.params, cache, rng, links=True)
         # the second batch shares pair (4, 5) with the first; the third is cached
         assert [len(bits) for bits in sent] == [15, 14, 0]
         rows, cols = np.triu_indices(6, k=1)
         assert np.array_equal(sent[0], adj[rows, cols])
-        sanitize_batch(self.sub, np.arange(6), self.encoder, self.params, None, rng)
+        sanitize_batch(self.sub, np.arange(6), self.encoder, self.params, None, rng, links=True)
         assert len(sent[-1]) == 15
 
     @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
@@ -437,7 +480,7 @@ class TestSanitizeBatch:
         rng, picks = np.random.default_rng(21), np.random.default_rng(22)
         for _ in range(10):
             batch = picks.choice(30, size=8, replace=False)
-            adj = sanitize_batch(self.sub, batch, self.encoder, self.params, cache, rng)
+            adj = sanitize_batch(self.sub, batch, self.encoder, self.params, cache, rng, links=True)
             adj = adj.sanitized_adjacency
             assert np.array_equal(adj, adj.T)
             assert not adj.diagonal().any()
@@ -481,7 +524,8 @@ class TestSanitizeBatch:
                         if cache is not None:
                             links[key] = bit
                     out[i, j] = out[j, i] = bit
-            return vectors, sparsify_correct(out, vectors, p_e)
+            pairs = np.triu_indices(len(batch), k=1)
+            return vectors, mirror(sparsify_correct(out[pairs], vectors, p_e), len(batch))
 
         for cached in (False, True):
             rng_a, rng_b = np.random.default_rng(15), np.random.default_rng(15)
@@ -490,7 +534,8 @@ class TestSanitizeBatch:
             picks = np.random.default_rng(16)
             for _ in range(20):
                 batch = picks.choice(30, size=8, replace=False)
-                got = sanitize_batch(self.sub, batch, self.encoder, self.params, cache_a, rng_a)
+                got = sanitize_batch(self.sub, batch, self.encoder, self.params, cache_a,
+                                     rng_a, links=True)
                 nodes, adj = reference(batch, cache_b, rng_b)
                 assert np.array_equal(got.sanitized_nodes, nodes)
                 assert np.array_equal(got.sanitized_adjacency, adj)
@@ -518,7 +563,8 @@ class TestSanitizeBatch:
         rng = np.random.default_rng(23)
         grid = np.rint(p * np.stack([
             sanitize_batch(sub, sub.node_ids, self.encoder, LdpParams(eps, 1.0, p), None,
-                           rng).sanitized_nodes for _ in range(calls)])).astype(np.int64)
+                           rng, links=True).sanitized_nodes
+            for _ in range(calls)])).astype(np.int64)
         # counts[input, coordinate, grid value] over calls * n_rows uploads of each input
         counts = np.stack([(half[..., None] == np.arange(p + 1)).sum(axis=(0, 1))
                            for half in (grid[:, :n_rows], grid[:, n_rows:])])

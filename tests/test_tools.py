@@ -75,6 +75,14 @@ def test_scale_config_records_every_schema_default():
         for n in (21000, 700)}
 
 
+def test_scale_config_records_the_set_keys():
+    """--set keys go into the config as given, for every size; none by default."""
+    config = json.loads(json.dumps(probe_config([700], 5, {"alpha": "1.0"})))
+    assert config["set_keys"] == {"alpha": "1.0"}
+    assert config["probe_keys"]["700"]["rounds"] == 5
+    assert probe_config([700], 5)["set_keys"] == {}
+
+
 def pair(metrics_parent, metrics_change):
     def side(values):
         return {"metrics": {name: {"value": v} for name, v in values.items()}}

@@ -7,8 +7,12 @@ Run from the repository root:
 The parent revision is extracted with ``git archive`` into ``WORK/parent``;
 the change side is the current working tree. Each tree runs ``sim run`` from
 its own ``src`` on the same fixed cases, one process at a time: the
-``bench/run.py`` workloads at the default graph draw, ``fairgfl-m`` without
-LDP with the cache on and off (``fairgfl-m-noldp-nocache``: an upload
+``bench/run.py`` workloads at the default graph draw, ``fairgfl-m`` at
+``alpha = 1`` with the cache on (``fairgfl-m-alpha1``: its uploads carry no
+link half, so against a parent whose α = 1 uploads still carry one, its only
+expected differences are ``overlap_estimates/T_round.csv`` and
+``overlap_estimates/T_acc.csv``, all zeros on the change side), ``fairgfl-m``
+without LDP with the cache on and off (``fairgfl-m-noldp-nocache``: an upload
 without a mechanism caches nothing either way), at tau percentile 25 and
 with 21-node blocks (147 nodes, 29 test rows: a row count that is not a
 multiple of 4, where BLAS may take another kernel) and with 9 blocks (9
@@ -85,6 +89,7 @@ def cases(top: Path) -> dict[str, tuple[str, dict]]:
 
     out = {w: ("single", dict(keys, sbm_seed=DEFAULT_SBM_SEED)) for w, keys in WORKLOADS.items()}
     base = out["fairgfl-m"][1]
+    out["fairgfl-m-alpha1"] = ("single", dict(base, alpha=1.0))
     out["fairgfl-m-noldp"] = ("single", dict(base, use_ldp="off"))
     out["fairgfl-m-noldp-nocache"] = ("single", dict(base, use_ldp="off", permanent_cache="off"))
     out["fairgfl-m-tau25"] = ("single", dict(base, tau_percentile=25))

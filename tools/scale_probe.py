@@ -8,7 +8,10 @@ Run from the repository root:
 Each size runs the ``sim run`` defaults on an SBM of N nodes in ``sbm_blocks``
 (7) blocks of B = N / 7, with ``sbm_p_in = 15 / B`` and ``sbm_p_out = 1.5 / B``,
 so the expected degree stays near 15 + 6 · 1.5 = 24 whatever N is. Every size
-runs in a fresh process with 1 BLAS thread, and reports the seconds of
+runs in a fresh process with 1 BLAS thread. Each repeatable ``--set
+key=value`` goes to ``cli.parse_config`` after the size's own keys, which it
+overrides (``--set alpha=1.0`` probes runs whose uploads carry no link half).
+Every size reports the seconds of
 ``cli.build_graph`` and of ``federation.run_experiment``, the bytes of the
 global adjacency's ``data``, ``indices`` and ``indptr`` arrays, and
 ``ru_maxrss`` after the build, after a set-up (``run_experiment`` at 0
@@ -17,7 +20,8 @@ figure leaves out what only the rounds hold, such as the uploads' link
 cache. With ``--parent`` the parent revision is extracted with ``git
 archive`` into ``WORK/parent`` and every size runs on the parent first,
 then on the working tree. The results, with the config (each size's own
-keys and every other key's default), machine and numpy/scipy versions, go
+keys, the ``--set`` keys and every other key's default), machine and
+numpy/scipy versions, go
 to ``BENCH_scale_<tag>.json``, rewritten after every run.
 """
 
@@ -71,15 +75,17 @@ def probe_keys(nodes: int, rounds: int, blocks: int) -> dict:
             "rounds": rounds}
 
 
-def probe_config(nodes: list[int], rounds: int) -> dict:
-    """The runs' config: each size's own keys, and every config key's
-    default in the working tree's schema, which those keys override."""
+def probe_config(nodes: list[int], rounds: int, set_keys: dict | None = None) -> dict:
+    """The runs' config: each size's own keys, the keys set for every size
+    (over the size's own), and every config key's default in the working
+    tree's schema, which those keys override."""
     sys.path.insert(0, str(ROOT / "src"))
     from fairgfl.cli import CONFIG_SCHEMA, DatasetConfig
 
     blocks = DatasetConfig().sbm_blocks
     return {
         "probe_keys": {str(n): probe_keys(n, rounds, blocks) for n in nodes},
+        "set_keys": dict(set_keys or {}),
         "other_keys": {key: default for key, (_, _, default) in CONFIG_SCHEMA.items()},
         "blas_threads": 1,
         "timed": "build_s: cli.build_graph; run_s: federation.run_experiment "
@@ -106,14 +112,24 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", help="git revision to probe before the working tree")
     ap.add_argument("--work", type=Path, help="directory for the parent tree")
     ap.add_argument("--out", type=Path, help="default: BENCH_scale_<tag>.json")
+    ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                    help="a config key for every size, over its own; repeatable")
     args = ap.parse_args(argv)
     if args.parent and not args.work:
         ap.error("--parent needs --work")
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
+    if any("=" not in item for item in args.set):
+        ap.error("--set takes key=value")
+    set_keys = dict(item.split("=", 1) for item in args.set)
 
     sys.path.insert(0, str(ROOT / "src"))
-    from fairgfl.cli import DatasetConfig
+    from fairgfl.cli import DatasetConfig, parse_config
+
+    try:
+        parse_config(None, set_keys)
+    except ValueError as exc:  # ConfigError and ValidationError alike
+        ap.error(str(exc))
 
     blocks = DatasetConfig().sbm_blocks
     for n in args.nodes:
@@ -125,7 +141,7 @@ def main(argv=None) -> int:
     if args.parent:
         trees = {"parent": args.work.resolve() / "parent", **trees}
         doc["parent_commit"] = revision.extract(ROOT, args.parent, trees["parent"])
-    config = probe_config(args.nodes, args.rounds)
+    config = probe_config(args.nodes, args.rounds, set_keys)
     doc.update({
         "config": config,
         "machine": machine(),
@@ -135,7 +151,7 @@ def main(argv=None) -> int:
     out_path = args.out or ROOT / f"BENCH_scale_{args.tag}.json"
     for n in args.nodes:
         for side, tree in trees.items():
-            run = {"side": side, **probe(tree, config["probe_keys"][str(n)])}
+            run = {"side": side, **probe(tree, {**config["probe_keys"][str(n)], **set_keys})}
             doc["runs"].append(run)
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"{side} {n} nodes: build {run['build_s']:.2f} s "
