@@ -426,10 +426,8 @@ def partition(
         lab_nodes = rng.permutation(non_overlap[graph.labels[non_overlap] == c])
         shares = rng.dirichlet([spec.dirichlet_alpha_nonoverlap] * P)
         counts = _split_counts(shares, len(lab_nodes))
-        offset = 0
-        for i in range(P):
-            assignments[i].extend(lab_nodes[offset : offset + counts[i]])
-            offset += counts[i]
+        for i, part in enumerate(np.split(lab_nodes, np.cumsum(counts)[:-1])):
+            assignments[i].extend(part)
 
     pool_by_label = {
         c: overlap_pool[graph.labels[overlap_pool] == c] for c in range(num_classes)
@@ -456,6 +454,10 @@ def partition(
     for i in range(P):
         if not assignments[i]:
             donor = max(range(P), key=lambda k: len(assignments[k]))
+            if len(assignments[donor]) < 2:
+                raise ValidationError(f"num_clients = {P} leaves a client without nodes: only "
+                                      f"{len(set().union(*assignments))} nodes were assigned; "
+                                      "use fewer clients or more overlap")
             assignments[i].append(assignments[donor].pop())
 
     return [

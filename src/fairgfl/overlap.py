@@ -68,20 +68,17 @@ def match_nodes(a: SanitizedBatch, b: SanitizedBatch, tau: float) -> MatchResult
     diff = a.sanitized_nodes[:, None, :] - b.sanitized_nodes[None, :, :]
     # The reduction np.linalg.norm(diff, axis=2) performs, bit for bit.
     dists = np.sqrt(np.add.reduce(diff * diff, axis=2))
-    # The candidates lead the stable ascending order of every distance, and flat
-    # order is (index in a, index in b): they come by (distance, index in a, in b).
-    count = np.count_nonzero(dists < tau if tau > 0 else dists == 0.0)
-    order = np.argsort(dists, axis=None, kind="stable")[:count]
-    free_a, free_b = [True] * a.batch_size, [True] * b.batch_size
-    match_a, match_b, limit = [], [], min(a.batch_size, b.batch_size)
-    in_a, in_b = np.divmod(order, b.batch_size)
-    for ia, ib in zip(in_a.tolist(), in_b.tolist()):
-        if free_a[ia] and free_b[ib]:
-            free_a[ia] = free_b[ib] = False
-            match_a.append(ia)
-            match_b.append(ib)
-            if len(match_a) == limit:
-                break
+    # Non-candidates become +inf. argmin takes the first smallest in flat (index in a,
+    # index in b) order, and each accepted pair's row and column then leave.
+    dists[~(dists < tau) if tau > 0 else dists != 0.0] = np.inf
+    match_a, match_b = [], []
+    for _ in range(min(a.batch_size, b.batch_size)):
+        ia, ib = divmod(int(dists.argmin()), b.batch_size)
+        if dists[ia, ib] == np.inf:
+            break
+        dists[ia, :] = dists[:, ib] = np.inf
+        match_a.append(ia)
+        match_b.append(ib)
 
     # Links between matched pairs m < m' that both batches report.
     rows, cols = triu_pairs(len(match_a))

@@ -466,6 +466,22 @@ class TestMain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "rounds = 1\nsbm_block_size = 2\n",
+        "sbm_block_size = 2\n",
+        "overlap_coefficient = 0\noverlap_pool_fraction = 1\n",
+    ], ids=["one-round", "default-rounds", "all-pool-no-overlap"])
+    def test_partition_that_empties_a_client_exits_two(self, tmp_path, capsys, text):
+        """On the sim run defaults otherwise, these partitions leave a client
+        without nodes: one run would write nan losses, one fail in round 2 and
+        one pop from an empty list."""
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: num_clients = 10 ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_qfedavg_weight_past_float64_exits_one(self, tmp_path, capsys):
         """Over 7 classes a client's loss is near ln 7, and its 2000th power
         overflows float64: one error line that names the q-FedAvg weight."""

@@ -512,6 +512,20 @@ class TestPartition:
         for p in partition(g, spec, 8):
             assert p.num_nodes >= 1
 
+    @pytest.mark.parametrize("pool_fraction, num_clients, assigned", [
+        (1.0, 3, 0), (0.5, 8, 6),
+    ], ids=["all-pool", "fewer-nodes-than-clients"])
+    def test_partition_that_empties_a_client_rejected(self, pool_fraction, num_clients,
+                                                      assigned):
+        """The donor pass never takes a client's only node: with fewer nodes
+        assigned than clients, partition raises instead of returning an empty
+        client (or popping from an empty list when none is assigned)."""
+        g = generate_sbm(3, 4, 0.3, 0.05, 4, seed=6)
+        spec = PartitionSpec(overlap_coefficient=0.0, overlap_pool_fraction=pool_fraction)
+        with pytest.raises(ValidationError, match=f"num_clients = {num_clients} .* only "
+                                                  f"{assigned} nodes were assigned"):
+            partition(g, spec, num_clients)
+
     def test_multipliers_order_overlap(self):
         g = generate_sbm(4, 40, 0.3, 0.03, 4, seed=8)
         spec = PartitionSpec(

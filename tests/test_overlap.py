@@ -90,7 +90,7 @@ def random_cases(seed, sizes):
             yield a, b, float(tau)
 
 
-RANDOM_SIZES = [(12, 12), (5, 17), (17, 5), (1, 9), (0, 4), (20, 13)]
+RANDOM_SIZES = [(12, 12), (5, 17), (17, 5), (1, 9), (0, 4), (20, 13), (64, 64), (150, 40)]
 
 
 class TestMatchNodesReference:

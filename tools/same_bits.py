@@ -13,7 +13,9 @@ link half, so against a parent whose α = 1 uploads still carry one, its only
 expected differences are ``overlap_estimates/T_round.csv`` and
 ``overlap_estimates/T_acc.csv``, all zeros on the change side), ``fairgfl-m``
 without LDP with the cache on and off (``fairgfl-m-noldp-nocache``: an upload
-without a mechanism caches nothing either way), at tau percentile 25 and
+without a mechanism caches nothing either way), at tau percentile 25, with
+``quantiles = 1`` (``fairgfl-m-p1``: every uploaded coordinate is 0 or 1, so
+almost every distance ties and the matcher's tie rule decides every pair),
 with 21-node blocks (147 nodes, 29 test rows: a row count that is not a
 multiple of 4, where BLAS may take another kernel) and with 9 blocks (9
 classes: numpy sums a row of 8 or more terms in pairwise lanes, so a softmax
@@ -93,6 +95,7 @@ def cases(top: Path) -> dict[str, tuple[str, dict]]:
     out["fairgfl-m-noldp"] = ("single", dict(base, use_ldp="off"))
     out["fairgfl-m-noldp-nocache"] = ("single", dict(base, use_ldp="off", permanent_cache="off"))
     out["fairgfl-m-tau25"] = ("single", dict(base, tau_percentile=25))
+    out["fairgfl-m-p1"] = ("single", dict(base, quantiles=1))
     out["fairgfl-m-b21"] = ("single", dict(base, sbm_block_size=21))
     out["fairgfl-m-c9"] = ("single", dict(base, sbm_blocks=9))
     out["fairgfl-m-dataset"] = ("single", dict(base, sbm_blocks=5, sbm_block_size=40,
